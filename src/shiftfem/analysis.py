@@ -4,7 +4,6 @@ table reporting used by the command-line driver.
 from __future__ import annotations
 
 import io
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,6 @@ from .assembly import (
     element_phi_coefficients,
 )
 from .cases import ExactCase
-from .dofs import build_lagrange_nodes
 from .elements import (
     AffineMap,
     reference_nodes,
@@ -26,7 +24,10 @@ from .elements import (
 )
 from .linsolve import solve
 from .meshgen import classify_boundary
-from .nonconforming import nc_assemble, nc_element_phi_coefficients
+from .nonconforming import nc_assemble
+
+# Not called here: bench/tracing.py rebinds this name on this module.
+nc_element_phi_coefficients = element_phi_coefficients
 
 CSV_HEADER = (
     "case,method,k,param,h,n_dofs,err_h1_broken,err_l2,err_nodal_max,"
@@ -87,34 +88,27 @@ def eoc(e1, e2, h1, h2):
     return float(np.log(e1 / e2) / np.log(h1 / h2))
 
 
+#: method -> name of its system builder in this module, looked up at call
+#: time so that a rebound builder is the one called
+_BUILDERS = {
+    "new": "assemble_new_method",
+    "polyhedral": "assemble_polyhedral",
+    "nonconforming": "nc_assemble",
+}
+
+
 def run_single(case: ExactCase, method: str, degree: int, param,
-               record_time=True):
-    """Mesh, assemble, solve, and measure one case/refinement combination."""
-    if method == "nonconforming" and degree != 2:
-        raise ValueError("the nonconforming element only exists for k=2")
+               record_time=True, tol=1e-12):
+    """Mesh, assemble, solve, and measure one case/refinement combination.
+    `solve_seconds` is the sparse solve alone (0 without `record_time`)."""
+    if method not in _BUILDERS:
+        raise ValueError("unknown method %r" % method)
     mesh = case.mesh(param)
     cls = classify_boundary(mesh, case.surface)
-
-    t0 = time.perf_counter()
-    if method == "new":
-        system = assemble_new_method(
-            mesh, cls, case.surface, degree, case.f, case.g
-        )
-        report = solve(system)
-        coeffs = element_phi_coefficients(system, report.x)
-    elif method == "polyhedral":
-        system = assemble_polyhedral(
-            mesh, cls, case.surface, degree, case.f, case.g
-        )
-        report = solve(system)
-        coeffs = element_phi_coefficients(system, report.x)
-    elif method == "nonconforming":
-        system = nc_assemble(mesh, cls, case.surface, case.f)
-        report = solve(system)
-        coeffs = nc_element_phi_coefficients(system, report.x)
-    else:
-        raise ValueError("unknown method %r" % method)
-    seconds = time.perf_counter() - t0
+    build = globals()[_BUILDERS[method]]
+    system = build(mesh, cls, case.surface, degree, case.f, case.g)
+    report = solve(system, tol)
+    coeffs = element_phi_coefficients(system, report.x)
 
     e_h1, e_l2, e_nodal = error_norms(mesh, degree, coeffs, case.u, case.grad_u)
     return ErrorReport(
@@ -123,7 +117,7 @@ def run_single(case: ExactCase, method: str, degree: int, param,
         err_h1_broken=e_h1,
         err_l2=e_l2,
         err_nodal_max=e_nodal,
-        solve_seconds=seconds if record_time else 0.0,
+        solve_seconds=report.seconds if record_time else 0.0,
     ), mesh, system, report
 
 
@@ -187,7 +181,7 @@ class ConvergenceTable:
 
 
 def run_convergence(case: ExactCase, method: str, degree: int, params,
-                    record_time=True) -> ConvergenceTable:
+                    record_time=True, tol=1e-12) -> ConvergenceTable:
     params = list(params)
     if len(params) < 1:
         raise ValueError("need at least one refinement parameter")
@@ -197,7 +191,8 @@ def run_convergence(case: ExactCase, method: str, degree: int, params,
 
     reports = []
     for p in params:
-        rep, *_ = run_single(case, method, degree, p, record_time=record_time)
+        rep, *_ = run_single(case, method, degree, p, record_time=record_time,
+                             tol=tol)
         reports.append(rep)
 
     eoc_h1, eoc_l2 = [None], [None]

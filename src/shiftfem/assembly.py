@@ -1,62 +1,55 @@
 """Assembly of the Poisson systems.
 
-Two discretizations share the machinery:
-  * the boundary-shifted method: trial functions interpolate at nodes
-    shifted onto the true surface (non-symmetric square system, test
-    functions are the standard Lagrange basis vanishing on Gamma_h);
-  * the polyhedral baseline: standard Galerkin with Dirichlet values
-    imposed at the Gamma_h nodes themselves (symmetric system).
+Every discretization goes through one pipeline:
+  * a `DofMap` (per-tet global DOF ids and a Gamma_h mask);
+  * a per-element transform in reference coordinates: the test functions
+    are T_test = I (Lagrange) or R (nonconforming canonical basis) applied
+    to the P_k Lagrange basis, and the trial functions are T_test on
+    interior tets and T_test C on boundary tets, C = K~^-1 being the
+    coefficients of the boundary-shifted basis;
+  * a Dirichlet lift: the Gamma_h columns move to the right-hand side,
+    b -= A[free, Gamma_h] @ g, keeping the system square over the free DOFs.
 
-Dirichlet columns are eliminated into the right-hand side, keeping the
-system square over the free (non-Gamma_h) nodes.
+The builders differ only in what they feed the pipeline:
+  * the boundary-shifted method: Lagrange nodes with Dirichlet values at
+    the shifted points and C on the boundary tets (non-symmetric system);
+  * the polyhedral baseline: Dirichlet values imposed at the Gamma_h nodes
+    themselves, no C (symmetric system);
+  * the nonconforming element (`nonconforming.nc_assemble`): face/edge
+    DOFs, T_test = R.
+
+The scatter through COO index arrays follows Cuvelier, Japhet & Scarella,
+"An efficient way to assemble finite element matrices in vector
+languages" (BIT Numer. Math. 2016).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dofs import LagrangeNodeSet, build_lagrange_nodes
+from .dofs import DofMap, build_lagrange_nodes
 from .elements import AffineMap, shape_gradients, shape_values, tet_quadrature
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
-from .trialspace import (
-    ModifiedElementBasis,
-    ShiftedNodeTable,
-    build_modified_basis,
-    build_shifted_node_table,
-)
+from .trialspace import build_modified_basis, build_shifted_node_table
 
 
 @dataclass
-class DofMap:
-    """Equation numbering: one equation per Lagrangian node not on Gamma_h."""
+class System:
+    """Square system over the DOFs off Gamma_h, with what recovery needs."""
 
-    nodes: LagrangeNodeSet
-    gamma_mask: np.ndarray
-    eq_of_node: np.ndarray  # -1 for Dirichlet nodes
-    n_eq: int
-
-    @classmethod
-    def build(cls, nodes: LagrangeNodeSet, gamma_mask):
-        eq = np.full(nodes.n_nodes, -1, dtype=np.int64)
-        free = np.nonzero(~gamma_mask)[0]
-        eq[free] = np.arange(free.size)
-        return cls(nodes=nodes, gamma_mask=gamma_mask, eq_of_node=eq, n_eq=free.size)
-
-
-@dataclass
-class LinearSystem:
     A: sp.csr_matrix
     b: np.ndarray
     dofmap: DofMap
-    symmetric: bool
-    #: per-tet coefficient matrices of the modified bases (boundary tets only)
-    element_bases: dict = field(default_factory=dict)
-    #: Dirichlet value per Gamma_h node
-    dirichlet: dict = field(default_factory=dict)
-    shift_table: ShiftedNodeTable | None = None
+    dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
+    C: dict  # boundary tet -> coefficient matrix C of its modified basis
+    R: np.ndarray | None  # test transform; None is the identity
+
+    @property
+    def symmetric(self):
+        return not self.C
 
 
 def element_stiffness(amap: AffineMap, degree: int, quad):
@@ -74,21 +67,36 @@ def element_load(amap: AffineMap, degree: int, quad, f):
     return (quad.weights * fq) @ vals * amap.detB
 
 
-def _scatter(rows, cols, vals, b, A_loc, b_loc, cell, dofmap, dirichlet):
-    eq = dofmap.eq_of_node[cell]
-    for i_loc, i_eq in enumerate(eq):
-        if i_eq < 0:
-            continue
-        b[i_eq] += b_loc[i_loc]
-        for j_loc, j_eq in enumerate(eq):
-            if j_eq >= 0:
-                rows.append(i_eq)
-                cols.append(j_eq)
-                vals.append(A_loc[i_loc, j_loc])
-            else:
-                gval = dirichlet[int(cell[j_loc])]
-                if gval != 0.0:
-                    b[i_eq] -= A_loc[i_loc, j_loc] * gval
+def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, C, R,
+             f) -> System:
+    """Form T_test^T S T_trial and T_test^T b_loc on every tet, scatter
+    them once and lift the Dirichlet values (see the module docstring)."""
+    quad = tet_quadrature(5)
+    n_tets, n_loc = dofmap.cells.shape
+    S_all = np.empty((n_tets, n_loc, n_loc))
+    b_all = np.empty((n_tets, n_loc))
+    for t in range(n_tets):
+        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
+        S = element_stiffness(amap, degree, quad)
+        b_loc = element_load(amap, degree, quad, f)
+        if R is not None:
+            S = R.T @ S @ R
+            b_loc = R.T @ b_loc
+        if t in C:
+            S = S @ C[t]
+        S_all[t] = S
+        b_all[t] = b_loc
+
+    n = dofmap.n_dofs
+    rows = np.repeat(dofmap.cells, n_loc, axis=1).ravel()
+    cols = np.tile(dofmap.cells, n_loc).ravel()
+    full = sp.coo_matrix((S_all.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    free = ~dofmap.gamma_mask
+    load = np.bincount(dofmap.cells.ravel(), weights=b_all.ravel(), minlength=n)
+    A_free = full[free]
+    b = load[free] - A_free[:, dofmap.gamma_mask] @ dirichlet[dofmap.gamma_mask]
+    return System(A=A_free[:, free].tocsr(), b=b, dofmap=dofmap,
+                  dirichlet=dirichlet, C=C, R=R)
 
 
 def assemble_new_method(
@@ -98,47 +106,15 @@ def assemble_new_method(
     degree: int,
     f,
     g,
-    nodes: LagrangeNodeSet | None = None,
-) -> LinearSystem:
+) -> System:
     """Petrov-Galerkin system with the boundary-shifted trial basis."""
-    if cls.violations:
-        raise ValueError(
-            "mesh violates the one-face-or-one-edge boundary assumption: "
-            + "; ".join(cls.violations[:5])
-        )
-    if nodes is None:
-        nodes = build_lagrange_nodes(mesh, degree)
+    cls.check_assumption()
+    nodes = build_lagrange_nodes(mesh, degree)
     table = build_shifted_node_table(mesh, cls, surface, nodes)
-    dofmap = DofMap.build(nodes, table.gamma_mask)
+    dofmap = DofMap.build(nodes.cell_nodes_table, table.gamma_mask)
     dirichlet = table.dirichlet_values(g)
-
-    quad = tet_quadrature(5)
-    o_set = {}
-    for t in cls.o_tets:
-        o_set[t] = build_modified_basis(mesh, nodes, table, t)
-
-    rows, colsL, vals = [], [], []
-    b = np.zeros(dofmap.n_eq)
-    for t in range(mesh.n_tets):
-        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
-        S = element_stiffness(amap, degree, quad)
-        if t in o_set:
-            S = S @ o_set[t].C
-        b_loc = element_load(amap, degree, quad, f)
-        _scatter(rows, colsL, vals, b, S, b_loc, nodes.cell_nodes(t), dofmap, dirichlet)
-
-    A = sp.coo_matrix(
-        (vals, (rows, colsL)), shape=(dofmap.n_eq, dofmap.n_eq)
-    ).tocsr()
-    return LinearSystem(
-        A=A,
-        b=b,
-        dofmap=dofmap,
-        symmetric=False,
-        element_bases=o_set,
-        dirichlet=dirichlet,
-        shift_table=table,
-    )
+    C = {t: build_modified_basis(mesh, nodes, table, t).C for t in cls.o_tets}
+    return assemble(mesh, degree, dofmap, dirichlet, C, None, f)
 
 
 def assemble_polyhedral(
@@ -148,61 +124,38 @@ def assemble_polyhedral(
     degree: int,
     f,
     g,
-    nodes: LagrangeNodeSet | None = None,
-) -> LinearSystem:
+) -> System:
     """Standard Galerkin baseline: Dirichlet data moved to Gamma_h.
 
     The value imposed at a boundary node M is g evaluated at the closest
     point of the true surface (identical to g(M) for the homogeneous
     cases).
     """
-    if nodes is None:
-        nodes = build_lagrange_nodes(mesh, degree)
+    nodes = build_lagrange_nodes(mesh, degree)
     gamma_mask = nodes.gamma_mask(cls)
-    dofmap = DofMap.build(nodes, gamma_mask)
-    dirichlet = {}
+    dirichlet = np.zeros(nodes.n_nodes)
     for n in np.nonzero(gamma_mask)[0]:
-        dirichlet[int(n)] = float(g(surface.closest_point(nodes.coords[n])))
-
-    quad = tet_quadrature(5)
-    rows, colsL, vals = [], [], []
-    b = np.zeros(dofmap.n_eq)
-    for t in range(mesh.n_tets):
-        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
-        S = element_stiffness(amap, degree, quad)
-        b_loc = element_load(amap, degree, quad, f)
-        _scatter(rows, colsL, vals, b, S, b_loc, nodes.cell_nodes(t), dofmap, dirichlet)
-
-    A = sp.coo_matrix(
-        (vals, (rows, colsL)), shape=(dofmap.n_eq, dofmap.n_eq)
-    ).tocsr()
-    return LinearSystem(
-        A=A, b=b, dofmap=dofmap, symmetric=True, dirichlet=dirichlet
-    )
+        dirichlet[n] = g(surface.closest_point(nodes.coords[n]))
+    dofmap = DofMap.build(nodes.cell_nodes_table, gamma_mask)
+    return assemble(mesh, degree, dofmap, dirichlet, {}, None, f)
 
 
-def element_phi_coefficients(system: LinearSystem, x: np.ndarray):
-    """Per-element coefficients of the solution in the standard Lagrange
-    basis: (n_tets, n_k).  On boundary elements of the shifted method the
-    nodal values (free solution entries + Dirichlet data at shifted nodes)
-    are mapped through the modified-basis coefficient matrix."""
-    nodes = system.dofmap.nodes
-    mesh = nodes.mesh
-    out = np.empty((mesh.n_tets, nodes.cell_nodes_table.shape[1]))
-    for t in range(mesh.n_tets):
-        cell = nodes.cell_nodes(t)
-        coef = np.empty(len(cell))
-        for i, n in enumerate(cell):
-            e = system.dofmap.eq_of_node[n]
-            coef[i] = x[e] if e >= 0 else system.dirichlet[int(n)]
-        basis = system.element_bases.get(t)
-        if basis is not None:
-            coef = basis.C @ coef
-        out[t] = coef
-    return out
+def element_phi_coefficients(system: System, x: np.ndarray):
+    """Per-element coefficients of the solution in the standard P_k
+    Lagrange basis: (n_tets, n_k).  The DOF values of each tet (free
+    solution entries and Dirichlet values) are mapped through its trial
+    transform T_test C (or T_test)."""
+    values = system.dirichlet.copy()
+    values[~system.dofmap.gamma_mask] = x
+    coef = values[system.dofmap.cells]
+    for t, C in system.C.items():
+        coef[t] = C @ coef[t]
+    if system.R is not None:
+        coef = coef @ system.R.T
+    return coef
 
 
-def write_matrix_market(system: LinearSystem, path):
+def write_matrix_market(system: System, path):
     from scipy.io import mmwrite
 
     mmwrite(str(path), system.A)

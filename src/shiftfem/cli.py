@@ -15,10 +15,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis
-from .assembly import write_matrix_market
+from .assembly import element_phi_coefficients, write_matrix_market
 from .cases import case_registry, get_case
-from .dofs import build_lagrange_nodes
 from .meshgen import classify_boundary, write_mesh_text, write_vtk
 
 _CONFIG_KEYS = {
@@ -69,8 +70,8 @@ def _build_parser():
             help="fully deterministic mode (also zeroes timing columns)",
         )
         p.add_argument("--vtk", action="store_true", help="export VTK files")
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="solver residual tolerance")
+        p.add_argument("--tol", type=float, default=None,
+                       help="solver residual tolerance (default 1e-12)")
         p.add_argument("--dump-matrix", action="store_true",
                        help="write the system matrix in MatrixMarket format")
 
@@ -83,19 +84,26 @@ def _build_parser():
 
 def _resolve(args):
     cfg = _load_config(args.config) if args.config else {}
+
+    def flag(name):
+        return getattr(args, name) or cfg.get(name, "0") in ("1", "true")
+
     case = args.case or cfg.get("case")
-    method = args.method or cfg.get("method", "new")
-    k = args.k if args.k is not None else int(cfg.get("k", 2))
-    refine = args.refine or cfg.get("refine")
-    sequential = args.sequential or cfg.get("sequential", "0") in ("1", "true")
-    vtk = args.vtk or cfg.get("vtk", "0") in ("1", "true")
-    out = Path(cfg.get("out", args.out) if args.out == "." else args.out)
     if case is None:
         raise ValueError("--case is required")
-    params = None
-    if refine:
-        params = [int(s) for s in str(refine).split(",") if s.strip()]
-    return case, method, k, params, out, sequential, vtk
+    refine = args.refine or cfg.get("refine")
+    return argparse.Namespace(
+        case=case,
+        method=args.method or cfg.get("method", "new"),
+        k=args.k if args.k is not None else int(cfg.get("k", 2)),
+        params=[int(s) for s in str(refine).split(",") if s.strip()]
+        if refine else None,
+        out=Path(cfg.get("out", args.out) if args.out == "." else args.out),
+        sequential=flag("sequential"),
+        vtk=flag("vtk"),
+        dump_matrix=flag("dump_matrix"),
+        tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-12)),
+    )
 
 
 def _default_params(case):
@@ -103,21 +111,21 @@ def _default_params(case):
 
 
 def cmd_mesh(args):
-    case, _method, _k, params, out, _seq, _vtk = _resolve(args)
-    c = get_case(case)
-    out.mkdir(parents=True, exist_ok=True)
-    for p in params or _default_params(case)[:1]:
+    run = _resolve(args)
+    c = get_case(run.case)
+    run.out.mkdir(parents=True, exist_ok=True)
+    for p in run.params or _default_params(run.case)[:1]:
         mesh = c.mesh(p)
         cls = classify_boundary(mesh, c.surface)
-        stem = out / ("%s-%d" % (case, p))
+        stem = run.out / ("%s-%d" % (run.case, p))
         write_vtk(mesh, stem.with_suffix(".vtk"))
         write_mesh_text(mesh, stem.with_suffix(".txt"))
         print(
             "%s param=%d: %d vertices, %d tets, %d surface faces, "
             "|S_h|=%d |R_h|=%d%s"
             % (
-                case, p, mesh.n_vertices, mesh.n_tets, len(cls.gamma_faces),
-                len(cls.s_tets), len(cls.r_tets),
+                run.case, p, mesh.n_vertices, mesh.n_tets,
+                len(cls.gamma_faces), len(cls.s_tets), len(cls.r_tets),
                 "  VIOLATIONS: %d" % len(cls.violations) if cls.violations
                 else "",
             )
@@ -127,67 +135,65 @@ def cmd_mesh(args):
 
 
 def cmd_solve(args):
-    case, method, k, params, out, seq, vtk = _resolve(args)
-    if params is None or len(params) != 1:
+    run = _resolve(args)
+    if run.params is None or len(run.params) != 1:
         raise ValueError("solve needs exactly one --refine value")
-    c = get_case(case)
+    param = run.params[0]
     rep, mesh, system, solve_report = analysis.run_single(
-        c, method, k, params[0], record_time=not seq
+        get_case(run.case), run.method, run.k, param,
+        record_time=not run.sequential, tol=run.tol,
     )
     print(
-        "%s %s k=%d param=%d: h=%.5e n_dofs=%d" % (case, method, k, params[0],
-                                                   rep.h, rep.n_dofs)
+        "%s %s k=%d param=%d: h=%.5e n_dofs=%d" % (run.case, run.method, run.k,
+                                                   param, rep.h, rep.n_dofs)
     )
     print("  err_h1_broken = %.6e" % rep.err_h1_broken)
     print("  err_l2        = %.6e" % rep.err_l2)
     print("  err_nodal_max = %.6e" % rep.err_nodal_max)
-    out.mkdir(parents=True, exist_ok=True)
+    run.out.mkdir(parents=True, exist_ok=True)
     table = analysis.ConvergenceTable(
-        case=case, method=method, degree=k, params=params, reports=[rep],
-        eoc_h1=[None], eoc_l2=[None],
+        case=run.case, method=run.method, degree=run.k, params=run.params,
+        reports=[rep], eoc_h1=[None], eoc_l2=[None],
     )
-    csv_path = out / ("%s-%s-k%d.csv" % (case, method, k))
+    csv_path = run.out / ("%s-%s-k%d.csv" % (run.case, run.method, run.k))
     csv_path.write_text(table.to_csv())
     print("wrote %s" % csv_path)
-    if getattr(args, "dump_matrix", False):
-        mm = out / ("%s-%s-k%d-%d.mtx" % (case, method, k, params[0]))
+    stem = "%s-%s-k%d-%d" % (run.case, run.method, run.k, param)
+    if run.dump_matrix:
+        mm = run.out / (stem + ".mtx")
         write_matrix_market(system, mm)
         print("wrote %s" % mm)
-    if vtk:
-        _write_solution_vtk(out, case, method, k, params[0], mesh, system,
-                            solve_report)
+    if run.vtk:
+        path = run.out / (stem + "-solution.vtk")
+        u = _vertex_values(mesh, system, solve_report.x)
+        write_vtk(mesh, path, point_data={"u": u})
+        print("wrote %s" % path)
 
 
-def _write_solution_vtk(out, case, method, k, param, mesh, system, report):
-    import numpy as np
-
-    vals = np.zeros(mesh.n_vertices)
-    if hasattr(system.dofmap, "eq_of_node"):
-        for v in range(mesh.n_vertices):
-            e = system.dofmap.eq_of_node[v]
-            if e >= 0:
-                vals[v] = report.x[e]
-            else:
-                vals[v] = system.dirichlet.get(v, 0.0)
-    path = out / ("%s-%s-k%d-%d-solution.vtk" % (case, method, k, param))
-    write_vtk(mesh, path, point_data={"u": vals})
-    print("wrote %s" % path)
+def _vertex_values(mesh, system, x):
+    """The solution at the mesh vertices: each tet's vertex coefficients,
+    averaged over the tets sharing the vertex (they agree except for the
+    nonconforming element)."""
+    coef = element_phi_coefficients(system, x)[:, :4]
+    tets = mesh.tets.ravel()
+    total = np.bincount(tets, weights=coef.ravel(), minlength=mesh.n_vertices)
+    return total / np.bincount(tets, minlength=mesh.n_vertices)
 
 
 def cmd_convergence(args):
-    case, method, k, params, out, seq, _vtk = _resolve(args)
-    if params is None:
-        params = _default_params(case)
+    run = _resolve(args)
+    params = run.params or _default_params(run.case)
     if len(params) < 2:
         raise ValueError("convergence needs at least two --refine values")
-    c = get_case(case)
-    table = analysis.run_convergence(c, method, k, params,
-                                     record_time=not seq)
+    table = analysis.run_convergence(get_case(run.case), run.method, run.k,
+                                     params, record_time=not run.sequential,
+                                     tol=run.tol)
     print(table.to_text())
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / ("%s-%s-k%d.csv" % (case, method, k))
+    run.out.mkdir(parents=True, exist_ok=True)
+    stem = "%s-%s-k%d" % (run.case, run.method, run.k)
+    csv_path = run.out / (stem + ".csv")
     csv_path.write_text(table.to_csv())
-    txt_path = out / ("%s-%s-k%d.txt" % (case, method, k))
+    txt_path = run.out / (stem + ".txt")
     txt_path.write_text(table.to_text())
     print("wrote %s and %s" % (csv_path, txt_path))
 

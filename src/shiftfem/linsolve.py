@@ -7,19 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import LinearSystem
+from .assembly import System
 
 
 @dataclass
 class SolveReport:
     x: np.ndarray
     relative_residual: float
-    iterations: int
-    method: str
-    seconds: float
+    seconds: float  # the factorization and solve only
 
 
-def solve(system: LinearSystem, tol: float = 1e-12) -> SolveReport:
+def solve(system: System, tol: float = 1e-12) -> SolveReport:
     """Sparse LU with partial pivoting; checks the residual contract."""
     if not 0.0 < tol <= 1e-6:
         raise ValueError("solver tolerance must be in (0, 1e-6]")
@@ -34,7 +32,4 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> SolveReport:
         raise RuntimeError(
             "solver failure: relative residual %.3e exceeds %.1e" % (rel, tol)
         )
-    return SolveReport(
-        x=x, relative_residual=float(rel), iterations=0, method="sparse-lu",
-        seconds=seconds,
-    )
+    return SolveReport(x=x, relative_residual=float(rel), seconds=seconds)

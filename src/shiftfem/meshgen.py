@@ -375,14 +375,20 @@ class BoundaryClassification:
     gamma_vertices: set
     s_tets: list  # tets with exactly one face on Gamma_h
     r_tets: list  # tets with exactly one edge (and no face) on Gamma_h
-    tet_gamma_faces: dict  # tet -> list of face triples
-    tet_gamma_edges: dict  # tet -> list of edge pairs
     violations: list  # human-readable descriptions of assumption violations
     symmetry_faces: set  # boundary faces on flat symmetry planes
 
     @property
     def o_tets(self):
         return self.s_tets + self.r_tets
+
+    def check_assumption(self):
+        """Raise when a tet breaks the one-face-or-one-edge assumption."""
+        if self.violations:
+            raise ValueError(
+                "mesh violates the one-face-or-one-edge boundary assumption: "
+                + "; ".join(self.violations[:5])
+            )
 
 
 def classify_boundary(mesh: Mesh, surface: Surface, tol_rel=1e-9):
@@ -424,7 +430,6 @@ def classify_boundary(mesh: Mesh, surface: Surface, tol_rel=1e-9):
         gamma_vertices.update(tri)
 
     s_tets, r_tets = [], []
-    tet_gf, tet_ge = {}, {}
     violations = []
     for t, tet in enumerate(mesh.tets):
         tfaces = []
@@ -440,8 +445,6 @@ def classify_boundary(mesh: Mesh, surface: Surface, tol_rel=1e-9):
                     tedges.append(key)
         if not tfaces and not tedges:
             continue
-        tet_gf[t] = tfaces
-        tet_ge[t] = tedges
         if len(tfaces) >= 2:
             violations.append("tet %d has %d faces on Gamma_h" % (t, len(tfaces)))
             s_tets.append(t)
@@ -468,8 +471,6 @@ def classify_boundary(mesh: Mesh, surface: Surface, tol_rel=1e-9):
         gamma_vertices=gamma_vertices,
         s_tets=s_tets,
         r_tets=r_tets,
-        tet_gamma_faces=tet_gf,
-        tet_gamma_edges=tet_ge,
         violations=violations,
         symmetry_faces=symmetry_faces,
     )

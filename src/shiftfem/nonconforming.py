@@ -19,23 +19,19 @@ entities are constrained to zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
-from .elements import (
-    EDGES,
-    FACES,
-    AffineMap,
-    REF_VERTICES,
-    shape_values,
-    tet_quadrature,
-)
+from .assembly import System, assemble
+from .dofs import DofMap, tet_edge_ids, tet_face_ids
+from .elements import EDGES, FACES, AffineMap, REF_VERTICES, shape_values
 from .meshgen import BoundaryClassification, Mesh, skin_direction
 from .surfaces import Surface
-from .assembly import element_load, element_stiffness
+from .trialspace import ModifiedElementBasis
+
+# Not called here: bench/tracing.py rebinds these names on this module.
+from .assembly import element_load, element_stiffness  # noqa: F401
 
 N_DOFS = 10
 
@@ -77,64 +73,15 @@ def nc_reference_matrix() -> np.ndarray:
     return np.linalg.inv(N)
 
 
-@dataclass
-class NCModifiedBasis:
-    tet: int
-    K: np.ndarray  # shifted-DOF matrix applied to the canonical basis
-    C: np.ndarray  # its inverse
-    condition: float
-    dirichlet_local: np.ndarray
-    free_local: np.ndarray
-
-    @property
-    def deviation_from_identity(self):
-        return float(np.max(np.abs(self.K - np.eye(N_DOFS)).sum(axis=1)))
-
-
-@dataclass
-class NCDofMap:
-    mesh: Mesh
-    face_ids: dict
-    edge_ids: dict
-    gamma_mask: np.ndarray
-    eq_of_dof: np.ndarray
-    n_eq: int
-    n_dofs: int
-
-    def cell_dofs(self, t):
-        tet = self.mesh.tets[t]
-        dofs = []
-        for f in FACES:
-            tri = tuple(sorted(int(tet[i]) for i in f))
-            dofs.append(self.face_ids[tri])
-        n_f = len(self.face_ids)
-        for a, b in EDGES:
-            key = (min(int(tet[a]), int(tet[b])), max(int(tet[a]), int(tet[b])))
-            dofs.append(n_f + self.edge_ids[key])
-        return np.array(dofs, dtype=np.int64)
-
-    @classmethod
-    def build(cls, mesh: Mesh, bc: BoundaryClassification):
-        face_ids = mesh.faces()
-        edge_ids = mesh.edges()
-        n = len(face_ids) + len(edge_ids)
-        gamma = np.zeros(n, dtype=bool)
-        for tri in bc.gamma_faces:
-            gamma[face_ids[tri]] = True
-        for e in bc.gamma_edges:
-            gamma[len(face_ids) + edge_ids[e]] = True
-        eq = np.full(n, -1, dtype=np.int64)
-        free = np.nonzero(~gamma)[0]
-        eq[free] = np.arange(free.size)
-        return cls(
-            mesh=mesh,
-            face_ids=face_ids,
-            edge_ids=edge_ids,
-            gamma_mask=gamma,
-            eq_of_dof=eq,
-            n_eq=free.size,
-            n_dofs=n,
-        )
+def nc_dofmap(mesh: Mesh, bc: BoundaryClassification) -> DofMap:
+    """DOF map of the face and edge DOFs: face ids, then n_faces + edge
+    ids, with the Gamma_h faces and edges masked."""
+    faces, edges = mesh.faces(), mesh.edges()
+    cells = np.hstack([tet_face_ids(mesh), len(faces) + tet_edge_ids(mesh)])
+    gamma = np.zeros(len(faces) + len(edges), dtype=bool)
+    gamma[[faces[tri] for tri in bc.gamma_faces]] = True
+    gamma[[len(faces) + edges[e] for e in bc.gamma_edges]] = True
+    return DofMap.build(cells, gamma)
 
 
 def _shifted_edge_points(mesh, bc, surface):
@@ -157,7 +104,7 @@ def build_nc_modified_basis(
     surface: Surface,
     tet: int,
     edge_shifts: dict,
-) -> NCModifiedBasis:
+) -> ModifiedElementBasis:
     R = nc_reference_matrix()
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tet]])
     tetv = mesh.tets[tet]
@@ -167,12 +114,10 @@ def build_nc_modified_basis(
         return shape_values(2, ref)[0] @ R  # values of the 10 canonical b_j
 
     K = np.eye(N_DOFS)
-    dirichlet_local = []
     for lf, f in enumerate(FACES):
         tri = tuple(sorted(int(tetv[i]) for i in f))
         if tri not in bc.gamma_faces:
             continue
-        dirichlet_local.append(lf)
         pts = mesh.vertices[list(tri)]
         centroid = pts.mean(axis=0)
         n = mesh.outward_face_normal(tri)
@@ -183,99 +128,29 @@ def build_nc_modified_basis(
         key = (min(int(tetv[a]), int(tetv[b])), max(int(tetv[a]), int(tetv[b])))
         if key not in bc.gamma_edges:
             continue
-        dirichlet_local.append(4 + le)
         Q = edge_shifts[key]
         pa, pb = mesh.vertices[key[0]], mesh.vertices[key[1]]
         K[4 + le, :] = nc_edge_functional(
             basis_values(pa), basis_values(Q), basis_values(pb)
         )
-
-    cond = float(np.linalg.cond(K, 1))
-    if not np.isfinite(cond) or cond > 1e8:
-        raise ValueError(
-            "mesh too coarse for shifted nonconforming basis (tet %d)" % tet
-        )
-    dirichlet_local = np.array(sorted(dirichlet_local), dtype=np.int64)
-    free_local = np.array(
-        [i for i in range(N_DOFS) if i not in set(dirichlet_local.tolist())],
-        dtype=np.int64,
-    )
-    return NCModifiedBasis(
-        tet=tet,
-        K=K,
-        C=np.linalg.inv(K),
-        condition=cond,
-        dirichlet_local=dirichlet_local,
-        free_local=free_local,
-    )
-
-
-@dataclass
-class NCSystem:
-    A: sp.csr_matrix
-    b: np.ndarray
-    dofmap: NCDofMap
-    symmetric: bool
-    element_bases: dict = field(default_factory=dict)
+    return ModifiedElementBasis.invert(K, tet)
 
 
 def nc_assemble(
-    mesh: Mesh, bc: BoundaryClassification, surface: Surface, f
-) -> NCSystem:
-    """Square system over the non-Gamma_h face/edge DOFs (homogeneous
-    Dirichlet data only; constrained DOFs carry the value zero)."""
-    if bc.violations:
-        raise ValueError(
-            "mesh violates the one-face-or-one-edge boundary assumption: "
-            + "; ".join(bc.violations[:5])
-        )
-    dofmap = NCDofMap.build(mesh, bc)
-    R = nc_reference_matrix()
-    quad = tet_quadrature(5)
+    mesh: Mesh, bc: BoundaryClassification, surface: Surface, degree: int, f, g
+) -> System:
+    """Square system over the non-Gamma_h face/edge DOFs.  Only
+    homogeneous Dirichlet data is supported: the Gamma_h DOFs carry the
+    value zero, and `g` must vanish on the Gamma_h vertices."""
+    if degree != 2:
+        raise ValueError("the nonconforming element only exists for k=2")
+    if any(g(mesh.vertices[v]) != 0.0 for v in sorted(bc.gamma_vertices)):
+        raise ValueError("the nonconforming element needs homogeneous "
+                         "Dirichlet data")
+    bc.check_assumption()
+    dofmap = nc_dofmap(mesh, bc)
     edge_shifts = _shifted_edge_points(mesh, bc, surface)
-
-    bases = {}
-    for t in bc.o_tets:
-        bases[t] = build_nc_modified_basis(mesh, bc, surface, t, edge_shifts)
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofmap.n_eq)
-    for t in range(mesh.n_tets):
-        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
-        S = R.T @ element_stiffness(amap, 2, quad) @ R
-        if t in bases:
-            S = S @ bases[t].C
-        b_loc = R.T @ element_load(amap, 2, quad, f)
-        cell = dofmap.cell_dofs(t)
-        eq = dofmap.eq_of_dof[cell]
-        for i_loc, i_eq in enumerate(eq):
-            if i_eq < 0:
-                continue
-            rhs[i_eq] += b_loc[i_loc]
-            for j_loc, j_eq in enumerate(eq):
-                if j_eq >= 0:
-                    rows.append(i_eq)
-                    cols.append(j_eq)
-                    vals.append(S[i_loc, j_loc])
-                # Dirichlet DOFs are zero: nothing moves to the RHS
-
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(dofmap.n_eq, dofmap.n_eq)).tocsr()
-    return NCSystem(
-        A=A, b=rhs, dofmap=dofmap, symmetric=not bases, element_bases=bases
-    )
-
-
-def nc_element_phi_coefficients(system: NCSystem, x: np.ndarray):
-    """Per-element P2 Lagrange coefficients of the nonconforming solution."""
-    R = nc_reference_matrix()
-    mesh = system.dofmap.mesh
-    out = np.empty((mesh.n_tets, 10))
-    for t in range(mesh.n_tets):
-        cell = system.dofmap.cell_dofs(t)
-        eq = system.dofmap.eq_of_dof[cell]
-        dofvals = np.where(eq >= 0, x[np.maximum(eq, 0)], 0.0)
-        basis = system.element_bases.get(t)
-        if basis is not None:
-            dofvals = basis.C @ dofvals
-        out[t] = R @ dofvals
-    return out
+    C = {t: build_nc_modified_basis(mesh, bc, surface, t, edge_shifts).C
+         for t in bc.o_tets}
+    return assemble(mesh, 2, dofmap, np.zeros(dofmap.n_dofs), C,
+                    nc_reference_matrix(), f)

@@ -23,7 +23,7 @@ from .elements import AffineMap, shape_values
 from .meshgen import BoundaryClassification, Mesh, skin_direction
 from .surfaces import Surface
 
-#: conditioning guard for the perturbed node matrix
+#: conditioning guard for the perturbed DOF matrix of every shifted basis
 COND_LIMIT = 1e8
 
 
@@ -45,11 +45,11 @@ class ShiftedNodeTable:
         return self.nodes.coords[node_id]
 
     def dirichlet_values(self, g):
-        """Boundary datum evaluated at the shifted node of every Gamma_h
-        Lagrangian node."""
-        vals = {}
+        """Per-node array: the boundary datum at the shifted point of every
+        Gamma_h node, 0 elsewhere."""
+        vals = np.zeros(self.nodes.n_nodes)
         for n in np.nonzero(self.gamma_mask)[0]:
-            vals[int(n)] = float(g(self.shifted_point(int(n))))
+            vals[n] = g(self.shifted_point(int(n)))
         return vals
 
 
@@ -99,16 +99,27 @@ def build_shifted_node_table(
 
 @dataclass
 class ModifiedElementBasis:
-    tet: int
-    K: np.ndarray  # perturbed node matrix, K[i, j] = phi_j(shifted node i)
+    """Perturbed DOF matrix of one boundary element and its inverse; the
+    Lagrange builder and the nonconforming builder both return it."""
+
+    K: np.ndarray  # K[i, j] = shifted DOF i applied to basis function j
     C: np.ndarray  # inverse of K: psi_j = sum_m C[m, j] phi_m
     condition: float
-    dirichlet_local: np.ndarray  # local indices of nodes on Gamma_h
-    free_local: np.ndarray
 
     @property
     def deviation_from_identity(self):
         return float(np.max(np.abs(self.K - np.eye(self.K.shape[0])).sum(axis=1)))
+
+    @classmethod
+    def invert(cls, K, tet):
+        """Invert K behind the conditioning guard."""
+        cond = float(np.linalg.cond(K, 1))
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise ValueError(
+                "mesh too coarse for shifted basis (DOF matrix condition %.3g "
+                "on tet %d)" % (cond, tet)
+            )
+        return cls(K=K, C=np.linalg.inv(K), condition=cond)
 
 
 def build_modified_basis(
@@ -123,30 +134,12 @@ def build_modified_basis(
     """
     k = nodes.degree
     cell = nodes.cell_nodes(tet)
-    n_k = len(cell)
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tet]])
 
-    K = np.eye(n_k)
+    K = np.eye(len(cell))
     for i, g in enumerate(cell):
         g = int(g)
         if g in table.shifts:
             ref = amap.to_reference(table.shifts[g])
             K[i, :] = shape_values(k, ref)[0]
-
-    cond = float(np.linalg.cond(K, 1))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ValueError(
-            "mesh too coarse for shifted basis (node matrix condition %.3g "
-            "on tet %d)" % (cond, tet)
-        )
-    C = np.linalg.inv(K)
-
-    mask = table.gamma_mask[cell]
-    return ModifiedElementBasis(
-        tet=tet,
-        K=K,
-        C=C,
-        condition=cond,
-        dirichlet_local=np.nonzero(mask)[0],
-        free_local=np.nonzero(~mask)[0],
-    )
+    return ModifiedElementBasis.invert(K, tet)

@@ -134,3 +134,8 @@ def test_csv_header_is_frozen():
         "case,method,k,param,h,n_dofs,err_h1_broken,err_l2,err_nodal_max,"
         "eoc_h1,eoc_l2,solve_seconds"
     )
+
+
+def test_solve_seconds_is_the_sparse_solve():
+    rep, _mesh, _system, sol = run_single(get_case("tp1-sphere"), "new", 2, 4)
+    assert rep.solve_seconds == sol.seconds > 0.0

@@ -3,7 +3,6 @@ import pytest
 import sympy as sp
 
 from shiftfem.assembly import (
-    DofMap,
     assemble_new_method,
     assemble_polyhedral,
     element_load,
@@ -19,7 +18,14 @@ from shiftfem.meshgen import (
     generate_box_tet_mesh,
     generate_octant_mesh,
 )
+from shiftfem.nonconforming import (
+    _shifted_edge_points,
+    build_nc_modified_basis,
+    nc_assemble,
+    nc_reference_matrix,
+)
 from shiftfem.surfaces import Ellipsoid, Sphere
+from shiftfem.trialspace import build_modified_basis, build_shifted_node_table
 
 ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
 SPHERE = Sphere(np.zeros(3), 1.0)
@@ -159,9 +165,9 @@ def test_quadratic_solution_reproduced_at_nodes():
         mesh, cls, ELLIPSOID, 2, lambda p: const_f, lambda p: 0.0
     )
     rep = solve(system)
-    nodes = system.dofmap.nodes
+    nodes = build_lagrange_nodes(mesh, 2)
     for n in range(nodes.n_nodes):
-        e = system.dofmap.eq_of_node[n]
+        e = system.dofmap.eq[n]
         if e >= 0:
             assert abs(rep.x[e] - u(nodes.coords[n])) <= 1e-10
 
@@ -200,3 +206,63 @@ def test_matrix_market_dump(tmp_path):
     write_matrix_market(system, out)
     text = out.read_text()
     assert text.startswith("%%MatrixMarket")
+
+
+@pytest.mark.parametrize(
+    "method,degree",
+    [("new", 2), ("new", 3), ("polyhedral", 2), ("nonconforming", 2)],
+)
+def test_pipeline_matches_dense_reference_assembly(method, degree):
+    """A and b of every method equal a dense assembly over all DOFs that
+    forms T_test^T S T_trial with the explicit products (T_test = I or R,
+    T_trial = T_test or T_test C) and then lifts the Dirichlet values."""
+    mesh = generate_octant_mesh(3)
+    cls = classify_boundary(mesh, SPHERE)
+    quad = tet_quadrature(5)
+
+    def f(p):
+        return 1.0 + p[0] * p[1]
+
+    def g(p):
+        return 1.0 + p[2]
+
+    if method == "nonconforming":
+        system = nc_assemble(mesh, cls, SPHERE, 2, f, lambda p: 0.0)
+        shifts = _shifted_edge_points(mesh, cls, SPHERE)
+        C = {t: build_nc_modified_basis(mesh, cls, SPHERE, t, shifts).C
+             for t in cls.o_tets}
+        T = nc_reference_matrix()
+        g_dofs = np.zeros(system.dofmap.n_dofs)
+    else:
+        nodes = build_lagrange_nodes(mesh, degree)
+        table = build_shifted_node_table(mesh, cls, SPHERE, nodes)
+        T = np.eye(nodes.cell_nodes_table.shape[1])
+        g_dofs = np.zeros(nodes.n_nodes)
+        if method == "new":
+            system = assemble_new_method(mesh, cls, SPHERE, degree, f, g)
+            C = {t: build_modified_basis(mesh, nodes, table, t).C
+                 for t in cls.o_tets}
+            for n in np.nonzero(table.gamma_mask)[0]:
+                g_dofs[n] = g(table.shifted_point(int(n)))
+        else:
+            system = assemble_polyhedral(mesh, cls, SPHERE, degree, f, g)
+            C = {}
+            for n in np.nonzero(table.gamma_mask)[0]:
+                g_dofs[n] = g(SPHERE.closest_point(nodes.coords[n]))
+
+    dofmap = system.dofmap
+    K = np.zeros((dofmap.n_dofs, dofmap.n_dofs))
+    F = np.zeros(dofmap.n_dofs)
+    for t in range(mesh.n_tets):
+        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
+        trial = T @ C[t] if t in C else T
+        cell = dofmap.cells[t]
+        K[np.ix_(cell, cell)] += T.T @ element_stiffness(amap, degree, quad) @ trial
+        F[cell] += T.T @ element_load(amap, degree, quad, f)
+    free, gamma = ~dofmap.gamma_mask, dofmap.gamma_mask
+    A_ref = K[np.ix_(free, free)]
+    b_ref = F[free] - K[np.ix_(free, gamma)] @ g_dofs[gamma]
+
+    A = system.A.toarray()
+    assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+    assert np.max(np.abs(system.b - b_ref)) <= 1e-12 * np.max(np.abs(b_ref))

@@ -7,14 +7,14 @@ from shiftfem.meshgen import (
     generate_box_tet_mesh,
     generate_octant_mesh,
 )
+from shiftfem.assembly import element_phi_coefficients
 from shiftfem.nonconforming import (
-    NCDofMap,
     _apply_reference_dofs,
     _shifted_edge_points,
     build_nc_modified_basis,
     nc_assemble,
+    nc_dofmap,
     nc_edge_functional,
-    nc_element_phi_coefficients,
     nc_reference_matrix,
 )
 from shiftfem.linsolve import solve
@@ -22,6 +22,10 @@ from shiftfem.surfaces import Ellipsoid, Sphere
 
 SPHERE = Sphere(np.zeros(3), 1.0)
 ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
+
+
+def _zero(p):
+    return 0.0
 
 
 def test_edge_functional_values():
@@ -78,7 +82,7 @@ def test_p2_interpolation_via_dofs():
 def test_dof_census():
     mesh = generate_octant_mesh(3)
     cls = classify_boundary(mesh, SPHERE)
-    dofmap = NCDofMap.build(mesh, cls)
+    dofmap = nc_dofmap(mesh, cls)
     n_free_faces = len(mesh.faces()) - len(cls.gamma_faces)
     n_free_edges = len(mesh.edges()) - len(cls.gamma_edges)
     assert dofmap.n_eq == n_free_faces + n_free_edges
@@ -88,7 +92,7 @@ def test_cube_domain_gives_symmetric_system():
     mesh = generate_box_tet_mesh(2, 2, 2)
     far = Sphere(np.zeros(3), 10.0)
     cls = classify_boundary(mesh, far)
-    system = nc_assemble(mesh, cls, far, lambda p: 1.0)
+    system = nc_assemble(mesh, cls, far, 2, lambda p: 1.0, _zero)
     assert system.symmetric
     diff = (system.A - system.A.T).tocoo()
     scale = np.max(np.abs(system.A.data))
@@ -160,9 +164,9 @@ def test_quadratic_consistency():
 
     mesh = generate_octant_mesh(3, (a, b, 1.0))
     cls = classify_boundary(mesh, ELLIPSOID)
-    system = nc_assemble(mesh, cls, ELLIPSOID, lambda p: const_f)
+    system = nc_assemble(mesh, cls, ELLIPSOID, 2, lambda p: const_f, _zero)
     rep = solve(system)
-    coeffs = nc_element_phi_coefficients(system, rep.x)
+    coeffs = element_phi_coefficients(system, rep.x)
     # compare against the exact solution at random points per element
     rng = np.random.default_rng(3)
     for t in range(mesh.n_tets):
@@ -178,4 +182,25 @@ def test_violation_rejected():
     cls = classify_boundary(mesh, SPHERE)
     cls.violations.append("synthetic violation")
     with pytest.raises(ValueError, match="one-face-or-one-edge"):
-        nc_assemble(mesh, cls, SPHERE, lambda p: 1.0)
+        nc_assemble(mesh, cls, SPHERE, 2, lambda p: 1.0, _zero)
+
+
+def test_inhomogeneous_data_rejected():
+    mesh = generate_octant_mesh(2)
+    cls = classify_boundary(mesh, SPHERE)
+    with pytest.raises(ValueError, match="homogeneous"):
+        nc_assemble(mesh, cls, SPHERE, 2, lambda p: 1.0, lambda p: 1.0)
+
+
+def test_nc_mesh_too_coarse_raises():
+    """A shifted edge point far off the element trips the same
+    conditioning guard as the Lagrange basis, naming the condition."""
+    mesh = generate_octant_mesh(2)
+    cls = classify_boundary(mesh, SPHERE)
+    shifts = _shifted_edge_points(mesh, cls, SPHERE)
+    t = cls.r_tets[0] if cls.r_tets else cls.s_tets[0]
+    tet = [int(v) for v in mesh.tets[t]]
+    key = next(e for e in sorted(cls.gamma_edges) if set(e) <= set(tet))
+    shifts[key] = shifts[key] * 1e5
+    with pytest.raises(ValueError, match=r"too coarse .*condition"):
+        build_nc_modified_basis(mesh, cls, SPHERE, t, shifts)
