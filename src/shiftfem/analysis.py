@@ -20,7 +20,6 @@ from .elements import (
     refined_quadrature,
     shape_gradients,
     shape_values,
-    tet_quadrature,
 )
 from .linsolve import solve
 from .meshgen import classify_boundary
@@ -57,28 +56,22 @@ def error_norms(mesh, degree, phi_coeffs, u, grad_u, quad=None):
         quad = refined_quadrature(5, 1)
     vals = shape_values(degree, quad.points)  # (n_q, n_k)
     grads = shape_gradients(degree, quad.points)  # (n_q, n_k, 3)
-    ref_nodes = reference_nodes(degree)
-    node_vals = shape_values(degree, ref_nodes)  # identity, kept for clarity
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
 
-    h1_sq = 0.0
-    l2_sq = 0.0
-    nodal_max = 0.0
-    for t in range(mesh.n_tets):
-        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
-        a = phi_coeffs[t]
-        pts = amap.to_physical(quad.points)
-        uh = vals @ a
-        guh = np.einsum("qmd,m->qd", grads @ amap.Binv, a)
-        ue = np.array([u(p) for p in pts])
-        gue = np.array([grad_u(p) for p in pts])
-        l2_sq += float(quad.weights @ (uh - ue) ** 2) * amap.detB
-        h1_sq += float(quad.weights @ ((guh - gue) ** 2).sum(axis=1)) * amap.detB
-        npts = amap.to_physical(ref_nodes)
-        u_nodes = node_vals @ a
-        nodal_max = max(
-            nodal_max, float(np.max(np.abs(u_nodes - [u(p) for p in npts])))
-        )
-    return float(np.sqrt(h1_sq)), float(np.sqrt(l2_sq)), nodal_max
+    # one quadrature point at a time, on all tets: (n_tets, n_q, ...)
+    # arrays would cost n_q times the memory
+    h1_sq = np.zeros(mesh.n_tets)
+    l2_sq = np.zeros(mesh.n_tets)
+    for q, w in enumerate(quad.weights):
+        pts = amap.to_physical(quad.points[q])[:, 0]  # (n_tets, 3)
+        uh = phi_coeffs @ vals[q]
+        guh = np.einsum("td,tde->te", phi_coeffs @ grads[q], amap.Binv)
+        l2_sq += w * (uh - u(pts)) ** 2
+        h1_sq += w * ((guh - grad_u(pts)) ** 2).sum(axis=-1)
+    # the coefficients are the nodal values of a Lagrange function
+    nodal = phi_coeffs - u(amap.to_physical(reference_nodes(degree)))
+    return (float(np.sqrt(h1_sq @ amap.detB)), float(np.sqrt(l2_sq @ amap.detB)),
+            float(np.max(np.abs(nodal))))
 
 
 def eoc(e1, e2, h1, h2):

@@ -18,9 +18,11 @@ The builders differ only in what they feed the pipeline:
   * the nonconforming element (`nonconforming.nc_assemble`): face/edge
     DOFs, T_test = R.
 
-The scatter through COO index arrays follows Cuvelier, Japhet & Scarella,
-"An efficient way to assemble finite element matrices in vector
-languages" (BIT Numer. Math. 2016).
+The element kernels run once per mesh on one stacked `AffineMap` of all
+tets, and the scatter goes through COO index arrays, following Cuvelier,
+Japhet & Scarella, "An efficient way to assemble finite element matrices
+in vector languages" (BIT Numer. Math. 2016), and scikit-fem (Gustafsson
+& McBain, JOSS 2020).
 """
 from __future__ import annotations
 
@@ -53,18 +55,26 @@ class System:
 
 
 def element_stiffness(amap: AffineMap, degree: int, quad):
-    """Standard Lagrange stiffness matrix of one tet."""
+    """Lagrange stiffness matrices of the tets of `amap`: (n_tets, n_k, n_k),
+    or (n_k, n_k) for one tet.  The metric detB B^-1 B^-T of each tet is
+    contracted with the reference tensor
+    K[d, e] = sum_q w_q dphi_q[:, d] dphi_q[:, e]^T."""
     grads = shape_gradients(degree, quad.points)  # (n_q, n_k, 3)
-    phys = grads @ amap.Binv  # gradient chain rule: B^{-T} g  ->  g B^{-1}
-    S = np.einsum("q,qid,qjd->ij", quad.weights, phys, phys) * amap.detB
-    return S
+    K = np.einsum("q,qid,qje->deij", quad.weights, grads, grads)
+    G = amap.Binv @ np.swapaxes(amap.Binv, -1, -2)
+    return np.tensordot(np.asarray(amap.detB)[..., None, None] * G, K, axes=2)
 
 
 def element_load(amap: AffineMap, degree: int, quad, f):
+    """Load vectors of the tets of `amap`: (n_tets, n_k), or (n_k,)."""
     vals = shape_values(degree, quad.points)  # (n_q, n_k)
-    pts = amap.to_physical(quad.points)
-    fq = np.array([f(p) for p in pts])
-    return (quad.weights * fq) @ vals * amap.detB
+    fq = f(amap.to_physical(quad.points))  # (n_tets, n_q), or a constant
+    return (quad.weights * fq) @ vals * np.asarray(amap.detB)[..., None]
+
+
+def _stacked(C):
+    """Boundary tets and their coefficient matrices as arrays."""
+    return np.array(list(C), dtype=np.int64), np.array(list(C.values()))
 
 
 def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, C, R,
@@ -72,22 +82,17 @@ def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, C, R,
     """Form T_test^T S T_trial and T_test^T b_loc on every tet, scatter
     them once and lift the Dirichlet values (see the module docstring)."""
     quad = tet_quadrature(5)
-    n_tets, n_loc = dofmap.cells.shape
-    S_all = np.empty((n_tets, n_loc, n_loc))
-    b_all = np.empty((n_tets, n_loc))
-    for t in range(n_tets):
-        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
-        S = element_stiffness(amap, degree, quad)
-        b_loc = element_load(amap, degree, quad, f)
-        if R is not None:
-            S = R.T @ S @ R
-            b_loc = R.T @ b_loc
-        if t in C:
-            S = S @ C[t]
-        S_all[t] = S
-        b_all[t] = b_loc
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
+    S_all = element_stiffness(amap, degree, quad)
+    b_all = element_load(amap, degree, quad, f)
+    if R is not None:
+        S_all = R.T @ S_all @ R
+        b_all = b_all @ R
+    if C:
+        tets, Cs = _stacked(C)
+        S_all[tets] = S_all[tets] @ Cs
 
-    n = dofmap.n_dofs
+    n, n_loc = dofmap.n_dofs, dofmap.cells.shape[1]
     rows = np.repeat(dofmap.cells, n_loc, axis=1).ravel()
     cols = np.tile(dofmap.cells, n_loc).ravel()
     full = sp.coo_matrix((S_all.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -134,8 +139,8 @@ def assemble_polyhedral(
     nodes = build_lagrange_nodes(mesh, degree)
     gamma_mask = nodes.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
-    for n in np.nonzero(gamma_mask)[0]:
-        dirichlet[n] = g(surface.closest_point(nodes.coords[n]))
+    on_gamma = [surface.closest_point(p) for p in nodes.coords[gamma_mask]]
+    dirichlet[gamma_mask] = g(np.reshape(on_gamma, (-1, 3)))
     dofmap = DofMap.build(nodes.cell_nodes_table, gamma_mask)
     return assemble(mesh, degree, dofmap, dirichlet, {}, None, f)
 
@@ -148,8 +153,9 @@ def element_phi_coefficients(system: System, x: np.ndarray):
     values = system.dirichlet.copy()
     values[~system.dofmap.gamma_mask] = x
     coef = values[system.dofmap.cells]
-    for t, C in system.C.items():
-        coef[t] = C @ coef[t]
+    if system.C:
+        tets, Cs = _stacked(system.C)
+        coef[tets] = np.einsum("tij,tj->ti", Cs, coef[tets])
     if system.R is not None:
         coef = coef @ system.R.T
     return coef

@@ -4,6 +4,11 @@ All cases use homogeneous Dirichlet data (the exact solution vanishes on
 the boundary surface).  `u` and `f` are analytic on a neighborhood of the
 domain, so they can be evaluated at any quadrature point of the
 straight-edged mesh.
+
+Callable contract: `u`, `grad_u`, `f` and `g` take points of shape
+(..., 3) and return values of shape (...), or (..., 3) for `grad_u`, so
+that one call covers every tet and quadrature point.  A callable may
+return a constant instead; the callers broadcast it.
 """
 from __future__ import annotations
 
@@ -38,16 +43,13 @@ def _quadratic_ellipsoid():
     surf = Ellipsoid(np.array([a, b, 1.0]))
     const_f = 2.0 * (a**-2 + b**-2 + 1.0)
 
-    def p_form(p):
-        x, y, z = p
-        return (x / a) ** 2 + (y / b) ** 2 + z**2
-
     def u(p):
-        return 1.0 - p_form(p)
+        x, y, z = np.moveaxis(p, -1, 0)
+        return 1.0 - ((x / a) ** 2 + (y / b) ** 2 + z**2)
 
     def grad_u(p):
-        x, y, z = p
-        return np.array([-2.0 * x / a**2, -2.0 * y / b**2, -2.0 * z])
+        x, y, z = np.moveaxis(p, -1, 0)
+        return np.stack([-2.0 * x / a**2, -2.0 * y / b**2, -2.0 * z], axis=-1)
 
     return ExactCase(
         name="quadratic-ellipsoid",
@@ -66,17 +68,18 @@ def _quadratic_ellipsoid():
 def _tp1_sphere():
     surf = Sphere(np.zeros(3), 1.0)
 
+    def r2(p):
+        return np.sum(np.square(p), axis=-1)
+
     def u(p):
-        r2 = float(p @ p)
-        return r2 - r2 * r2
+        s = r2(p)
+        return s - s * s
 
     def grad_u(p):
-        r2 = float(p @ p)
-        return (2.0 - 4.0 * r2) * np.asarray(p, dtype=float)
+        return (2.0 - 4.0 * r2(p))[..., None] * np.asarray(p, dtype=float)
 
     def f(p):
-        r2 = float(p @ p)
-        return 20.0 * r2 - 6.0
+        return 20.0 * r2(p) - 6.0
 
     return ExactCase(
         name="tp1-sphere",
@@ -98,29 +101,29 @@ def _tp2_ellipsoid():
     lap = -2.0 * (a**-2 + b**-2 + 1.0)  # Laplacian of both factors
 
     def A(p):
-        x, y, z = p
+        x, y, z = np.moveaxis(p, -1, 0)
         return 1.0 - (x / a) ** 2 - (y / b) ** 2 - z**2
 
     def B(p):
-        x, y, z = p
+        x, y, z = np.moveaxis(p, -1, 0)
         return 1.0 - (x / b) ** 2 - (y / a) ** 2 - z**2
 
     def gA(p):
-        x, y, z = p
-        return np.array([-2.0 * x / a**2, -2.0 * y / b**2, -2.0 * z])
+        x, y, z = np.moveaxis(p, -1, 0)
+        return np.stack([-2.0 * x / a**2, -2.0 * y / b**2, -2.0 * z], axis=-1)
 
     def gB(p):
-        x, y, z = p
-        return np.array([-2.0 * x / b**2, -2.0 * y / a**2, -2.0 * z])
+        x, y, z = np.moveaxis(p, -1, 0)
+        return np.stack([-2.0 * x / b**2, -2.0 * y / a**2, -2.0 * z], axis=-1)
 
     def u(p):
         return A(p) * B(p)
 
     def grad_u(p):
-        return B(p) * gA(p) + A(p) * gB(p)
+        return B(p)[..., None] * gA(p) + A(p)[..., None] * gB(p)
 
     def f(p):
-        return -(A(p) * lap + B(p) * lap + 2.0 * float(gA(p) @ gB(p)))
+        return -(A(p) * lap + B(p) * lap + 2.0 * np.sum(gA(p) * gB(p), axis=-1))
 
     return ExactCase(
         name="tp2-ellipsoid",
@@ -141,18 +144,18 @@ def _tp3_torus():
     surf = Torus(R, r)
 
     def u(p):
-        x, y, z = p
+        x, y, z = np.moveaxis(p, -1, 0)
         rho = np.hypot(x, y)
         return r * r - z * z - (R - rho) ** 2
 
     def grad_u(p):
-        x, y, z = p
+        x, y, z = np.moveaxis(p, -1, 0)
         rho = np.hypot(x, y)
         fac = 2.0 * (R - rho) / rho
-        return np.array([fac * x, fac * y, -2.0 * z])
+        return np.stack([fac * x, fac * y, -2.0 * z], axis=-1)
 
     def f(p):
-        x, y, _z = p
+        x, y, _z = np.moveaxis(p, -1, 0)
         rho = np.hypot(x, y)
         return 6.0 - 2.0 * R / rho
 

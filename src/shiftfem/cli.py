@@ -26,6 +26,9 @@ _CONFIG_KEYS = {
     "case", "method", "k", "refine", "out", "sequential", "vtk", "tol",
     "dump_matrix",
 }
+_METHODS = ("new", "polyhedral", "nonconforming")
+_DEGREES = (2, 3)
+_BOOLEANS = {"0": False, "false": False, "1": True, "true": True}
 
 
 def _load_config(path):
@@ -55,11 +58,8 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--case", choices=cases)
-        p.add_argument(
-            "--method", choices=("new", "polyhedral", "nonconforming"),
-            default=None,
-        )
-        p.add_argument("--k", type=int, choices=(2, 3), default=None)
+        p.add_argument("--method", choices=_METHODS, default=None)
+        p.add_argument("--k", type=int, choices=_DEGREES, default=None)
         p.add_argument(
             "--refine",
             help="comma-separated refinement parameters (J or I values)",
@@ -82,20 +82,31 @@ def _build_parser():
     return ap
 
 
+def _checked(key, value, choices):
+    """A config value, rejected unless it is one of the flag's choices."""
+    if value not in choices:
+        raise ValueError("config key %s: %r is not one of %s"
+                         % (key, value, ", ".join(map(str, choices))))
+    return value
+
+
 def _resolve(args):
     cfg = _load_config(args.config) if args.config else {}
 
     def flag(name):
-        return getattr(args, name) or cfg.get(name, "0") in ("1", "true")
+        value = _checked(name, cfg.get(name, "0"), _BOOLEANS)
+        return getattr(args, name) or _BOOLEANS[value]
 
     case = args.case or cfg.get("case")
     if case is None:
         raise ValueError("--case is required")
     refine = args.refine or cfg.get("refine")
     return argparse.Namespace(
-        case=case,
-        method=args.method or cfg.get("method", "new"),
-        k=args.k if args.k is not None else int(cfg.get("k", 2)),
+        case=_checked("case", case, sorted(case_registry())),
+        method=_checked("method", args.method or cfg.get("method", "new"),
+                        _METHODS),
+        k=args.k if args.k is not None else int(
+            _checked("k", cfg.get("k", "2"), [str(k) for k in _DEGREES])),
         params=[int(s) for s in str(refine).split(",") if s.strip()]
         if refine else None,
         out=Path(cfg.get("out", args.out) if args.out == "." else args.out),

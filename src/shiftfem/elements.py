@@ -1,5 +1,9 @@
 """Reference tetrahedron: Lagrange elements of degree 2 and 3, quadrature,
-and the affine map between reference and physical elements.
+and the affine maps between reference and physical elements.
+
+The shape functions of degree k come from one formula over the
+barycentric multi-indices alpha of the nodes (node = alpha / k).  The node
+numbering of `dofs` supports degrees 2 and 3 only.
 
 Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 Barycentric coordinates: lam0 = 1-x-y-z, lam1 = x, lam2 = y, lam3 = z.
@@ -12,6 +16,9 @@ Local node ordering (frozen; the degree-of-freedom map relies on it):
     node nearer the first vertex of the pair first
   * degree 3 only: one centroid node per face, faces ordered by opposite
     vertex: (1,2,3), (0,2,3), (0,1,3), (0,1,2)
+
+The affine map of an array of tets is one `AffineMap` whose fields carry a
+leading tet axis, so that kernels work on all elements at once.
 """
 from __future__ import annotations
 
@@ -42,124 +49,100 @@ def barycentric(points):
     return lam
 
 
-def node_count(degree: int) -> int:
-    return {2: 10, 3: 20}[degree]
-
-
 @lru_cache(maxsize=None)
-def reference_nodes(degree: int) -> np.ndarray:
-    """Lagrangian node coordinates on the reference tet, frozen ordering."""
+def multi_indices(degree: int) -> np.ndarray:
+    """Barycentric multi-indices alpha (|alpha| = degree) of the Lagrange
+    nodes, (n_k, 4), in the frozen local order."""
     if degree not in (2, 3):
         raise ValueError("only degrees 2 and 3 are supported")
-    nodes = [REF_VERTICES[i] for i in range(4)]
-    for a, b in EDGES:
-        if degree == 2:
-            nodes.append(0.5 * (REF_VERTICES[a] + REF_VERTICES[b]))
-        else:
-            nodes.append((2.0 * REF_VERTICES[a] + REF_VERTICES[b]) / 3.0)
-            nodes.append((REF_VERTICES[a] + 2.0 * REF_VERTICES[b]) / 3.0)
-    if degree == 3:
-        for f in FACES:
-            nodes.append(REF_VERTICES[list(f)].mean(axis=0))
-    return np.array(nodes)
+    k = degree
+    entries = [{i: k} for i in range(4)]
+    entries += [{a: k - m, b: m} for a, b in EDGES for m in range(1, k)]
+    entries += [dict(zip(face, (i, j, k - i - j))) for face in FACES
+                for i in range(1, k - 1) for j in range(1, k - i)]
+    out = np.array([[e.get(i, 0) for i in range(4)] for e in entries])
+    out.flags.writeable = False
+    return out
+
+
+def node_count(degree: int) -> int:
+    return len(multi_indices(degree))
+
+
+def reference_nodes(degree: int) -> np.ndarray:
+    """Lagrangian node coordinates on the reference tet, frozen ordering."""
+    return multi_indices(degree)[:, 1:] / degree
+
+
+def _factor_products(degree, points):
+    """P[n, i, a] = prod_{j<a} (k lam_i - j)/(j+1) at every point, and its
+    derivative in lam_i, both (n_pts, 4, k+1)."""
+    k = degree
+    lam = barycentric(points)
+    P = np.ones(lam.shape + (k + 1,))
+    dP = np.zeros_like(P)
+    for j in range(k):
+        P[..., j + 1] = P[..., j] * (k * lam - j) / (j + 1)
+        dP[..., j + 1] = (dP[..., j] * (k * lam - j) + P[..., j] * k) / (j + 1)
+    return P, dP
 
 
 def shape_values(degree: int, points) -> np.ndarray:
-    """Values of all shape functions at reference points: (n_pts, n_nodes)."""
-    lam = barycentric(points)
-    cols = []
-    if degree == 2:
-        for i in range(4):
-            cols.append(lam[:, i] * (2.0 * lam[:, i] - 1.0))
-        for a, b in EDGES:
-            cols.append(4.0 * lam[:, a] * lam[:, b])
-    elif degree == 3:
-        for i in range(4):
-            li = lam[:, i]
-            cols.append(0.5 * li * (3.0 * li - 1.0) * (3.0 * li - 2.0))
-        for a, b in EDGES:
-            la, lb = lam[:, a], lam[:, b]
-            cols.append(4.5 * la * lb * (3.0 * la - 1.0))
-            cols.append(4.5 * la * lb * (3.0 * lb - 1.0))
-        for a, b, c in FACES:
-            cols.append(27.0 * lam[:, a] * lam[:, b] * lam[:, c])
-    else:
-        raise ValueError("only degrees 2 and 3 are supported")
-    return np.stack(cols, axis=1)
+    """Values of all shape functions at reference points: (n_pts, n_nodes).
+
+    phi_alpha = prod_i prod_{j<alpha_i} (k lam_i - j)/(j+1)."""
+    alpha = multi_indices(degree)
+    P, _ = _factor_products(degree, points)
+    return P[:, np.arange(4), alpha].prod(axis=-1)
 
 
 def shape_gradients(degree: int, points) -> np.ndarray:
-    """Reference gradients of all shape functions: (n_pts, n_nodes, 3)."""
-    lam = barycentric(points)
-    g = _BARY_GRADS
-    cols = []
-    if degree == 2:
-        for i in range(4):
-            cols.append(np.outer(4.0 * lam[:, i] - 1.0, g[i]))
-        for a, b in EDGES:
-            cols.append(4.0 * (np.outer(lam[:, b], g[a]) + np.outer(lam[:, a], g[b])))
-    elif degree == 3:
-        for i in range(4):
-            li = lam[:, i]
-            dpoly = 13.5 * li * li - 9.0 * li + 1.0
-            cols.append(np.outer(dpoly, g[i]))
-        for a, b in EDGES:
-            la, lb = lam[:, a], lam[:, b]
-            cols.append(
-                4.5
-                * (
-                    np.outer(lb * (6.0 * la - 1.0), g[a])
-                    + np.outer(la * (3.0 * la - 1.0), g[b])
-                )
-            )
-            cols.append(
-                4.5
-                * (
-                    np.outer(lb * (3.0 * lb - 1.0), g[a])
-                    + np.outer(la * (6.0 * lb - 1.0), g[b])
-                )
-            )
-        for a, b, c in FACES:
-            la, lb, lc = lam[:, a], lam[:, b], lam[:, c]
-            cols.append(
-                27.0
-                * (
-                    np.outer(lb * lc, g[a])
-                    + np.outer(la * lc, g[b])
-                    + np.outer(la * lb, g[c])
-                )
-            )
-    else:
-        raise ValueError("only degrees 2 and 3 are supported")
-    return np.stack(cols, axis=1)
+    """Reference gradients of all shape functions: (n_pts, n_nodes, 3), by
+    the product rule over the four barycentric factors."""
+    alpha = multi_indices(degree)
+    P, dP = _factor_products(degree, points)
+    vals, dvals = P[:, np.arange(4), alpha], dP[:, np.arange(4), alpha]
+    dlam = np.stack(
+        [dvals[..., i] * np.delete(vals, i, axis=-1).prod(axis=-1)
+         for i in range(4)],
+        axis=-1,
+    )
+    return dlam @ _BARY_GRADS
 
 
 @dataclass
 class AffineMap:
-    """Affine map x = v0 + B x_hat from the reference tet to a physical tet."""
+    """Affine map x = v0 + B x_hat from the reference tet to a physical tet,
+    or a stack of n such maps: every field then has a leading tet axis
+    (v0 (n, 3), B and Binv (n, 3, 3), detB (n,))."""
 
     v0: np.ndarray
     B: np.ndarray
     Binv: np.ndarray
-    detB: float
+    detB: float | np.ndarray
 
     @classmethod
     def from_vertices(cls, verts):
+        """Map of one tet (4, 3) or of a stack of tets (n, 4, 3)."""
         verts = np.asarray(verts, dtype=float)
-        v0 = verts[0]
-        B = (verts[1:] - v0).T
-        detB = float(np.linalg.det(B))
-        if detB <= 0.0:
-            raise ValueError("tetrahedron is degenerate or negatively oriented")
+        v0 = verts[..., 0, :]
+        B = np.swapaxes(verts[..., 1:, :] - v0[..., None, :], -1, -2)
+        detB = np.linalg.det(B)
+        bad = np.flatnonzero(~(detB > 0.0))
+        if bad.size:
+            raise ValueError("tetrahedron %d is degenerate or negatively "
+                             "oriented" % bad[0])
         return cls(v0=v0, B=B, Binv=np.linalg.inv(B), detB=detB)
 
     def to_physical(self, ref_points):
+        """Reference points (m, 3) -> physical points, (m, 3) or (n, m, 3)."""
         pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
-        return self.v0 + pts @ self.B.T
+        return self.v0[..., None, :] + pts @ np.swapaxes(self.B, -1, -2)
 
     def to_reference(self, phys_points):
+        """Physical points (m, 3), or (n, m, 3) for a stack, -> reference."""
         pts = np.atleast_2d(np.asarray(phys_points, dtype=float))
-        return (pts - self.v0) @ self.Binv.T
+        return (pts - self.v0[..., None, :]) @ np.swapaxes(self.Binv, -1, -2)
 
     @property
     def volume(self):
@@ -233,12 +216,10 @@ def refined_quadrature(degree: int, levels: int) -> QuadratureRule:
     tets = [REF_VERTICES.copy()]
     for _ in range(levels):
         tets = [sub for t in tets for sub in _red_refine(t)]
-    pts, wts = [], []
-    for verts in tets:
-        amap = AffineMap.from_vertices(verts)
-        pts.append(amap.to_physical(base.points))
-        wts.append(base.weights * (abs(amap.detB)))
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), base.degree)
+    amap = AffineMap.from_vertices(np.array(tets))
+    pts = amap.to_physical(base.points).reshape(-1, 3)
+    wts = (base.weights * amap.detB[:, None]).ravel()
+    return QuadratureRule(pts, wts, base.degree)
 
 
 def _red_refine(verts):

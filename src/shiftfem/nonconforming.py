@@ -144,7 +144,7 @@ def nc_assemble(
     value zero, and `g` must vanish on the Gamma_h vertices."""
     if degree != 2:
         raise ValueError("the nonconforming element only exists for k=2")
-    if any(g(mesh.vertices[v]) != 0.0 for v in sorted(bc.gamma_vertices)):
+    if np.any(g(mesh.vertices[sorted(bc.gamma_vertices)]) != 0.0):
         raise ValueError("the nonconforming element needs homogeneous "
                          "Dirichlet data")
     bc.check_assumption()

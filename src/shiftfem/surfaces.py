@@ -87,6 +87,20 @@ class Surface:
         raise NotImplementedError
 
 
+def _unit_sphere_line_roots(o, d, bracket):
+    """Parameters t with |o + t d| = 1 and |t| <= bracket: the line query of
+    a sphere or ellipsoid, scaled to the unit sphere (t is unchanged)."""
+    a = d @ d
+    b = 2.0 * (o @ d)
+    c = o @ o - 1.0
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    s = np.sqrt(disc)
+    roots = sorted(((-b - s) / (2 * a), (-b + s) / (2 * a)))
+    return [t for t in roots if abs(t) <= bracket]
+
+
 @dataclass
 class Sphere(Surface):
     center: np.ndarray
@@ -104,17 +118,9 @@ class Sphere(Surface):
         return 2.0 * (np.asarray(p, dtype=float) - self.center)
 
     def line_roots(self, origin, direction, bracket):
-        o = np.asarray(origin, dtype=float) - self.center
-        d = np.asarray(direction, dtype=float)
-        a = d @ d
-        b = 2.0 * (o @ d)
-        c = o @ o - self.radius**2
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return []
-        s = np.sqrt(disc)
-        roots = sorted(((-b - s) / (2 * a), (-b + s) / (2 * a)))
-        return [t for t in roots if abs(t) <= bracket]
+        o = (np.asarray(origin, dtype=float) - self.center) / self.radius
+        return _unit_sphere_line_roots(
+            o, np.asarray(direction, dtype=float) / self.radius, bracket)
 
     def closest_point(self, p):
         d = np.asarray(p, dtype=float) - self.center
@@ -142,17 +148,9 @@ class Ellipsoid(Surface):
         return 2.0 * np.asarray(p, dtype=float) / self.semi_axes**2
 
     def line_roots(self, origin, direction, bracket):
-        o = np.asarray(origin, dtype=float) / self.semi_axes
-        d = np.asarray(direction, dtype=float) / self.semi_axes
-        a = d @ d
-        b = 2.0 * (o @ d)
-        c = o @ o - 1.0
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return []
-        s = np.sqrt(disc)
-        roots = sorted(((-b - s) / (2 * a), (-b + s) / (2 * a)))
-        return [t for t in roots if abs(t) <= bracket]
+        return _unit_sphere_line_roots(
+            np.asarray(origin, dtype=float) / self.semi_axes,
+            np.asarray(direction, dtype=float) / self.semi_axes, bracket)
 
     def closest_point(self, p):
         """Euclidean projection onto the ellipsoid.

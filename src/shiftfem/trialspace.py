@@ -47,9 +47,10 @@ class ShiftedNodeTable:
     def dirichlet_values(self, g):
         """Per-node array: the boundary datum at the shifted point of every
         Gamma_h node, 0 elsewhere."""
+        pts = self.nodes.coords.copy()
+        pts[list(self.shifts)] = np.reshape(list(self.shifts.values()), (-1, 3))
         vals = np.zeros(self.nodes.n_nodes)
-        for n in np.nonzero(self.gamma_mask)[0]:
-            vals[n] = g(self.shifted_point(int(n)))
+        vals[self.gamma_mask] = g(pts[self.gamma_mask])
         return vals
 
 

@@ -48,12 +48,13 @@ def test_error_norms_exact_interpolant_on_box():
     nodes = build_lagrange_nodes(mesh, 2)
 
     def u(p):
-        x, y, z = p
+        x, y, z = np.moveaxis(p, -1, 0)
         return 1.0 + x - 2 * y + 0.5 * z + x * y - z * z + 0.25 * x * z
 
     def grad_u(p):
-        x, y, z = p
-        return np.array([1 + y + 0.25 * z, -2 + x, 0.5 - 2 * z + 0.25 * x])
+        x, y, z = np.moveaxis(p, -1, 0)
+        return np.stack([1 + y + 0.25 * z, -2 + x, 0.5 - 2 * z + 0.25 * x],
+                        axis=-1)
 
     coeffs = np.array(
         [[u(nodes.coords[n]) for n in nodes.cell_nodes(t)]

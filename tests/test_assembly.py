@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given
 
 from shiftfem.assembly import (
     assemble_new_method,
@@ -26,6 +27,8 @@ from shiftfem.nonconforming import (
 )
 from shiftfem.surfaces import Ellipsoid, Sphere
 from shiftfem.trialspace import build_modified_basis, build_shifted_node_table
+
+from test_elements import PROPERTY, well_shaped_tets
 
 ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
 SPHERE = Sphere(np.zeros(3), 1.0)
@@ -84,6 +87,28 @@ def test_load_constant_sums_to_volume():
         assert float(b.sum()) == pytest.approx(amap.volume, rel=1e-13)
 
 
+@PROPERTY
+@given(well_shaped_tets())
+def test_batched_kernels_equal_per_tet_calls(verts):
+    """The kernels on a stack of tets equal a loop of single-tet calls."""
+    quad = tet_quadrature(5)
+
+    def f(p):
+        return 1.0 + p[..., 0] * p[..., 1] - np.sin(p[..., 2])
+
+    amap = AffineMap.from_vertices(verts)
+    for k in (2, 3):
+        S = element_stiffness(amap, k, quad)
+        b = element_load(amap, k, quad, f)
+        S_ref = np.array([element_stiffness(AffineMap.from_vertices(v), k, quad)
+                          for v in verts])
+        b_ref = np.array([element_load(AffineMap.from_vertices(v), k, quad, f)
+                          for v in verts])
+        assert S.shape == S_ref.shape and b.shape == b_ref.shape
+        assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
+        assert np.max(np.abs(b - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
+
+
 def test_dofmap_census():
     """System dimension = #Lagrangian nodes - #Gamma_h nodes, checked by a
     brute-force census of node positions."""
@@ -116,7 +141,7 @@ def test_methods_coincide_without_curved_boundary():
     assert not cls.gamma_faces
 
     def f(p):
-        return 1.0 + p[0]
+        return 1.0 + p[..., 0]
 
     g = lambda p: 0.0
     sys_new = assemble_new_method(mesh, cls, far_surface, 2, f, g)
@@ -187,7 +212,7 @@ def test_assembly_is_deterministic():
 
     def build():
         return assemble_new_method(
-            mesh, cls, SPHERE, 2, lambda p: float(np.sin(p[0])), lambda p: 0.0
+            mesh, cls, SPHERE, 2, lambda p: np.sin(p[..., 0]), lambda p: 0.0
         )
 
     s1, s2 = build(), build()
@@ -221,10 +246,10 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
     quad = tet_quadrature(5)
 
     def f(p):
-        return 1.0 + p[0] * p[1]
+        return 1.0 + p[..., 0] * p[..., 1]
 
     def g(p):
-        return 1.0 + p[2]
+        return 1.0 + p[..., 2]
 
     if method == "nonconforming":
         system = nc_assemble(mesh, cls, SPHERE, 2, f, lambda p: 0.0)

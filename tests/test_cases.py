@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis.extra.numpy import arrays
+from hypothesis.strategies import floats, integers
 
 from shiftfem.cases import case_registry, get_case
 
+from test_elements import PROPERTY
 from test_surfaces import sample_surface_points
 
 
@@ -93,3 +97,21 @@ def test_registry_contents():
 def test_reference_h_conventions():
     assert get_case("tp1-sphere").h_of_param(4) == pytest.approx(0.25)
     assert get_case("tp3-torus").h_of_param(2) == pytest.approx(np.pi / 16)
+
+
+@pytest.mark.parametrize("name", sorted(case_registry()))
+@PROPERTY
+@given(integers(1, 20).flatmap(
+    lambda n: arrays(np.float64, (n, 3), elements=floats(0.0, 1.0))))
+def test_callables_on_point_arrays_equal_per_point_calls(name, unit):
+    """u, grad_u and f on an (n, 3) array equal the per-point calls.  The
+    points fill a cylinder that keeps off the torus axis, where grad_u and
+    f of tp3 are singular."""
+    case = get_case(name)
+    rho, theta = 0.1 + 1.1 * unit[:, 0], 2.0 * np.pi * unit[:, 1]
+    pts = np.column_stack([rho * np.cos(theta), rho * np.sin(theta),
+                           2.4 * unit[:, 2] - 1.2])
+    for fn, shape in ((case.u, ()), (case.grad_u, (3,)), (case.f, ())):
+        batched = np.broadcast_to(fn(pts), (len(pts),) + shape)
+        single = np.array([np.broadcast_to(fn(p), shape) for p in pts])
+        np.testing.assert_allclose(batched, single, rtol=1e-15, atol=1e-15)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from shiftfem.analysis import run_single
 from shiftfem.cases import get_case
@@ -141,3 +142,29 @@ def test_config_dump_matrix(tmp_path):
     rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "tp1-sphere-new-k2-4.mtx").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "case=tp4-cube", "method=Polyhedral", "k=4", "sequential=yes",
+    "sequential=True", "vtk=yes", "dump_matrix=on",
+])
+def test_config_values_are_checked(tmp_path, capsys, line):
+    """A config value that the matching flag would reject fails before the
+    run, naming its key; a boolean outside 0/1/true/false is not read as
+    false."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=tp1-sphere\nrefine=4\n%s\n" % line)
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config key %s:" % line.split("=")[0] in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("value,zeroed", [("true", True), ("false", False)])
+def test_config_boolean_words(tmp_path, value, zeroed):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=tp1-sphere\nrefine=4\nsequential=%s\n" % value)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "tp1-sphere-new-k2.csv").read_text().splitlines()[1]
+    assert (row.split(",")[11] == "0") is zeroed

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shiftfem.elements import (
+    EDGES,
+    FACES,
+    REF_VERTICES,
     AffineMap,
     barycentric,
     node_count,
@@ -13,6 +18,22 @@ from shiftfem.elements import (
     shape_values,
     tet_quadrature,
 )
+
+
+#: deterministic hypothesis runs, so that the suite repeats exactly
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@st.composite
+def well_shaped_tets(draw, max_tets=6):
+    """Stacks (n, 4, 3) of positively oriented tets: the reference tet with
+    every vertex moved by at most 0.15 per coordinate (so B = I + E with
+    |E| <= 0.9 and cond(B) <= 19), scaled and translated."""
+    n = draw(st.integers(1, max_tets))
+    jitter = draw(arrays(np.float64, (n, 4, 3), elements=st.floats(-0.15, 0.15)))
+    scale = draw(st.floats(0.05, 20.0))
+    shift = draw(arrays(np.float64, 3, elements=st.floats(-5.0, 5.0)))
+    return scale * (REF_VERTICES + jitter) + shift
 
 
 def exact_monomial(a, b, c):
@@ -166,6 +187,92 @@ def test_affine_map_rejects_degenerate():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     with pytest.raises(ValueError):
         AffineMap.from_vertices(verts)
+    # a stack names its first bad tet
+    stack = np.array([REF_VERTICES, REF_VERTICES, verts, REF_VERTICES[[1, 0, 2, 3]]])
+    with pytest.raises(ValueError, match="tetrahedron 2 is degenerate"):
+        AffineMap.from_vertices(stack)
+
+
+@PROPERTY
+@given(well_shaped_tets(), st.integers(0, 2**32 - 1))
+def test_stacked_affine_map_round_trips(verts, seed):
+    """The stacked map holds the single-tet maps and maps reference points
+    of every tet there and back."""
+    amap = AffineMap.from_vertices(verts)
+    pts = random_ref_points(np.random.default_rng(seed), 7)
+    phys = amap.to_physical(pts)
+    assert phys.shape == (len(verts), 7, 3)
+    back = amap.to_reference(phys)
+    np.testing.assert_allclose(back, np.broadcast_to(pts, back.shape), rtol=0, atol=1e-12)
+    for t, v in enumerate(verts):
+        one = AffineMap.from_vertices(v)
+        np.testing.assert_allclose(amap.B[t], one.B, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(amap.Binv[t], one.Binv, rtol=1e-13, atol=0)
+        assert amap.detB[t] == pytest.approx(one.detB, rel=1e-14)
+        np.testing.assert_allclose(phys[t], one.to_physical(pts),
+                                   rtol=1e-14, atol=1e-14)
+
+
+def _closed_form_basis(k, lam):
+    """The explicit degree-2 and degree-3 Lagrange functions and their
+    derivatives in the four barycentric coordinates, in the frozen order:
+    values (n, n_k) and d/dlam (n, n_k, 4)."""
+    vals, dlam = [], []
+
+    def add(value, partials):
+        d = np.zeros((len(lam), 4))
+        for i, v in partials.items():
+            d[:, i] = v
+        vals.append(value)
+        dlam.append(d)
+
+    for i in range(4):
+        l = lam[:, i]
+        if k == 2:
+            add(l * (2 * l - 1), {i: 4 * l - 1})
+        else:
+            add(0.5 * l * (3 * l - 1) * (3 * l - 2), {i: 13.5 * l * l - 9 * l + 1})
+    for a, b in EDGES:
+        la, lb = lam[:, a], lam[:, b]
+        if k == 2:
+            add(4 * la * lb, {a: 4 * lb, b: 4 * la})
+        else:
+            add(4.5 * la * lb * (3 * la - 1),
+                {a: 4.5 * lb * (6 * la - 1), b: 4.5 * la * (3 * la - 1)})
+            add(4.5 * la * lb * (3 * lb - 1),
+                {a: 4.5 * lb * (3 * lb - 1), b: 4.5 * la * (6 * lb - 1)})
+    if k == 3:
+        for a, b, c in FACES:
+            la, lb, lc = lam[:, a], lam[:, b], lam[:, c]
+            add(27 * la * lb * lc, {a: 27 * lb * lc, b: 27 * la * lc, c: 27 * la * lb})
+    return np.stack(vals, axis=1), np.stack(dlam, axis=1)
+
+
+def _closed_form_nodes(k):
+    v = REF_VERTICES
+    nodes = list(v)
+    for a, b in EDGES:
+        if k == 2:
+            nodes.append((v[a] + v[b]) / 2)
+        else:
+            nodes += [(2 * v[a] + v[b]) / 3, (v[a] + 2 * v[b]) / 3]
+    if k == 3:
+        nodes += [v[list(f)].mean(axis=0) for f in FACES]
+    return np.array(nodes)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_shape_functions_match_closed_forms(k):
+    """The multi-index formula reproduces the explicit k=2, 3 formulas
+    (lam(2 lam - 1), 4 la lb, 4.5 la lb (3 la - 1), 27 la lb lc, ...)."""
+    pts = random_ref_points(np.random.default_rng(4), 200)
+    vals, dlam = _closed_form_basis(k, barycentric(pts))
+    # d lam / d(x, y, z): lam0 = 1 - x - y - z, lam_i = x_i
+    grads = dlam @ np.vstack([-np.ones(3), np.eye(3)])
+    assert np.max(np.abs(shape_values(k, pts) - vals)) <= 1e-13
+    assert np.max(np.abs(shape_gradients(k, pts) - grads)) <= 1e-13
+    assert np.max(np.abs(reference_nodes(k) - _closed_form_nodes(k))) <= 1e-13
+    assert node_count(k) == len(_closed_form_nodes(k))
 
 
 def test_gradient_chain_rule_on_mapped_element():

@@ -43,7 +43,7 @@ def test_new_method_system_matches_dense_lu_oracle():
     mesh = generate_octant_mesh(4, (0.6, 0.8, 1.0))
     cls = classify_boundary(mesh, surf)
     system = assemble_new_method(
-        mesh, cls, surf, 2, lambda p: float(1.0 + p[0] * p[1]), lambda p: 0.0
+        mesh, cls, surf, 2, lambda p: 1.0 + p[..., 0] * p[..., 1], lambda p: 0.0
     )
     rep = solve(system)
     dense = np.linalg.solve(system.A.toarray(), system.b)

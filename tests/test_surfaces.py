@@ -84,21 +84,21 @@ def test_no_intersection_raises():
         SPHERE.nearest_line_intersection((0, 0, 0.5), (1.0, 0, 0), 0.1)
 
 
-def test_torus_intersection_matches_bisection_oracle():
-    rng = np.random.default_rng(5)
+def _check_against_bisection_oracle(surface, seed):
+    rng = np.random.default_rng(seed)
     h_ref = 0.05
     checked = 0
     while checked < 50:
-        p0 = sample_surface_points(TORUS, 1, rng)[0]
+        p0 = sample_surface_points(surface, 1, rng)[0]
         p = p0 + rng.uniform(-0.02, 0.02, 3)
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
         # keep directions that are not nearly tangential
-        if abs(d @ TORUS.unit_normal(p0)) < 0.3:
+        if abs(d @ surface.unit_normal(p0)) < 0.3:
             continue
 
         def f(t):
-            return TORUS.value(p + t * d)
+            return surface.value(p + t * d)
 
         # dense scan oracle
         ts = np.linspace(-4 * h_ref, 4 * h_ref, 4001)
@@ -111,9 +111,20 @@ def test_torus_intersection_matches_bisection_oracle():
         if not roots:
             continue
         best = min(roots, key=abs)
-        q, t = TORUS.nearest_line_intersection(p, d, 4 * h_ref)
+        q, t = surface.nearest_line_intersection(p, d, 4 * h_ref)
         assert abs(t - best) <= 1e-10
         checked += 1
+
+
+def test_torus_intersection_matches_bisection_oracle():
+    _check_against_bisection_oracle(TORUS, 5)
+
+
+@pytest.mark.parametrize("surface", [SPHERE, ELLIPSOID,
+                                     Sphere(np.array([0.3, -0.2, 0.1]), 0.7)])
+def test_quadric_intersection_matches_bisection_oracle(surface):
+    """The shared quadratic solve, fed with the scaled origin and direction."""
+    _check_against_bisection_oracle(surface, 6)
 
 
 @pytest.mark.parametrize("surface", [SPHERE, ELLIPSOID, TORUS])

@@ -131,7 +131,7 @@ def test_dirichlet_values():
     assert zeros.shape == table.gamma_mask.shape
     assert np.all(zeros == 0.0)
     # a linear g is evaluated at the shifted points, and only on Gamma_h
-    vals = table.dirichlet_values(lambda p: p[0] + 2.0)
+    vals = table.dirichlet_values(lambda p: p[..., 0] + 2.0)
     assert np.all(vals[~table.gamma_mask] == 0.0)
     for n in np.nonzero(table.gamma_mask)[0]:
         assert vals[n] == pytest.approx(table.shifted_point(int(n))[0] + 2.0)
