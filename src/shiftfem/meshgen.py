@@ -38,6 +38,7 @@ class Mesh:
     _edges: dict | None = None
     _faces: dict | None = None
     _boundary_faces: dict | None = None
+    _boundary_edge_faces: dict | None = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -94,6 +95,18 @@ class Mesh:
             }
         return self._boundary_faces
 
+    def boundary_edge_faces(self):
+        """Sorted vertex pair -> the boundary faces (sorted vertex triples)
+        containing that edge, in `boundary_faces` order."""
+        if self._boundary_edge_faces is None:
+            adjacent = {}
+            for tri in self.boundary_faces():
+                a, b, c = tri
+                for edge in ((a, b), (a, c), (b, c)):
+                    adjacent.setdefault(edge, []).append(tri)
+            self._boundary_edge_faces = adjacent
+        return self._boundary_edge_faces
+
     def edge_lengths(self):
         v = self.vertices
         lens = []
@@ -127,7 +140,10 @@ class Mesh:
         tet = self.tets[t]
         opp = self.vertices[tet[skip]]
         a, b, c = (self.vertices[i] for i in tri)
-        n = np.cross(b - a, c - a)
+        (u0, u1, u2), (w0, w1, w2) = (b - a).tolist(), (c - a).tolist()
+        # the cross product, written out: on one pair of 3-vectors np.cross
+        # spends far longer in its axis handling than in the arithmetic
+        n = np.array([u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0])
         n /= np.linalg.norm(n)
         if n @ (opp - a) > 0.0:
             n = -n
@@ -401,12 +417,13 @@ def classify_boundary(mesh: Mesh, surface: Surface, tol_rel=1e-9):
     recorded in `violations`.
     """
     tol = tol_rel * surface.scale
-    bfaces = mesh.boundary_faces()
+    bfaces = list(mesh.boundary_faces())
+    tri_ids = np.array(bfaces, dtype=np.int64).reshape(-1, 3)
+    on_surface = np.abs(surface.value(mesh.vertices[tri_ids])).max(axis=1) <= tol
 
     gamma_faces, symmetry_faces = set(), set()
-    for tri in bfaces:
-        vals = [abs(surface.value(mesh.vertices[i])) for i in tri]
-        if max(vals) <= tol:
+    for tri, on in zip(bfaces, on_surface):
+        if on:
             gamma_faces.add(tri)
         else:
             symmetry_faces.add(tri)
@@ -492,12 +509,11 @@ def skin_direction(mesh: Mesh, cls: BoundaryClassification, edge):
     e /= np.linalg.norm(e)
 
     incident_gamma, incident_sym = [], []
-    for tri in mesh.boundary_faces():
-        if a in tri and b in tri:
-            if tri in cls.gamma_faces:
-                incident_gamma.append(tri)
-            else:
-                incident_sym.append(tri)
+    for tri in mesh.boundary_edge_faces().get((min(a, b), max(a, b)), ()):
+        if tri in cls.gamma_faces:
+            incident_gamma.append(tri)
+        else:
+            incident_sym.append(tri)
 
     if len(incident_gamma) == 2:
         n = mesh.outward_face_normal(incident_gamma[0]) + mesh.outward_face_normal(

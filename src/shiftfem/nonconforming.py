@@ -86,25 +86,40 @@ def nc_dofmap(mesh: Mesh, bc: BoundaryClassification) -> DofMap:
 
 def _shifted_edge_points(mesh, bc, surface):
     """Gamma_h edge -> skin-shifted midpoint Q_e (single-valued)."""
-    out = {}
-    for edge in sorted(bc.gamma_edges):
-        w = skin_direction(mesh, bc, edge)
-        pa, pb = mesh.vertices[edge[0]], mesh.vertices[edge[1]]
-        M = 0.5 * (pa + pb)
-        Q, _ = surface.nearest_line_intersection(
-            M, w, 4.0 * np.linalg.norm(pb - pa)
-        )
-        out[edge] = Q
-    return out
+    edges = sorted(bc.gamma_edges)
+    if not edges:
+        return {}
+    pairs = np.array(edges, dtype=np.int64)
+    pa, pb = mesh.vertices[pairs[:, 0]], mesh.vertices[pairs[:, 1]]
+    w = np.array([skin_direction(mesh, bc, edge) for edge in edges])
+    Q, _ = surface.nearest_line_intersection(
+        0.5 * (pa + pb), w, 4.0 * np.linalg.norm(pb - pa, axis=1))
+    return dict(zip(edges, Q))
+
+
+def _shifted_face_points(mesh, bc, surface):
+    """Gamma_h face -> nearest intersection of the surface with the
+    perpendicular to the face through its centroid."""
+    faces = sorted(bc.gamma_faces)
+    if not faces:
+        return {}
+    pts = mesh.vertices[np.array(faces, dtype=np.int64)]  # (n_f, 3, 3)
+    centroid = pts.mean(axis=1)
+    n = np.array([mesh.outward_face_normal(tri) for tri in faces])
+    h_t = np.max(np.linalg.norm(pts - centroid[:, None, :], axis=2), axis=1)
+    P, _ = surface.nearest_line_intersection(centroid, n, 4.0 * h_t)
+    return dict(zip(faces, P))
 
 
 def build_nc_modified_basis(
     mesh: Mesh,
     bc: BoundaryClassification,
-    surface: Surface,
     tet: int,
     edge_shifts: dict,
+    face_shifts: dict,
 ) -> ModifiedElementBasis:
+    """Perturbed DOF matrix of one boundary tet from the shifted edge and
+    face points of the mesh."""
     R = nc_reference_matrix()
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tet]])
     tetv = mesh.tets[tet]
@@ -116,14 +131,8 @@ def build_nc_modified_basis(
     K = np.eye(N_DOFS)
     for lf, f in enumerate(FACES):
         tri = tuple(sorted(int(tetv[i]) for i in f))
-        if tri not in bc.gamma_faces:
-            continue
-        pts = mesh.vertices[list(tri)]
-        centroid = pts.mean(axis=0)
-        n = mesh.outward_face_normal(tri)
-        h_t = float(np.max(np.linalg.norm(pts - centroid, axis=1)))
-        P, _ = surface.nearest_line_intersection(centroid, n, 4.0 * h_t)
-        K[lf, :] = basis_values(P)
+        if tri in bc.gamma_faces:
+            K[lf, :] = basis_values(face_shifts[tri])
     for le, (a, b) in enumerate(EDGES):
         key = (min(int(tetv[a]), int(tetv[b])), max(int(tetv[a]), int(tetv[b])))
         if key not in bc.gamma_edges:
@@ -150,7 +159,8 @@ def nc_assemble(
     bc.check_assumption()
     dofmap = nc_dofmap(mesh, bc)
     edge_shifts = _shifted_edge_points(mesh, bc, surface)
-    C = {t: build_nc_modified_basis(mesh, bc, surface, t, edge_shifts).C
+    face_shifts = _shifted_face_points(mesh, bc, surface)
+    C = {t: build_nc_modified_basis(mesh, bc, t, edge_shifts, face_shifts).C
          for t in bc.o_tets}
     return assemble(mesh, 2, dofmap, np.zeros(dofmap.n_dofs), C,
                     nc_reference_matrix(), f)

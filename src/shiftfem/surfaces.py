@@ -13,8 +13,20 @@ import numpy as np
 from scipy.optimize import brentq
 
 
+def _dot(u, v):
+    """Row-wise dot product of (..., 3) arrays, summed in a fixed order so
+    that every row comes out the same whatever the batch around it."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
 class Surface:
-    """Base class: an implicit surface F(p) = 0 with F < 0 inside."""
+    """Base class: an implicit surface F(p) = 0 with F < 0 inside.
+
+    `value` takes points of shape (..., 3) and returns shape (...).
+    `line_roots` takes (n, 3) origins and directions and returns all real
+    t with F(origin + t*direction) = 0 as an (n, m) array padded with NaN;
+    each surface solves it in closed form.
+    """
 
     #: characteristic length used to scale tolerances
     scale: float = 1.0
@@ -27,78 +39,67 @@ class Surface:
 
     def unit_normal(self, p):
         g = np.asarray(self.gradient(p), dtype=float)
-        return g / np.linalg.norm(g)
+        return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-    def line_roots(self, origin, direction, bracket):
-        """All parameters t with F(origin + t*direction) = 0, |t| <= bracket.
-
-        Generic implementation: scan for sign changes and polish with a
-        bracketing root finder.  Quadric surfaces override this with the
-        closed-form solution.
-        """
-        origin = np.asarray(origin, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-
-        def f(t):
-            return self.value(origin + t * direction)
-
-        n_steps = 512
-        ts = np.linspace(-bracket, bracket, n_steps + 1)
-        vals = np.array([f(t) for t in ts])
-        roots = []
-        tol = 1e-14 * self.scale
-        for i in range(n_steps):
-            a, b = ts[i], ts[i + 1]
-            fa, fb = vals[i], vals[i + 1]
-            if abs(fa) <= tol:
-                roots.append(a)
-            elif fa * fb < 0.0:
-                roots.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
-        if abs(vals[-1]) <= tol:
-            roots.append(ts[-1])
-        # deduplicate roots that collapse to the same point
-        out = []
-        for t in sorted(roots):
-            if not out or abs(t - out[-1]) > 1e-12 * max(1.0, bracket):
-                out.append(t)
-        return out
+    def line_roots(self, origin, direction):
+        raise NotImplementedError
 
     def nearest_line_intersection(self, origin, direction, bracket):
         """Intersection of Gamma with the line through `origin` along
         `direction` that is nearest to `origin` (smallest |t|).
 
-        Ties between the two sides are broken toward positive t, i.e. the
-        outward side when `direction` points out of the domain.  Raises if
-        no intersection exists within |t| <= bracket.
+        `origin` and `direction` have shape (..., 3) and `bracket` shape
+        (...); they broadcast, and the result is the point (..., 3) and
+        the parameter t (...).  Ties between the two sides are broken
+        toward positive t, i.e. the outward side when `direction` points
+        out of the domain.  Raises, naming the first failing origin, if
+        some line has no intersection within |t| <= bracket or the root
+        found does not land on the surface.
         """
-        roots = self.line_roots(origin, direction, bracket)
-        if not roots:
+        origin = np.asarray(origin, dtype=float)
+        direction = np.asarray(direction, dtype=float)
+        bracket = np.asarray(bracket, dtype=float)
+        shape = np.broadcast_shapes(origin.shape, direction.shape,
+                                    bracket.shape + (3,))
+        o = np.broadcast_to(origin, shape).reshape(-1, 3)
+        d = np.broadcast_to(direction, shape).reshape(-1, 3)
+        br = np.broadcast_to(bracket, shape[:-1]).reshape(-1)
+
+        roots = self.line_roots(o, d)
+        inside = np.abs(roots) <= br[:, None]  # False for the NaN padding
+        dist = np.where(inside, np.abs(roots), np.inf)
+        nearest = inside & (dist == dist.min(axis=1, keepdims=True))
+        t = np.max(np.where(nearest, roots, -np.inf), axis=1)
+        missing = ~inside.any(axis=1)
+        if missing.any():
+            i = int(np.argmax(missing))
             raise ValueError(
-                "no surface intersection within bracket %.3g around point %s"
-                % (bracket, np.asarray(origin))
-            )
-        best = min(roots, key=lambda t: (abs(t), -np.sign(t)))
-        p = np.asarray(origin, dtype=float) + best * np.asarray(direction, dtype=float)
-        if abs(self.value(p)) > 1e-10 * self.scale:
-            raise ValueError("line intersection failed to land on the surface")
-        return p, best
+                "no surface intersection within bracket %.3g around point %s "
+                "(origin %d of %d)" % (br[i], o[i], i, len(o)))
+        p = o + t[:, None] * d
+        residual = np.abs(self.value(p))
+        off = residual > 1e-10 * self.scale
+        if off.any():
+            i = int(np.argmax(off))
+            raise ValueError(
+                "line intersection failed to land on the surface from point "
+                "%s (origin %d of %d): |F| = %.3g" % (o[i], i, len(o), residual[i]))
+        return p.reshape(shape), t.reshape(shape[:-1])[()]
 
     def closest_point(self, p):
         raise NotImplementedError
 
 
-def _unit_sphere_line_roots(o, d, bracket):
-    """Parameters t with |o + t d| = 1 and |t| <= bracket: the line query of
-    a sphere or ellipsoid, scaled to the unit sphere (t is unchanged)."""
-    a = d @ d
-    b = 2.0 * (o @ d)
-    c = o @ o - 1.0
+def _unit_sphere_line_roots(o, d):
+    """Both parameters t with |o + t d| = 1, ascending, NaN where the line
+    misses: the line query of a sphere or ellipsoid, scaled to the unit
+    sphere (t is unchanged)."""
+    a = _dot(d, d)
+    b = 2.0 * _dot(o, d)
+    c = _dot(o, o) - 1.0
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    s = np.sqrt(disc)
-    roots = sorted(((-b - s) / (2 * a), (-b + s) / (2 * a)))
-    return [t for t in roots if abs(t) <= bracket]
+    s = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+    return np.stack([(-b - s) / (2 * a), (-b + s) / (2 * a)], axis=-1)
 
 
 @dataclass
@@ -112,15 +113,14 @@ class Sphere(Surface):
 
     def value(self, p):
         d = np.asarray(p, dtype=float) - self.center
-        return float(d @ d - self.radius**2)
+        return _dot(d, d) - self.radius**2
 
     def gradient(self, p):
         return 2.0 * (np.asarray(p, dtype=float) - self.center)
 
-    def line_roots(self, origin, direction, bracket):
-        o = (np.asarray(origin, dtype=float) - self.center) / self.radius
+    def line_roots(self, origin, direction):
         return _unit_sphere_line_roots(
-            o, np.asarray(direction, dtype=float) / self.radius, bracket)
+            (origin - self.center) / self.radius, direction / self.radius)
 
     def closest_point(self, p):
         d = np.asarray(p, dtype=float) - self.center
@@ -142,15 +142,14 @@ class Ellipsoid(Surface):
 
     def value(self, p):
         q = np.asarray(p, dtype=float) / self.semi_axes
-        return float(q @ q - 1.0)
+        return _dot(q, q) - 1.0
 
     def gradient(self, p):
         return 2.0 * np.asarray(p, dtype=float) / self.semi_axes**2
 
-    def line_roots(self, origin, direction, bracket):
-        return _unit_sphere_line_roots(
-            np.asarray(origin, dtype=float) / self.semi_axes,
-            np.asarray(direction, dtype=float) / self.semi_axes, bracket)
+    def line_roots(self, origin, direction):
+        return _unit_sphere_line_roots(origin / self.semi_axes,
+                                       direction / self.semi_axes)
 
     def closest_point(self, p):
         """Euclidean projection onto the ellipsoid.
@@ -183,26 +182,68 @@ class Ellipsoid(Surface):
 
 @dataclass
 class Torus(Surface):
-    """Torus around the z-axis: (R - sqrt(x^2+y^2))^2 + z^2 = r^2."""
+    """Torus around the z-axis: (R - sqrt(x^2+y^2))^2 + z^2 = r^2, R > r."""
 
     major_radius: float
     minor_radius: float
 
     def __post_init__(self):
+        if not self.major_radius > self.minor_radius > 0.0:
+            raise ValueError(
+                "torus needs major_radius > minor_radius > 0, got R = %g, r = %g"
+                % (self.major_radius, self.minor_radius))
         self.scale = float(self.minor_radius)
 
     def value(self, p):
-        x, y, z = np.asarray(p, dtype=float)
-        rho = np.hypot(x, y)
-        return float((self.major_radius - rho) ** 2 + z * z - self.minor_radius**2)
+        p = np.asarray(p, dtype=float)
+        rho = np.hypot(p[..., 0], p[..., 1])
+        z = p[..., 2]
+        return (self.major_radius - rho) ** 2 + z * z - self.minor_radius**2
 
     def gradient(self, p):
-        x, y, z = np.asarray(p, dtype=float)
-        rho = np.hypot(x, y)
-        if rho == 0.0:
+        p = np.asarray(p, dtype=float)
+        rho = np.hypot(p[..., 0], p[..., 1])
+        if np.any(rho == 0.0):
             raise ValueError("torus gradient undefined on the z-axis")
         fac = 2.0 * (rho - self.major_radius) / rho
-        return np.array([fac * x, fac * y, 2.0 * z])
+        return np.stack([fac * p[..., 0], fac * p[..., 1], 2.0 * p[..., 2]], axis=-1)
+
+    def line_roots(self, origin, direction):
+        """Real roots of the quartic (|p|^2 + R^2 - r^2)^2 = 4 R^2 rho^2
+        along each line, from the eigenvalues of its companion matrix, each
+        polished by Newton steps on F.  The quartic is F times
+        (R + rho)^2 + z^2 - r^2, which is positive for R > r, so its real
+        roots are exactly those of F."""
+        o, d = origin, direction
+        R2, r2 = self.major_radius**2, self.minor_radius**2
+        # |p(t)|^2 + R^2 - r^2 = A t^2 + B t + C and rho(t)^2 = a t^2 + b t + c
+        A, B, C = _dot(d, d), 2.0 * _dot(o, d), _dot(o, o) + (R2 - r2)
+        a = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
+        c = o[:, 0] * o[:, 0] + o[:, 1] * o[:, 1]
+        lead = A * A
+        companion = np.zeros((len(o), 4, 4))
+        companion[:, 0, 0] = -(2.0 * A * B) / lead
+        companion[:, 0, 1] = -(B * B + 2.0 * A * C - 4.0 * R2 * a) / lead
+        companion[:, 0, 2] = -(2.0 * B * C - 4.0 * R2 * b) / lead
+        companion[:, 0, 3] = -(C * C - 4.0 * R2 * c) / lead
+        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+        lam = np.linalg.eigvals(companion)
+        # a pair of nearly equal real roots may come back as a complex pair
+        span = self.minor_radius / np.sqrt(A)[:, None]
+        real = np.abs(lam.imag) <= 1e-8 * (np.abs(lam) + span)
+        t = np.where(real, lam.real, np.nan)
+        o, d = o[:, None, :], d[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(3):
+                p = o + t[..., None] * d
+                rho = np.hypot(p[..., 0], p[..., 1])
+                F = (self.major_radius - rho) ** 2 + p[..., 2] * p[..., 2] - r2
+                dF = (2.0 * (rho - self.major_radius) / rho
+                      * (p[..., 0] * d[..., 0] + p[..., 1] * d[..., 1])
+                      + 2.0 * p[..., 2] * d[..., 2])
+                t = t - F / dF
+        return t
 
     def closest_point(self, p):
         x, y, z = np.asarray(p, dtype=float)

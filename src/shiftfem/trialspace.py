@@ -60,38 +60,45 @@ def build_shifted_node_table(
     surface: Surface,
     nodes: LagrangeNodeSet,
 ) -> ShiftedNodeTable:
+    """Shift every Gamma_h edge node, and for k=3 every Gamma_h face node,
+    with one batched line query per kind of node."""
     k = nodes.degree
     shifts = {}
 
     edges = mesh.edges()
     n_v = mesh.n_vertices
     per_edge = k - 1
-    for edge in sorted(cls.gamma_edges):
-        w = skin_direction(mesh, cls, edge)
-        e_id = edges[edge]
-        length = np.linalg.norm(mesh.vertices[edge[1]] - mesh.vertices[edge[0]])
-        for m in range(per_edge):
-            nid = n_v + e_id * per_edge + m
-            M = nodes.coords[nid]
-            Q, _t = surface.nearest_line_intersection(M, w, 4.0 * length)
-            shifts[nid] = Q
+    gamma_edges = sorted(cls.gamma_edges)
+    if gamma_edges:
+        pairs = np.array(gamma_edges, dtype=np.int64)
+        w = np.array([skin_direction(mesh, cls, edge) for edge in gamma_edges])
+        length = np.linalg.norm(
+            mesh.vertices[pairs[:, 1]] - mesh.vertices[pairs[:, 0]], axis=1)
+        e_id = np.array([edges[edge] for edge in gamma_edges], dtype=np.int64)
+        nid = n_v + e_id[:, None] * per_edge + np.arange(per_edge)  # (n_e, k-1)
+        Q, _t = surface.nearest_line_intersection(
+            nodes.coords[nid], w[:, None, :], 4.0 * length[:, None])
+        shifts.update(zip(nid.ravel().tolist(), Q.reshape(-1, 3)))
 
-    if k == 3:
+    gamma_faces = sorted(cls.gamma_faces)
+    if k == 3 and gamma_faces:
         n_e = len(edges) * per_edge
         faces = mesh.faces()
         bfaces = mesh.boundary_faces()
-        for tri in sorted(cls.gamma_faces):
-            t, skip = bfaces[tri]
-            opp = mesh.vertices[mesh.tets[t][skip]]
-            nid = n_v + n_e + faces[tri]
-            M = nodes.coords[nid]
-            d = M - opp
-            dist = np.linalg.norm(d)
-            d /= dist
-            # the sought intersection lies within O(h_T) of M
-            h_t = np.max(np.linalg.norm(mesh.vertices[list(tri)] - M, axis=1))
-            P, _t = surface.nearest_line_intersection(M, d, 4.0 * max(h_t, dist))
-            shifts[nid] = P
+        tris = np.array(gamma_faces, dtype=np.int64)
+        opp = mesh.vertices[[mesh.tets[t][skip] for t, skip in
+                             (bfaces[tri] for tri in gamma_faces)]]
+        nid = n_v + n_e + np.array([faces[tri] for tri in gamma_faces])
+        M = nodes.coords[nid]
+        d = M - opp
+        dist = np.linalg.norm(d, axis=1)
+        d /= dist[:, None]
+        # the sought intersection lies within O(h_T) of M
+        h_t = np.max(np.linalg.norm(mesh.vertices[tris] - M[:, None, :], axis=2),
+                     axis=1)
+        P, _t = surface.nearest_line_intersection(
+            M, d, 4.0 * np.maximum(h_t, dist))
+        shifts.update(zip(nid.tolist(), P))
 
     return ShiftedNodeTable(
         nodes=nodes, shifts=shifts, gamma_mask=nodes.gamma_mask(cls)

@@ -190,6 +190,7 @@ def test_criterion_8_perturbation_rates():
     from shiftfem.meshgen import classify_boundary, generate_octant_mesh
     from shiftfem.nonconforming import (
         _shifted_edge_points,
+        _shifted_face_points,
         build_nc_modified_basis,
     )
     from shiftfem.surfaces import Sphere
@@ -211,8 +212,9 @@ def test_criterion_8_perturbation_rates():
             for t in cls.o_tets
         )
         shifts = _shifted_edge_points(mesh, cls, surf)
+        face_shifts = _shifted_face_points(mesh, cls, surf)
         dev_nc[J] = max(
-            build_nc_modified_basis(mesh, cls, surf, t, shifts)
+            build_nc_modified_basis(mesh, cls, t, shifts, face_shifts)
             .deviation_from_identity
             for t in cls.o_tets
         )

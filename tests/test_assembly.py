@@ -21,6 +21,7 @@ from shiftfem.meshgen import (
 )
 from shiftfem.nonconforming import (
     _shifted_edge_points,
+    _shifted_face_points,
     build_nc_modified_basis,
     nc_assemble,
     nc_reference_matrix,
@@ -28,7 +29,7 @@ from shiftfem.nonconforming import (
 from shiftfem.surfaces import Ellipsoid, Sphere
 from shiftfem.trialspace import build_modified_basis, build_shifted_node_table
 
-from test_elements import PROPERTY, well_shaped_tets
+from test_elements import well_shaped_tets
 
 ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
 SPHERE = Sphere(np.zeros(3), 1.0)
@@ -87,7 +88,6 @@ def test_load_constant_sums_to_volume():
         assert float(b.sum()) == pytest.approx(amap.volume, rel=1e-13)
 
 
-@PROPERTY
 @given(well_shaped_tets())
 def test_batched_kernels_equal_per_tet_calls(verts):
     """The kernels on a stack of tets equal a loop of single-tet calls."""
@@ -254,7 +254,8 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
     if method == "nonconforming":
         system = nc_assemble(mesh, cls, SPHERE, 2, f, lambda p: 0.0)
         shifts = _shifted_edge_points(mesh, cls, SPHERE)
-        C = {t: build_nc_modified_basis(mesh, cls, SPHERE, t, shifts).C
+        face_shifts = _shifted_face_points(mesh, cls, SPHERE)
+        C = {t: build_nc_modified_basis(mesh, cls, t, shifts, face_shifts).C
              for t in cls.o_tets}
         T = nc_reference_matrix()
         g_dofs = np.zeros(system.dofmap.n_dofs)

@@ -6,7 +6,6 @@ from hypothesis.strategies import floats, integers
 
 from shiftfem.cases import case_registry, get_case
 
-from test_elements import PROPERTY
 from test_surfaces import sample_surface_points
 
 
@@ -100,7 +99,6 @@ def test_reference_h_conventions():
 
 
 @pytest.mark.parametrize("name", sorted(case_registry()))
-@PROPERTY
 @given(integers(1, 20).flatmap(
     lambda n: arrays(np.float64, (n, 3), elements=floats(0.0, 1.0))))
 def test_callables_on_point_arrays_equal_per_point_calls(name, unit):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shiftfem.elements import (
@@ -18,10 +18,6 @@ from shiftfem.elements import (
     shape_values,
     tet_quadrature,
 )
-
-
-#: deterministic hypothesis runs, so that the suite repeats exactly
-PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -193,7 +189,6 @@ def test_affine_map_rejects_degenerate():
         AffineMap.from_vertices(stack)
 
 
-@PROPERTY
 @given(well_shaped_tets(), st.integers(0, 2**32 - 1))
 def test_stacked_affine_map_round_trips(verts, seed):
     """The stacked map holds the single-tet maps and maps reference points

@@ -155,6 +155,15 @@ def test_torus_gamma_edges_have_two_incident_faces_or_rim():
             assert len(sym) == 1
 
 
+def test_boundary_edge_faces_match_a_scan_of_all_boundary_faces():
+    m = generate_torus_sector_mesh(4, 5.0 / 6.0, 1.0 / 6.0)
+    adjacent = m.boundary_edge_faces()
+    bfaces = list(m.boundary_faces())
+    for a, b in m.edges():
+        scanned = [tri for tri in bfaces if a in tri and b in tri]
+        assert adjacent.get((a, b), []) == scanned
+
+
 def test_classification_stable_under_vertex_permutation():
     m = generate_octant_mesh(3)
     cls = classify_boundary(m, SPHERE)
@@ -190,7 +199,7 @@ def test_skin_direction_flat_and_ridge():
         scale = 1.0
 
         def value(self, p):
-            return float(p[2])
+            return p[..., 2]
 
     cls = classify_boundary(mesh, FlatTop())
     edge = (1, 2)

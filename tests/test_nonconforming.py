@@ -11,6 +11,7 @@ from shiftfem.assembly import element_phi_coefficients
 from shiftfem.nonconforming import (
     _apply_reference_dofs,
     _shifted_edge_points,
+    _shifted_face_points,
     build_nc_modified_basis,
     nc_assemble,
     nc_dofmap,
@@ -147,8 +148,9 @@ def test_shifted_dof_matrix_perturbation_rate():
         mesh = generate_octant_mesh(J)
         cls = classify_boundary(mesh, SPHERE)
         shifts = _shifted_edge_points(mesh, cls, SPHERE)
+        face_shifts = _shifted_face_points(mesh, cls, SPHERE)
         devs[J] = max(
-            build_nc_modified_basis(mesh, cls, SPHERE, t, shifts)
+            build_nc_modified_basis(mesh, cls, t, shifts, face_shifts)
             .deviation_from_identity
             for t in cls.o_tets
         )
@@ -203,4 +205,5 @@ def test_nc_mesh_too_coarse_raises():
     key = next(e for e in sorted(cls.gamma_edges) if set(e) <= set(tet))
     shifts[key] = shifts[key] * 1e5
     with pytest.raises(ValueError, match=r"too coarse .*condition"):
-        build_nc_modified_basis(mesh, cls, SPHERE, t, shifts)
+        build_nc_modified_basis(mesh, cls, t, shifts,
+                                _shifted_face_points(mesh, cls, SPHERE))

@@ -1,6 +1,10 @@
+import collections
+import copy
+
 import numpy as np
 import pytest
 
+from shiftfem.cases import get_case
 from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.elements import AffineMap, shape_values, tet_quadrature
 from shiftfem.meshgen import classify_boundary, generate_octant_mesh
@@ -152,3 +156,33 @@ def test_mesh_too_coarse_raises():
     table.shifts[nid] = mesh.vertices[mesh.tets[bad][0]].copy()
     with pytest.raises(ValueError, match="too coarse"):
         build_modified_basis(mesh, nodes, table, bad)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
+    """One batched line query per kind of shifted node, whatever the mesh
+    size: no scan along the lines.  Calls are counted on a copy of the
+    surface, as the benchmark's tracer counts them."""
+    case = get_case("tp3-torus")
+    mesh = case.mesh(4)
+    cls = classify_boundary(mesh, case.surface)
+    surface = copy.copy(case.surface)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    surface.value = counted("value", surface.value)
+    surface.nearest_line_intersection = counted(
+        "intersection", surface.nearest_line_intersection)
+    table = build_shifted_node_table(
+        mesh, cls, surface, build_lagrange_nodes(mesh, degree))
+    assert len(table.shifts) >= 100
+    assert calls["intersection"] == degree - 1
+    assert calls["value"] <= 2 * (degree - 1)
+    calls.clear()
+    assert classify_boundary(mesh, surface).gamma_faces == cls.gamma_faces
+    assert calls["value"] == 1
