@@ -35,7 +35,11 @@ from .dofs import DofMap, build_lagrange_nodes
 from .elements import AffineMap, shape_gradients, shape_values, tet_quadrature
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
-from .trialspace import build_modified_basis, build_shifted_node_table
+from .trialspace import (
+    ModifiedElementBasis,
+    build_modified_basis,
+    build_shifted_node_table,
+)
 
 
 @dataclass
@@ -46,12 +50,12 @@ class System:
     b: np.ndarray
     dofmap: DofMap
     dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
-    C: dict  # boundary tet -> coefficient matrix C of its modified basis
+    basis: ModifiedElementBasis | None  # C of the boundary tets, stacked
     R: np.ndarray | None  # test transform; None is the identity
 
     @property
     def symmetric(self):
-        return not self.C
+        return self.basis is None or self.basis.C.size == 0
 
 
 def element_stiffness(amap: AffineMap, degree: int, quad):
@@ -72,12 +76,7 @@ def element_load(amap: AffineMap, degree: int, quad, f):
     return (quad.weights * fq) @ vals * np.asarray(amap.detB)[..., None]
 
 
-def _stacked(C):
-    """Boundary tets and their coefficient matrices as arrays."""
-    return np.array(list(C), dtype=np.int64), np.array(list(C.values()))
-
-
-def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, C, R,
+def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, basis, R,
              f) -> System:
     """Form T_test^T S T_trial and T_test^T b_loc on every tet, scatter
     them once and lift the Dirichlet values (see the module docstring)."""
@@ -88,9 +87,8 @@ def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, C, R,
     if R is not None:
         S_all = R.T @ S_all @ R
         b_all = b_all @ R
-    if C:
-        tets, Cs = _stacked(C)
-        S_all[tets] = S_all[tets] @ Cs
+    if basis is not None:
+        S_all[basis.tets] = S_all[basis.tets] @ basis.C
 
     n, n_loc = dofmap.n_dofs, dofmap.cells.shape[1]
     rows = np.repeat(dofmap.cells, n_loc, axis=1).ravel()
@@ -101,7 +99,7 @@ def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, C, R,
     A_free = full[free]
     b = load[free] - A_free[:, dofmap.gamma_mask] @ dirichlet[dofmap.gamma_mask]
     return System(A=A_free[:, free].tocsr(), b=b, dofmap=dofmap,
-                  dirichlet=dirichlet, C=C, R=R)
+                  dirichlet=dirichlet, basis=basis, R=R)
 
 
 def assemble_new_method(
@@ -118,8 +116,8 @@ def assemble_new_method(
     table = build_shifted_node_table(mesh, cls, surface, nodes)
     dofmap = DofMap.build(nodes.cell_nodes_table, table.gamma_mask)
     dirichlet = table.dirichlet_values(g)
-    C = {t: build_modified_basis(mesh, nodes, table, t).C for t in cls.o_tets}
-    return assemble(mesh, degree, dofmap, dirichlet, C, None, f)
+    basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
+    return assemble(mesh, degree, dofmap, dirichlet, basis, None, f)
 
 
 def assemble_polyhedral(
@@ -142,7 +140,7 @@ def assemble_polyhedral(
     on_gamma = [surface.closest_point(p) for p in nodes.coords[gamma_mask]]
     dirichlet[gamma_mask] = g(np.reshape(on_gamma, (-1, 3)))
     dofmap = DofMap.build(nodes.cell_nodes_table, gamma_mask)
-    return assemble(mesh, degree, dofmap, dirichlet, {}, None, f)
+    return assemble(mesh, degree, dofmap, dirichlet, None, None, f)
 
 
 def element_phi_coefficients(system: System, x: np.ndarray):
@@ -153,9 +151,9 @@ def element_phi_coefficients(system: System, x: np.ndarray):
     values = system.dirichlet.copy()
     values[~system.dofmap.gamma_mask] = x
     coef = values[system.dofmap.cells]
-    if system.C:
-        tets, Cs = _stacked(system.C)
-        coef[tets] = np.einsum("tij,tj->ti", Cs, coef[tets])
+    basis = system.basis
+    if basis is not None:
+        coef[basis.tets] = np.einsum("tij,tj->ti", basis.C, coef[basis.tets])
     if system.R is not None:
         coef = coef @ system.R.T
     return coef

@@ -222,30 +222,20 @@ def refined_quadrature(degree: int, levels: int) -> QuadratureRule:
     return QuadratureRule(pts, wts, base.degree)
 
 
+#: the 8 sub-tets of the red refinement, as indices into the 4 vertices
+#: followed by the 6 edge midpoints (4 + local edge id): the 4 corner tets,
+#: then the inner octahedron split along the (0,1)-(2,3) diagonal
+_RED_SUBTETS = np.array([
+    [0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],
+    [4, 9, 5, 6], [4, 9, 6, 8], [4, 9, 8, 7], [4, 9, 7, 5],
+])
+
+
 def _red_refine(verts):
-    """Split one tet into 8 (4 corner tets + 4 from the inner octahedron)."""
+    """Split one tet into 8 positively oriented ones, (8, 4, 3)."""
     v = np.asarray(verts, dtype=float)
-    m = {}
-    for a, b in EDGES:
-        m[(a, b)] = 0.5 * (v[a] + v[b])
-    corner = [
-        [v[0], m[(0, 1)], m[(0, 2)], m[(0, 3)]],
-        [m[(0, 1)], v[1], m[(1, 2)], m[(1, 3)]],
-        [m[(0, 2)], m[(1, 2)], v[2], m[(2, 3)]],
-        [m[(0, 3)], m[(1, 3)], m[(2, 3)], v[3]],
-    ]
-    # octahedron split along the (0,1)-(2,3) diagonal
-    d0, d1 = m[(0, 1)], m[(2, 3)]
-    octa = [
-        [d0, d1, m[(0, 2)], m[(0, 3)]],
-        [d0, d1, m[(0, 3)], m[(1, 3)]],
-        [d0, d1, m[(1, 3)], m[(1, 2)]],
-        [d0, d1, m[(1, 2)], m[(0, 2)]],
-    ]
-    out = []
-    for t in corner + octa:
-        t = np.array(t)
-        if np.linalg.det((t[1:] - t[0]).T) < 0.0:
-            t[[2, 3]] = t[[3, 2]]
-        out.append(t)
-    return out
+    a, b = np.array(EDGES).T
+    sub = np.vstack([v, 0.5 * (v[a] + v[b])])[_RED_SUBTETS]
+    flip = np.linalg.det(np.swapaxes(sub[:, 1:] - sub[:, :1], -1, -2)) < 0.0
+    sub[flip] = sub[flip][:, [0, 1, 3, 2]]
+    return sub

@@ -10,19 +10,93 @@ Generators:
 
 All boundary vertices produced by the generators lie either exactly on the
 curved surface Gamma or on flat symmetry planes of the domain.
+
+Mesh entities are integer ids.  A mesh's `Topology` numbers its edges and
+faces by first appearance, scanning the tets in order and the local edges
+(faces) of each tet in the canonical `elements.EDGES` (`FACES`) order; an
+entity's vertices are stored sorted.  Every DOF numbering derives from
+these ids, so it is deterministic and independent of hashing.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .elements import EDGES, FACES
 from .surfaces import Surface
 
-# permutations defining the 6 Kuhn tets of a unit cell: walk from the cell
+_EDGES = np.array(EDGES)
+_FACES = np.array(FACES)
+#: local edges of each local face (face i is opposite vertex i)
+_FACE_EDGES = np.array([[e for e, pair in enumerate(EDGES) if i not in pair]
+                        for i in range(4)])
+
+# lattice steps of the 6 Kuhn tets of a unit cell: each walks from the cell
 # origin to the opposite corner, one axis step at a time
-_KUHN_PERMS = list(itertools.permutations((0, 1, 2)))
+_KUHN_STEPS = np.cumsum(
+    np.eye(3, dtype=np.int64)[np.array(list(itertools.permutations(range(3))))],
+    axis=1)
+_KUHN_PATHS = np.concatenate(
+    [np.zeros((6, 1, 3), dtype=np.int64), _KUHN_STEPS], axis=1)  # (6, 4, 3)
+
+
+def _number(keys):
+    """Number the distinct rows of `keys` (m, d) by first appearance: the id
+    of every row, and the index of the first row of every id."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.reshape(-1)], first[order]
+
+
+@dataclass(frozen=True)
+class Topology:
+    """Edges and faces of a tet mesh as id arrays (see the module
+    docstring for the numbering)."""
+
+    tet_edges: np.ndarray  # (n_tets, 6) edge ids, local edges in EDGES order
+    edge_vertices: np.ndarray  # (n_edges, 2) sorted vertex ids
+    tet_faces: np.ndarray  # (n_tets, 4) face ids; local face i is opposite vertex i
+    face_vertices: np.ndarray  # (n_faces, 3) sorted vertex ids
+    face_tet: np.ndarray  # (n_faces,) first tet containing the face
+    face_local: np.ndarray  # (n_faces,) local vertex of face_tet opposite the face
+    boundary: np.ndarray  # ascending ids of the faces of exactly one tet
+
+    @classmethod
+    def of(cls, tets):
+        n = tets.shape[0]
+        pairs = np.sort(tets[:, _EDGES], axis=-1).reshape(-1, 2)
+        tet_edges, first_edge = _number(pairs)
+        tris = np.sort(tets[:, _FACES], axis=-1).reshape(-1, 3)
+        tet_faces, first_face = _number(tris)
+        count = np.bincount(tet_faces, minlength=first_face.size)
+        return cls(
+            tet_edges=tet_edges.reshape(n, 6),
+            edge_vertices=pairs[first_edge],
+            tet_faces=tet_faces.reshape(n, 4),
+            face_vertices=tris[first_face],
+            face_tet=first_face // 4,
+            face_local=first_face % 4,
+            boundary=np.flatnonzero(count == 1),
+        )
+
+    @property
+    def n_edges(self):
+        return self.edge_vertices.shape[0]
+
+    @property
+    def n_faces(self):
+        return self.face_vertices.shape[0]
+
+    def face_edges(self, faces):
+        """Edge ids (n, 3) of the given faces."""
+        return self.tet_edges[self.face_tet[faces][:, None],
+                              _FACE_EDGES[self.face_local[faces]]]
 
 
 @dataclass
@@ -35,18 +109,11 @@ class Mesh:
     #: nominal mesh size of the generator (used for root brackets)
     h_ref: float = 0.0
 
-    _edges: dict | None = None
-    _faces: dict | None = None
-    _boundary_faces: dict | None = None
-    _boundary_edge_faces: dict | None = None
-
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.tets = np.asarray(self.tets, dtype=np.int64)
         if self.h_ref == 0.0:
             self.h_ref = float(np.max(self.edge_lengths()))
-
-    # -- topology ---------------------------------------------------------
 
     @property
     def n_vertices(self):
@@ -56,113 +123,66 @@ class Mesh:
     def n_tets(self):
         return self.tets.shape[0]
 
-    def edges(self):
-        """Sorted vertex pair -> edge id, in deterministic order."""
-        if self._edges is None:
-            edges = {}
-            for tet in self.tets:
-                for i in range(4):
-                    for j in range(i + 1, 4):
-                        key = (min(tet[i], tet[j]), max(tet[i], tet[j]))
-                        if key not in edges:
-                            edges[key] = len(edges)
-            self._edges = edges
-        return self._edges
-
-    def faces(self):
-        """Sorted vertex triple -> face id."""
-        if self._faces is None:
-            faces = {}
-            for tet in self.tets:
-                for skip in range(4):
-                    tri = tuple(sorted(tet[k] for k in range(4) if k != skip))
-                    if tri not in faces:
-                        faces[tri] = len(faces)
-            self._faces = faces
-        return self._faces
+    @cached_property
+    def topology(self) -> Topology:
+        """Edge and face ids, built on first use from `tets`."""
+        return Topology.of(self.tets)
 
     def boundary_faces(self):
-        """Sorted vertex triple -> (tet index, local index of opposite vertex)
-        for faces incident to exactly one tet."""
-        if self._boundary_faces is None:
-            incidence = {}
-            for t, tet in enumerate(self.tets):
-                for skip in range(4):
-                    tri = tuple(sorted(tet[k] for k in range(4) if k != skip))
-                    incidence.setdefault(tri, []).append((t, skip))
-            self._boundary_faces = {
-                tri: inc[0] for tri, inc in incidence.items() if len(inc) == 1
-            }
-        return self._boundary_faces
+        """Sorted vertex triples (n, 3) of the boundary faces, in face-id
+        order."""
+        return self.topology.face_vertices[self.topology.boundary]
 
-    def boundary_edge_faces(self):
-        """Sorted vertex pair -> the boundary faces (sorted vertex triples)
-        containing that edge, in `boundary_faces` order."""
-        if self._boundary_edge_faces is None:
-            adjacent = {}
-            for tri in self.boundary_faces():
-                a, b, c = tri
-                for edge in ((a, b), (a, c), (b, c)):
-                    adjacent.setdefault(edge, []).append(tri)
-            self._boundary_edge_faces = adjacent
-        return self._boundary_edge_faces
+    def face_normals(self, faces):
+        """Unit normals (n, 3) of the given faces, pointing away from the
+        first tet that contains each: outward on boundary faces."""
+        top = self.topology
+        a, b, c = np.moveaxis(self.vertices[top.face_vertices[faces]], -2, 0)
+        opp = self.vertices[self.tets[top.face_tet[faces], top.face_local[faces]]]
+        n = np.cross(b - a, c - a)
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        return np.where(np.sum(n * (opp - a), axis=-1, keepdims=True) > 0.0,
+                        -n, n)
 
     def edge_lengths(self):
-        v = self.vertices
-        lens = []
-        for tet in self.tets:
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    lens.append(np.linalg.norm(v[tet[i]] - v[tet[j]]))
-        return np.array(lens)
+        """(n_tets * 6,) lengths of the local edges of every tet."""
+        v = self.vertices[self.tets]
+        return np.linalg.norm(v[:, _EDGES[:, 0]] - v[:, _EDGES[:, 1]],
+                              axis=-1).ravel()
 
     def element_sizes(self):
         """Longest edge of each tet."""
-        v = self.vertices
-        h = np.zeros(self.n_tets)
-        for t, tet in enumerate(self.tets):
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    h[t] = max(h[t], np.linalg.norm(v[tet[i]] - v[tet[j]]))
-        return h
+        return self.edge_lengths().reshape(-1, 6).max(axis=1)
 
     def tet_volumes(self):
-        v = self.vertices
-        vols = np.zeros(self.n_tets)
-        for t, tet in enumerate(self.tets):
-            B = (v[tet[1:]] - v[tet[0]]).T
-            vols[t] = np.linalg.det(B) / 6.0
-        return vols
+        return _signed_dets(self.vertices, self.tets) / 6.0
 
-    def outward_face_normal(self, tri):
-        """Unit outward normal of a boundary face (sorted vertex triple)."""
-        t, skip = self.boundary_faces()[tri]
-        tet = self.tets[t]
-        opp = self.vertices[tet[skip]]
-        a, b, c = (self.vertices[i] for i in tri)
-        (u0, u1, u2), (w0, w1, w2) = (b - a).tolist(), (c - a).tolist()
-        # the cross product, written out: on one pair of 3-vectors np.cross
-        # spends far longer in its axis handling than in the arithmetic
-        n = np.array([u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0])
-        n /= np.linalg.norm(n)
-        if n @ (opp - a) > 0.0:
-            n = -n
-        return n
+
+def _signed_dets(vertices, tets):
+    """det B of every tet, B holding the edge vectors from vertex 0."""
+    v = vertices[tets]
+    return np.linalg.det(np.swapaxes(v[:, 1:] - v[:, :1], -1, -2))
 
 
 def _fix_orientation(vertices, tets):
     """Swap two vertices of negatively oriented tets; reject degenerate ones."""
-    tets = np.asarray(tets, dtype=np.int64).copy()
-    for t in range(tets.shape[0]):
-        verts = vertices[tets[t]]
-        B = (verts[1:] - verts[0]).T
-        det = np.linalg.det(B)
-        vol_scale = np.max(np.abs(verts[1:] - verts[0])) ** 3
-        if abs(det) <= 1e-12 * max(vol_scale, 1e-300):
-            raise ValueError("degenerate tetrahedron produced by mesh mapping")
-        if det < 0.0:
-            tets[t, [2, 3]] = tets[t, [3, 2]]
+    tets = np.array(tets, dtype=np.int64)
+    v = vertices[tets]
+    det = _signed_dets(vertices, tets)
+    vol_scale = np.max(np.abs(v[:, 1:] - v[:, :1]), axis=(1, 2)) ** 3
+    flat = np.flatnonzero(np.abs(det) <= 1e-12 * np.maximum(vol_scale, 1e-300))
+    if flat.size:
+        raise ValueError("degenerate tetrahedron %d produced by mesh mapping"
+                         % flat[0])
+    tets[det < 0.0] = tets[det < 0.0][:, [0, 1, 3, 2]]
     return tets
+
+
+def _kuhn_paths(shape):
+    """Lattice points (6 * n_cells, 4, 3) of the Kuhn tets of a grid of
+    `shape` cells, the cells in C order."""
+    base = np.indices(shape).reshape(3, -1).T
+    return (base[:, None, None, :] + _KUHN_PATHS).reshape(-1, 4, 3)
 
 
 # -- box mesh --------------------------------------------------------------
@@ -174,29 +194,10 @@ def generate_box_tet_mesh(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     dims = (nx + 1, ny + 1, nz + 1)
-
-    def vid(i, j, k):
-        return (i * dims[1] + j) * dims[2] + k
-
-    verts = np.empty((dims[0] * dims[1] * dims[2], 3))
-    for i in range(dims[0]):
-        for j in range(dims[1]):
-            for k in range(dims[2]):
-                frac = np.array([i / nx, j / ny, k / nz])
-                verts[vid(i, j, k)] = lo + frac * (hi - lo)
-
-    tets = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    path = [base.copy()]
-                    for ax in perm:
-                        nxt = path[-1].copy()
-                        nxt[ax] += 1
-                        path.append(nxt)
-                    tets.append([vid(*p) for p in path])
+    grid = np.indices(dims).reshape(3, -1).T
+    verts = lo + grid / np.array([nx, ny, nz]) * (hi - lo)
+    paths = _kuhn_paths((nx, ny, nz))
+    tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
     tets = _fix_orientation(verts, tets)
     h = max((hi - lo)[0] / nx, (hi - lo)[1] / ny, (hi - lo)[2] / nz)
     return Mesh(verts, tets, name="box", h_ref=h)
@@ -216,39 +217,20 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
     u+v+w = j/J, which are then mapped radially onto concentric spheres of
     radius j/J and finally scaled by the semi-axes.  All outer-shell
     vertices land exactly on the surface; the flat faces land in the
-    coordinate planes.
+    coordinate planes.  Vertices are numbered by first appearance.
     """
     J = int(J)
     semi_axes = np.asarray(semi_axes, dtype=float)
 
-    vert_ids: dict[tuple, int] = {}
-    verts: list[np.ndarray] = []
-
-    def vid(p):
-        key = tuple(int(c) for c in p)
-        if key not in vert_ids:
-            vert_ids[key] = len(verts)
-            verts.append(np.array(key, dtype=float))
-        return vert_ids[key]
-
-    tets = []
-    for i in range(J):
-        for j in range(J):
-            for k in range(J):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    path = [base.copy()]
-                    for ax in perm:
-                        nxt = path[-1].copy()
-                        nxt[ax] += 1
-                        path.append(nxt)
-                    if all(p[0] >= p[1] >= p[2] for p in path):
-                        tets.append(path)
-    if len(tets) != J**3:
+    paths = _kuhn_paths((J, J, J))
+    inside = np.all((paths[..., 0] >= paths[..., 1])
+                    & (paths[..., 1] >= paths[..., 2]), axis=1)
+    paths = paths[inside].reshape(-1, 3)
+    if paths.shape[0] != 4 * J**3:
         raise RuntimeError("octant tiling produced an unexpected tet count")
-    tets = [[vid(p) for p in path] for path in tets]
+    tets, first = _number(paths)
+    coords = paths[first].astype(float)
 
-    coords = np.array(verts)
     # affine map K_J -> corner simplex conv{0, e1, e2, e3}
     u = np.empty_like(coords)
     u[:, 0] = (coords[:, 0] - coords[:, 1]) / J
@@ -262,7 +244,7 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
     mapped[nz] = u[nz] * (s[nz] / norms[nz])[:, None]
     mapped *= semi_axes
 
-    tets = _fix_orientation(mapped, tets)
+    tets = _fix_orientation(mapped, tets.reshape(-1, 4))
     planes = [
         (np.zeros(3), np.array([1.0, 0.0, 0.0])),
         (np.zeros(3), np.array([0.0, 1.0, 0.0])),
@@ -279,13 +261,11 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
 def _square_to_quarter_disk(y, z):
     """Map [0,1]^2 onto the quarter disk {y,z >= 0, y^2+z^2 <= 1}, sending
     the concentric squares max(y,z) = c onto the arcs of radius c."""
-    m = max(y, z)
-    if m == 0.0:
-        return 0.0, 0.0
-    if y >= z:
-        phi = 0.25 * np.pi * (z / y)
-    else:
-        phi = 0.5 * np.pi - 0.25 * np.pi * (y / z)
+    m = np.maximum(y, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(y >= z, 0.25 * np.pi * (z / y),
+                       0.5 * np.pi - 0.25 * np.pi * (y / z))
+    phi = np.where(m == 0.0, 0.0, phi)
     return m * np.cos(phi), m * np.sin(phi)
 
 
@@ -309,50 +289,23 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
     nx, nyz = 2 * I, I // 2
     dims = (nx + 1, nyz + 1, nyz + 1)
 
-    def vid(i, j, k):
-        return (i * dims[1] + j) * dims[2] + k
-
     # build the structured grid in flipped cross-section coordinates
     # (x, Y, Z) = (x, 1-y, 1-z), standard Kuhn diagonal from the min corner,
-    # then flip back: the diagonals then start at the curved corner y=z=1
-    verts = np.empty((dims[0] * dims[1] * dims[2], 3))
-    for i in range(dims[0]):
-        for j in range(dims[1]):
-            for k in range(dims[2]):
-                verts[vid(i, j, k)] = [i / nx, 1.0 - j / nyz, 1.0 - k / nyz]
-
-    tets = []
-    for i in range(nx):
-        for j in range(nyz):
-            for k in range(nyz):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    path = [base.copy()]
-                    for ax in perm:
-                        nxt = path[-1].copy()
-                        nxt[ax] += 1
-                        path.append(nxt)
-                    tets.append([vid(*p) for p in path])
-
-    # cross-section: square -> quarter disk
-    for v in verts:
-        v[1], v[2] = _square_to_quarter_disk(v[1], v[2])
+    # then flip back: the diagonals then start at the curved corner y=z=1;
+    # the cross-section square goes to the quarter disk
+    i, j, k = np.indices(dims).reshape(3, -1)
+    y, z = _square_to_quarter_disk(1.0 - j / nyz, 1.0 - k / nyz)
+    verts = np.column_stack([i / nx, y, z])
+    paths = _kuhn_paths((nx, nyz, nyz))
+    tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
 
     # reflect through y = 0 into the half disk, welding the y = 0 plane
     n0 = verts.shape[0]
-    on_plane = np.abs(verts[:, 1]) <= 1e-14
-    mirror_id = np.empty(n0, dtype=np.int64)
-    extra = []
-    for i in range(n0):
-        if on_plane[i]:
-            mirror_id[i] = i
-        else:
-            mirror_id[i] = n0 + len(extra)
-            extra.append(verts[i] * np.array([1.0, -1.0, 1.0]))
-    verts = np.vstack([verts, np.array(extra)])
-    mirrored = [[mirror_id[a], mirror_id[b], mirror_id[d], mirror_id[c]]
-                for a, b, c, d in tets]
-    tets = tets + mirrored
+    off_plane = ~(np.abs(verts[:, 1]) <= 1e-14)
+    mirror_id = np.arange(n0)
+    mirror_id[off_plane] = n0 + np.arange(np.count_nonzero(off_plane))
+    verts = np.vstack([verts, verts[off_plane] * np.array([1.0, -1.0, 1.0])])
+    tets = np.vstack([tets, mirror_id[tets][:, [0, 1, 3, 2]]])
 
     # torus map
     R, r = float(major_radius), float(minor_radius)
@@ -384,19 +337,20 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
 @dataclass
 class BoundaryClassification:
     """Which mesh entities approximate the curved surface, and which tets
-    need the shifted trial basis."""
+    need the shifted trial basis.  Entities are ascending id arrays."""
 
-    gamma_faces: set  # sorted vertex triples on Gamma_h
-    gamma_edges: set  # sorted vertex pairs on Gamma_h
-    gamma_vertices: set
-    s_tets: list  # tets with exactly one face on Gamma_h
-    r_tets: list  # tets with exactly one edge (and no face) on Gamma_h
+    gamma_faces: np.ndarray  # face ids on Gamma_h
+    gamma_edges: np.ndarray  # edge ids of the Gamma_h faces
+    gamma_vertices: np.ndarray  # vertex ids of the Gamma_h faces
+    s_tets: np.ndarray  # tets with a face on Gamma_h
+    r_tets: np.ndarray  # tets with an edge (and no face) on Gamma_h
     violations: list  # human-readable descriptions of assumption violations
-    symmetry_faces: set  # boundary faces on flat symmetry planes
+    symmetry_faces: np.ndarray  # the other boundary faces
 
     @property
     def o_tets(self):
-        return self.s_tets + self.r_tets
+        """The boundary tets: S_h, then R_h."""
+        return np.concatenate([self.s_tets, self.r_tets])
 
     def check_assumption(self):
         """Raise when a tet breaks the one-face-or-one-edge assumption."""
@@ -407,133 +361,116 @@ class BoundaryClassification:
             )
 
 
+#: violation kinds of `classify_boundary`, by code
+_VIOLATIONS = {
+    1: "tet %d has %d faces on Gamma_h",
+    2: "tet %d has a face and %d extra edge(s) on Gamma_h",
+    3: "tet %d has %d edges (and no face) on Gamma_h",
+}
+
+
 def classify_boundary(mesh: Mesh, surface: Surface, tol_rel=1e-9):
     """Classify boundary faces/edges/vertices of `mesh` against `surface`.
 
     A boundary face belongs to Gamma_h when all three of its vertices lie
     on the surface (|F(v)| <= tol_rel * characteristic length); every
-    other boundary face must lie on one of the mesh's declared symmetry
-    planes.  Tets violating the one-face-or-one-edge assumption are
-    recorded in `violations`.
+    other boundary face is a symmetry face.  When the mesh declares
+    symmetry planes, each symmetry face must lie on one of them, or a
+    ValueError names the first that does not; a mesh without declared
+    planes (a box) accepts any off-surface boundary face.  Tets violating
+    the one-face-or-one-edge assumption are recorded in `violations`.
     """
+    top = mesh.topology
     tol = tol_rel * surface.scale
-    bfaces = list(mesh.boundary_faces())
-    tri_ids = np.array(bfaces, dtype=np.int64).reshape(-1, 3)
-    on_surface = np.abs(surface.value(mesh.vertices[tri_ids])).max(axis=1) <= tol
+    tris = mesh.boundary_faces()
+    on_surface = np.abs(surface.value(mesh.vertices[tris])).max(axis=1) <= tol
+    gamma_faces = top.boundary[on_surface]
+    symmetry_faces = top.boundary[~on_surface]
 
-    gamma_faces, symmetry_faces = set(), set()
-    for tri, on in zip(bfaces, on_surface):
-        if on:
-            gamma_faces.add(tri)
-        else:
-            symmetry_faces.add(tri)
-            if mesh.symmetry_planes:
-                pts = mesh.vertices[list(tri)]
-                ok = any(
-                    np.max(np.abs((pts - p0) @ n)) <= 1e-9 * max(1.0, surface.scale)
-                    for p0, n in mesh.symmetry_planes
-                )
-                if not ok:
-                    raise ValueError(
-                        "boundary face %s is neither on the surface nor on a "
-                        "symmetry plane" % (tri,)
-                    )
+    if mesh.symmetry_planes and symmetry_faces.size:
+        pts = mesh.vertices[tris[~on_surface]]  # (n, 3, 3)
+        tol_plane = 1e-9 * max(1.0, surface.scale)
+        on_plane = np.any(
+            [np.max(np.abs((pts - p0) @ n), axis=1) <= tol_plane
+             for p0, n in mesh.symmetry_planes], axis=0)
+        if not on_plane.all():
+            raise ValueError(
+                "boundary face %s is neither on the surface nor on a "
+                "symmetry plane"
+                % (tuple(tris[~on_surface][~on_plane][0].tolist()),)
+            )
 
-    gamma_edges = set()
-    gamma_vertices = set()
-    for tri in gamma_faces:
-        a, b, c = tri
-        gamma_edges.update({(a, b), (a, c), (b, c)})
-        gamma_vertices.update(tri)
+    gamma_edges = np.unique(top.face_edges(gamma_faces))
+    gamma_vertices = np.unique(top.face_vertices[gamma_faces])
 
-    s_tets, r_tets = [], []
-    violations = []
-    for t, tet in enumerate(mesh.tets):
-        tfaces = []
-        for skip in range(4):
-            tri = tuple(sorted(tet[k] for k in range(4) if k != skip))
-            if tri in gamma_faces:
-                tfaces.append(tri)
-        tedges = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                key = (min(tet[i], tet[j]), max(tet[i], tet[j]))
-                if key in gamma_edges:
-                    tedges.append(key)
-        if not tfaces and not tedges:
-            continue
-        if len(tfaces) >= 2:
-            violations.append("tet %d has %d faces on Gamma_h" % (t, len(tfaces)))
-            s_tets.append(t)
-        elif len(tfaces) == 1:
-            a, b, c = tfaces[0]
-            face_edges = {(a, b), (a, c), (b, c)}
-            extra = [e for e in tedges if e not in face_edges]
-            if extra:
-                violations.append(
-                    "tet %d has a face and %d extra edge(s) on Gamma_h"
-                    % (t, len(extra))
-                )
-            s_tets.append(t)
-        else:
-            if len(tedges) >= 2:
-                violations.append(
-                    "tet %d has %d edges (and no face) on Gamma_h" % (t, len(tedges))
-                )
-            r_tets.append(t)
+    n_faces = np.isin(top.tet_faces, gamma_faces).sum(axis=1)
+    n_edges = np.isin(top.tet_edges, gamma_edges).sum(axis=1)
+    # a Gamma_h face brings its 3 edges; any further one is extra
+    kind = np.select(
+        [n_faces >= 2, (n_faces == 1) & (n_edges > 3),
+         (n_faces == 0) & (n_edges >= 2)], [1, 2, 3], 0)
+    count = np.choose(kind, [n_faces, n_faces, n_edges - 3, n_edges])
+    bad = np.flatnonzero(kind)
+    violations = [_VIOLATIONS[c] % (t, n)
+                  for t, c, n in zip(bad, kind[bad], count[bad])]
 
     return BoundaryClassification(
         gamma_faces=gamma_faces,
         gamma_edges=gamma_edges,
         gamma_vertices=gamma_vertices,
-        s_tets=s_tets,
-        r_tets=r_tets,
+        s_tets=np.flatnonzero(n_faces >= 1),
+        r_tets=np.flatnonzero((n_faces == 0) & (n_edges >= 1)),
         violations=violations,
         symmetry_faces=symmetry_faces,
     )
 
 
-def skin_direction(mesh: Mesh, cls: BoundaryClassification, edge):
-    """Unit vector orthogonal to the Gamma_h edge `edge`, pointing out of
-    the mesh, along which edge nodes are shifted onto the surface.
+def skin_directions(mesh: Mesh, cls: BoundaryClassification):
+    """Unit vectors (n, 3), one per `cls.gamma_edges` entry, orthogonal to
+    the edge and pointing out of the mesh, along which edge nodes are
+    shifted onto the surface.
 
-    With two Gamma_h faces adjacent to the edge, the direction is the
+    With two Gamma_h faces adjacent to an edge, the direction is the
     component orthogonal to the edge of the bisector of the two outward
     face normals.  On a symmetry plane of the domain only one Gamma_h
     face is present; the mirror face normal is the reflection of that
     face's normal through the plane, so the bisector reduces to the
     in-plane component of the single normal.
     """
-    a, b = edge
-    e = mesh.vertices[b] - mesh.vertices[a]
-    e /= np.linalg.norm(e)
-
-    incident_gamma, incident_sym = [], []
-    for tri in mesh.boundary_edge_faces().get((min(a, b), max(a, b)), ()):
-        if tri in cls.gamma_faces:
-            incident_gamma.append(tri)
-        else:
-            incident_sym.append(tri)
-
-    if len(incident_gamma) == 2:
-        n = mesh.outward_face_normal(incident_gamma[0]) + mesh.outward_face_normal(
-            incident_gamma[1]
-        )
-    elif len(incident_gamma) == 1 and len(incident_sym) == 1:
-        n = mesh.outward_face_normal(incident_gamma[0])
-        # project onto the symmetry plane containing the edge
-        p = mesh.outward_face_normal(incident_sym[0])
-        n = n - (n @ p) * p
-    else:
+    top = mesh.topology
+    edges = cls.gamma_edges
+    bface_edges = top.face_edges(top.boundary).ravel()
+    # the boundary faces of every edge, in face-id order
+    order = np.argsort(bface_edges, kind="stable") // 3
+    count = np.bincount(bface_edges, minlength=top.n_edges)
+    start = np.cumsum(count) - count
+    odd = np.flatnonzero(count[edges] != 2)
+    if odd.size:
+        e = edges[odd[0]]
         raise ValueError(
-            "edge %s has %d adjacent Gamma_h faces; cannot form a skin direction"
-            % (edge, len(incident_gamma))
-        )
-    n = n - (n @ e) * e
-    norm = np.linalg.norm(n)
-    if norm <= 1e-12:
-        raise ValueError("degenerate skin direction at edge %s" % (edge,))
-    return n / norm
+            "Gamma_h edge %s has %d adjacent boundary faces; cannot form a "
+            "skin direction" % (tuple(top.edge_vertices[e].tolist()), count[e]))
+    f1, f2 = order[start[edges]], order[start[edges] + 1]
+
+    normals = mesh.face_normals(top.boundary)
+    on_gamma = np.isin(top.boundary, cls.gamma_faces)
+    first_on = on_gamma[f1][:, None]
+    own = np.where(first_on, normals[f1], normals[f2])  # a Gamma_h normal
+    other = np.where(first_on, normals[f2], normals[f1])
+    # with a symmetry face: project onto the symmetry plane containing the edge
+    n = np.where((on_gamma[f1] & on_gamma[f2])[:, None], own + other,
+                 own - np.sum(own * other, axis=1, keepdims=True) * other)
+
+    ends = mesh.vertices[top.edge_vertices[edges]]
+    e = ends[:, 1] - ends[:, 0]
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    n = n - np.sum(n * e, axis=1, keepdims=True) * e
+    norm = np.linalg.norm(n, axis=1)
+    flat = np.flatnonzero(norm <= 1e-12)
+    if flat.size:
+        raise ValueError("degenerate skin direction at edge %s"
+                         % (tuple(top.edge_vertices[edges[flat[0]]].tolist()),))
+    return n / norm[:, None]
 
 
 # -- export -----------------------------------------------------------------
@@ -545,27 +482,23 @@ def write_vtk(mesh: Mesh, path, point_data=None):
         fh.write("# vtk DataFile Version 3.0\n%s\nASCII\n" % mesh.name)
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.n_vertices)
-        for p in mesh.vertices:
-            fh.write("%.17g %.17g %.17g\n" % tuple(p))
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
         fh.write("CELLS %d %d\n" % (mesh.n_tets, 5 * mesh.n_tets))
-        for t in mesh.tets:
-            fh.write("4 %d %d %d %d\n" % tuple(t))
+        np.savetxt(fh, np.column_stack([np.full(mesh.n_tets, 4), mesh.tets]),
+                   fmt="%d")
         fh.write("CELL_TYPES %d\n" % mesh.n_tets)
         fh.write("10\n" * mesh.n_tets)
         if point_data:
             fh.write("POINT_DATA %d\n" % mesh.n_vertices)
             for name, values in point_data.items():
                 fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-                for v in values:
-                    fh.write("%.17g\n" % v)
+                np.savetxt(fh, np.asarray(values, dtype=float), fmt="%.17g")
 
 
 def write_mesh_text(mesh: Mesh, path):
     """Plain-text dump: vertex coordinates then tet connectivity."""
     with open(path, "w") as fh:
         fh.write("vertices %d\n" % mesh.n_vertices)
-        for p in mesh.vertices:
-            fh.write("%.17g %.17g %.17g\n" % tuple(p))
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
         fh.write("tets %d\n" % mesh.n_tets)
-        for t in mesh.tets:
-            fh.write("%d %d %d %d\n" % tuple(t))
+        np.savetxt(fh, mesh.tets, fmt="%d")

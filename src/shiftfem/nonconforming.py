@@ -24,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import System, assemble
-from .dofs import DofMap, tet_edge_ids, tet_face_ids
+from .dofs import DofMap
 from .elements import EDGES, FACES, AffineMap, REF_VERTICES, shape_values
-from .meshgen import BoundaryClassification, Mesh, skin_direction
+from .meshgen import BoundaryClassification, Mesh, skin_directions
 from .surfaces import Surface
 from .trialspace import ModifiedElementBasis
 
@@ -76,73 +76,70 @@ def nc_reference_matrix() -> np.ndarray:
 def nc_dofmap(mesh: Mesh, bc: BoundaryClassification) -> DofMap:
     """DOF map of the face and edge DOFs: face ids, then n_faces + edge
     ids, with the Gamma_h faces and edges masked."""
-    faces, edges = mesh.faces(), mesh.edges()
-    cells = np.hstack([tet_face_ids(mesh), len(faces) + tet_edge_ids(mesh)])
-    gamma = np.zeros(len(faces) + len(edges), dtype=bool)
-    gamma[[faces[tri] for tri in bc.gamma_faces]] = True
-    gamma[[len(faces) + edges[e] for e in bc.gamma_edges]] = True
+    top = mesh.topology
+    cells = np.hstack([top.tet_faces, top.n_faces + top.tet_edges])
+    gamma = np.zeros(top.n_faces + top.n_edges, dtype=bool)
+    gamma[bc.gamma_faces] = True
+    gamma[top.n_faces + bc.gamma_edges] = True
     return DofMap.build(cells, gamma)
 
 
 def _shifted_edge_points(mesh, bc, surface):
-    """Gamma_h edge -> skin-shifted midpoint Q_e (single-valued)."""
-    edges = sorted(bc.gamma_edges)
-    if not edges:
-        return {}
-    pairs = np.array(edges, dtype=np.int64)
-    pa, pb = mesh.vertices[pairs[:, 0]], mesh.vertices[pairs[:, 1]]
-    w = np.array([skin_direction(mesh, bc, edge) for edge in edges])
-    Q, _ = surface.nearest_line_intersection(
-        0.5 * (pa + pb), w, 4.0 * np.linalg.norm(pb - pa, axis=1))
-    return dict(zip(edges, Q))
+    """(n_edges, 3): the middle point of every edge functional, which is
+    the skin-shifted midpoint Q_e on a Gamma_h edge and the midpoint
+    elsewhere."""
+    ends = mesh.vertices[mesh.topology.edge_vertices]
+    pts = 0.5 * (ends[:, 0] + ends[:, 1])
+    e = bc.gamma_edges
+    if e.size:
+        pts[e], _ = surface.nearest_line_intersection(
+            pts[e], skin_directions(mesh, bc),
+            4.0 * np.linalg.norm(ends[e, 1] - ends[e, 0], axis=1))
+    return pts
 
 
 def _shifted_face_points(mesh, bc, surface):
-    """Gamma_h face -> nearest intersection of the surface with the
-    perpendicular to the face through its centroid."""
-    faces = sorted(bc.gamma_faces)
-    if not faces:
-        return {}
-    pts = mesh.vertices[np.array(faces, dtype=np.int64)]  # (n_f, 3, 3)
-    centroid = pts.mean(axis=1)
-    n = np.array([mesh.outward_face_normal(tri) for tri in faces])
-    h_t = np.max(np.linalg.norm(pts - centroid[:, None, :], axis=2), axis=1)
-    P, _ = surface.nearest_line_intersection(centroid, n, 4.0 * h_t)
-    return dict(zip(faces, P))
+    """(n_faces, 3): the point of every face functional, which is the
+    nearest intersection of the surface with the perpendicular through the
+    centroid on a Gamma_h face and the centroid elsewhere."""
+    tris = mesh.vertices[mesh.topology.face_vertices]
+    pts = tris.mean(axis=1)
+    f = bc.gamma_faces
+    if f.size:
+        h_t = np.max(np.linalg.norm(tris[f] - pts[f][:, None, :], axis=2), axis=1)
+        pts[f], _ = surface.nearest_line_intersection(
+            pts[f], mesh.face_normals(f), 4.0 * h_t)
+    return pts
 
 
 def build_nc_modified_basis(
     mesh: Mesh,
     bc: BoundaryClassification,
-    tet: int,
-    edge_shifts: dict,
-    face_shifts: dict,
+    tets,
+    edge_shifts: np.ndarray,
+    face_shifts: np.ndarray,
 ) -> ModifiedElementBasis:
-    """Perturbed DOF matrix of one boundary tet from the shifted edge and
-    face points of the mesh."""
-    R = nc_reference_matrix()
-    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tet]])
-    tetv = mesh.tets[tet]
-
-    def basis_values(phys_point):
-        ref = amap.to_reference(phys_point)
-        return shape_values(2, ref)[0] @ R  # values of the 10 canonical b_j
-
-    K = np.eye(N_DOFS)
-    for lf, f in enumerate(FACES):
-        tri = tuple(sorted(int(tetv[i]) for i in f))
-        if tri in bc.gamma_faces:
-            K[lf, :] = basis_values(face_shifts[tri])
-    for le, (a, b) in enumerate(EDGES):
-        key = (min(int(tetv[a]), int(tetv[b])), max(int(tetv[a]), int(tetv[b])))
-        if key not in bc.gamma_edges:
-            continue
-        Q = edge_shifts[key]
-        pa, pb = mesh.vertices[key[0]], mesh.vertices[key[1]]
-        K[4 + le, :] = nc_edge_functional(
-            basis_values(pa), basis_values(Q), basis_values(pb)
-        )
-    return ModifiedElementBasis.invert(K, tet)
+    """Perturbed DOF matrices of one boundary tet or an id array of them,
+    in one batch, from the shifted edge and face points of the mesh."""
+    tets = np.asarray(tets)
+    top = mesh.topology
+    faces, edges = top.tet_faces[tets], top.tet_edges[tets]
+    ends = mesh.vertices[top.edge_vertices[edges]]  # (..., 6, 2, 3)
+    # per tet: 4 face points, then the 6 edges' A, then Q, then B points
+    pts = np.concatenate([face_shifts[faces], ends[..., 0, :],
+                          edge_shifts[edges], ends[..., 1, :]], axis=-2)
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tets]])
+    ref = amap.to_reference(pts)
+    vals = shape_values(2, ref.reshape(-1, 3)).reshape(pts.shape[:-1] + (N_DOFS,))
+    vals = vals @ nc_reference_matrix()  # values of the 10 canonical b_j
+    rows = np.concatenate(
+        [vals[..., :4, :],
+         nc_edge_functional(vals[..., 4:10, :], vals[..., 10:16, :],
+                            vals[..., 16:, :])], axis=-2)
+    shifted = np.concatenate([np.isin(faces, bc.gamma_faces),
+                              np.isin(edges, bc.gamma_edges)], axis=-1)
+    K = np.where(shifted[..., None], rows, np.eye(N_DOFS))
+    return ModifiedElementBasis.invert(K, tets)
 
 
 def nc_assemble(
@@ -153,14 +150,13 @@ def nc_assemble(
     value zero, and `g` must vanish on the Gamma_h vertices."""
     if degree != 2:
         raise ValueError("the nonconforming element only exists for k=2")
-    if np.any(g(mesh.vertices[sorted(bc.gamma_vertices)]) != 0.0):
+    if np.any(g(mesh.vertices[bc.gamma_vertices]) != 0.0):
         raise ValueError("the nonconforming element needs homogeneous "
                          "Dirichlet data")
     bc.check_assumption()
     dofmap = nc_dofmap(mesh, bc)
-    edge_shifts = _shifted_edge_points(mesh, bc, surface)
-    face_shifts = _shifted_face_points(mesh, bc, surface)
-    C = {t: build_nc_modified_basis(mesh, bc, t, edge_shifts, face_shifts).C
-         for t in bc.o_tets}
-    return assemble(mesh, 2, dofmap, np.zeros(dofmap.n_dofs), C,
+    basis = build_nc_modified_basis(
+        mesh, bc, bc.o_tets, _shifted_edge_points(mesh, bc, surface),
+        _shifted_face_points(mesh, bc, surface))
+    return assemble(mesh, 2, dofmap, np.zeros(dofmap.n_dofs), basis,
                     nc_reference_matrix(), f)

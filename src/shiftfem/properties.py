@@ -129,13 +129,11 @@ def test_modified_basis_reproduces_polynomials():
                           y * y * z, z * z * x, z * z * y, x * y * z]
             return float(np.dot(coefs, terms))
 
-        for t in cls.o_tets[:6]:
-            basis = build_modified_basis(mesh, nodes, table, t)
+        basis = build_modified_basis(mesh, nodes, table, cls.o_tets[:6])
+        for t, C in zip(basis.tets, basis.C):
             cell = nodes.cell_nodes(t)
-            vals = np.array(
-                [poly(table.shifted_point(int(g))) for g in cell]
-            )
-            a = basis.C @ vals  # Lagrange coefficients of the interpolant
+            vals = np.array([poly(p) for p in table.points[cell]])
+            a = C @ vals  # Lagrange coefficients of the interpolant
             amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
             pts = amap.to_physical(_random_ref_points(rng, 20))
             interp = shape_values(k, amap.to_reference(pts)) @ a
@@ -151,18 +149,16 @@ def test_modified_basis_delta_and_partition_of_unity():
     nodes = build_lagrange_nodes(mesh, 2)
     table = build_shifted_node_table(mesh, cls, surf, nodes)
     quad = tet_quadrature(5)
-    for t in cls.o_tets:
-        basis = build_modified_basis(mesh, nodes, table, t)
+    basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
+    for t, C in zip(basis.tets, basis.C):
         amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
         cell = nodes.cell_nodes(t)
         # delta property at the shifted nodes
-        refs = amap.to_reference(
-            np.array([table.shifted_point(int(g)) for g in cell])
-        )
-        psi = shape_values(2, refs) @ basis.C
+        refs = amap.to_reference(table.points[cell])
+        psi = shape_values(2, refs) @ C
         assert np.max(np.abs(psi - np.eye(len(cell)))) <= 1e-10
         # partition of unity at quadrature points
-        pou = shape_values(2, quad.points) @ basis.C @ np.ones(len(cell))
+        pou = shape_values(2, quad.points) @ C @ np.ones(len(cell))
         assert np.max(np.abs(pou - 1.0)) <= 1e-10
 
 
@@ -211,15 +207,12 @@ def test_nc_patch_test_functional_jumps():
         dofs = _apply_reference_dofs(val)
         a = R @ dofs  # Lagrange coefficients of the interpolant
         # reconstruct the physical face functionals from the interpolant
-        from .elements import FACES
-
-        for lf, f in enumerate(FACES):
-            tri = tuple(sorted(int(mesh.tets[t][i]) for i in f))
-            pts = mesh.vertices[list(tri)]
+        for f in mesh.topology.tet_faces[t]:
+            pts = mesh.vertices[mesh.topology.face_vertices[f]]
             centroid = pts.mean(axis=0)
             mu = float(shape_values(2, amap.to_reference(centroid))[0] @ a)
-            face_records.setdefault(tri, []).append(mu)
-    for tri, values in face_records.items():
+            face_records.setdefault(int(f), []).append(mu)
+    for values in face_records.values():
         if len(values) == 2:
             assert abs(values[0] - values[1]) <= 1e-11
 

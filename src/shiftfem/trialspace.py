@@ -20,7 +20,7 @@ import numpy as np
 
 from .dofs import LagrangeNodeSet
 from .elements import AffineMap, shape_values
-from .meshgen import BoundaryClassification, Mesh, skin_direction
+from .meshgen import BoundaryClassification, Mesh, skin_directions
 from .surfaces import Surface
 
 #: conditioning guard for the perturbed DOF matrix of every shifted basis
@@ -29,28 +29,19 @@ COND_LIMIT = 1e8
 
 @dataclass
 class ShiftedNodeTable:
-    """Global map: Lagrangian node id on Gamma_h -> point on Gamma.
-
-    Vertex nodes are not stored (their shifted point is the vertex
-    itself); `shifted_point` resolves them transparently.
-    """
+    """Where the DOF of each Lagrange node evaluates: at the node itself,
+    or at the shifted point on Gamma of a Gamma_h edge or face node."""
 
     nodes: LagrangeNodeSet
-    shifts: dict  # node id -> shifted point (edge and face nodes only)
+    shifts: np.ndarray  # (n_shifted,) ids of the shifted (edge and face) nodes
+    points: np.ndarray  # (n_nodes, 3) evaluation point of every node
     gamma_mask: np.ndarray  # per-node: lies on Gamma_h
-
-    def shifted_point(self, node_id):
-        if node_id in self.shifts:
-            return self.shifts[node_id]
-        return self.nodes.coords[node_id]
 
     def dirichlet_values(self, g):
         """Per-node array: the boundary datum at the shifted point of every
         Gamma_h node, 0 elsewhere."""
-        pts = self.nodes.coords.copy()
-        pts[list(self.shifts)] = np.reshape(list(self.shifts.values()), (-1, 3))
         vals = np.zeros(self.nodes.n_nodes)
-        vals[self.gamma_mask] = g(pts[self.gamma_mask])
+        vals[self.gamma_mask] = g(self.points[self.gamma_mask])
         return vals
 
 
@@ -62,92 +53,94 @@ def build_shifted_node_table(
 ) -> ShiftedNodeTable:
     """Shift every Gamma_h edge node, and for k=3 every Gamma_h face node,
     with one batched line query per kind of node."""
-    k = nodes.degree
-    shifts = {}
+    top = mesh.topology
+    points = nodes.coords.copy()
+    shifts = [np.zeros(0, dtype=np.int64)]
 
-    edges = mesh.edges()
-    n_v = mesh.n_vertices
-    per_edge = k - 1
-    gamma_edges = sorted(cls.gamma_edges)
-    if gamma_edges:
-        pairs = np.array(gamma_edges, dtype=np.int64)
-        w = np.array([skin_direction(mesh, cls, edge) for edge in gamma_edges])
-        length = np.linalg.norm(
-            mesh.vertices[pairs[:, 1]] - mesh.vertices[pairs[:, 0]], axis=1)
-        e_id = np.array([edges[edge] for edge in gamma_edges], dtype=np.int64)
-        nid = n_v + e_id[:, None] * per_edge + np.arange(per_edge)  # (n_e, k-1)
-        Q, _t = surface.nearest_line_intersection(
-            nodes.coords[nid], w[:, None, :], 4.0 * length[:, None])
-        shifts.update(zip(nid.ravel().tolist(), Q.reshape(-1, 3)))
+    edges = cls.gamma_edges
+    if edges.size:
+        ends = mesh.vertices[top.edge_vertices[edges]]
+        length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        nid = nodes.edge_nodes(edges)  # (n_e, k-1)
+        points[nid], _t = surface.nearest_line_intersection(
+            nodes.coords[nid], skin_directions(mesh, cls)[:, None, :],
+            4.0 * length[:, None])
+        shifts.append(nid.ravel())
 
-    gamma_faces = sorted(cls.gamma_faces)
-    if k == 3 and gamma_faces:
-        n_e = len(edges) * per_edge
-        faces = mesh.faces()
-        bfaces = mesh.boundary_faces()
-        tris = np.array(gamma_faces, dtype=np.int64)
-        opp = mesh.vertices[[mesh.tets[t][skip] for t, skip in
-                             (bfaces[tri] for tri in gamma_faces)]]
-        nid = n_v + n_e + np.array([faces[tri] for tri in gamma_faces])
+    faces = cls.gamma_faces
+    if nodes.degree == 3 and faces.size:
+        opp = mesh.vertices[mesh.tets[top.face_tet[faces], top.face_local[faces]]]
+        nid = nodes.face_nodes(faces)
         M = nodes.coords[nid]
         d = M - opp
         dist = np.linalg.norm(d, axis=1)
         d /= dist[:, None]
         # the sought intersection lies within O(h_T) of M
-        h_t = np.max(np.linalg.norm(mesh.vertices[tris] - M[:, None, :], axis=2),
-                     axis=1)
-        P, _t = surface.nearest_line_intersection(
+        tris = mesh.vertices[top.face_vertices[faces]]
+        h_t = np.max(np.linalg.norm(tris - M[:, None, :], axis=2), axis=1)
+        points[nid], _t = surface.nearest_line_intersection(
             M, d, 4.0 * np.maximum(h_t, dist))
-        shifts.update(zip(nid.tolist(), P))
+        shifts.append(nid)
 
-    return ShiftedNodeTable(
-        nodes=nodes, shifts=shifts, gamma_mask=nodes.gamma_mask(cls)
-    )
+    return ShiftedNodeTable(nodes=nodes, shifts=np.concatenate(shifts),
+                            points=points, gamma_mask=nodes.gamma_mask(cls))
 
 
 @dataclass
 class ModifiedElementBasis:
-    """Perturbed DOF matrix of one boundary element and its inverse; the
-    Lagrange builder and the nonconforming builder both return it."""
+    """Perturbed DOF matrices of one boundary element, or of a stack of
+    them, and their inverses; the Lagrange builder and the nonconforming
+    builder both return it."""
 
-    K: np.ndarray  # K[i, j] = shifted DOF i applied to basis function j
+    tets: np.ndarray  # tet id, or (n,) tet ids
+    K: np.ndarray  # (..., n_k, n_k): K[i, j] = shifted DOF i applied to basis function j
     C: np.ndarray  # inverse of K: psi_j = sum_m C[m, j] phi_m
-    condition: float
+    conditions: np.ndarray  # (...) 1-norm condition number of each K
+
+    @property
+    def condition(self):
+        """The largest condition number of the stack."""
+        return float(np.max(self.conditions, initial=0.0))
 
     @property
     def deviation_from_identity(self):
-        return float(np.max(np.abs(self.K - np.eye(self.K.shape[0])).sum(axis=1)))
+        """The largest row sum of |K - I| over the stack."""
+        rows = np.abs(self.K - np.eye(self.K.shape[-1])).sum(axis=-1)
+        return float(np.max(rows, initial=0.0))
 
     @classmethod
-    def invert(cls, K, tet):
-        """Invert K behind the conditioning guard."""
-        cond = float(np.linalg.cond(K, 1))
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+    def invert(cls, K, tets):
+        """Invert K behind the conditioning guard, which names the first
+        tet whose matrix fails it."""
+        cond = np.linalg.cond(K, 1)
+        bad = np.flatnonzero(~(cond <= COND_LIMIT))  # NaN and inf fail too
+        if bad.size:
             raise ValueError(
                 "mesh too coarse for shifted basis (DOF matrix condition %.3g "
-                "on tet %d)" % (cond, tet)
+                "on tet %d)" % (np.ravel(cond)[bad[0]], np.ravel(tets)[bad[0]])
             )
-        return cls(K=K, C=np.linalg.inv(K), condition=cond)
+        return cls(tets=tets, K=K, C=np.linalg.inv(K), conditions=cond)
 
 
 def build_modified_basis(
-    mesh: Mesh, nodes: LagrangeNodeSet, table: ShiftedNodeTable, tet: int
+    mesh: Mesh, nodes: LagrangeNodeSet, table: ShiftedNodeTable, tets
 ) -> ModifiedElementBasis:
-    """Perturbed node matrix and its inverse for one boundary element.
+    """Perturbed node matrices and their inverses for one boundary tet or
+    an id array of them, in one batch.
 
-    The shifted points are pulled back through the element's affine map so
-    that K is formed in reference coordinates; its conditioning is then
+    The shifted points are pulled back through each element's affine map
+    so that K is formed in reference coordinates; its conditioning is then
     independent of the element size.  Rows of unshifted nodes are identity
     rows.
     """
-    k = nodes.degree
-    cell = nodes.cell_nodes(tet)
-    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tet]])
-
-    K = np.eye(len(cell))
-    for i, g in enumerate(cell):
-        g = int(g)
-        if g in table.shifts:
-            ref = amap.to_reference(table.shifts[g])
-            K[i, :] = shape_values(k, ref)[0]
-    return ModifiedElementBasis.invert(K, tet)
+    tets = np.asarray(tets)
+    cell = nodes.cell_nodes_table[tets.reshape(-1)]  # (n, n_k)
+    n_k = cell.shape[-1]
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tets.reshape(-1)]])
+    ref = amap.to_reference(table.points[cell])  # (n, n_k, 3)
+    shifted = np.zeros(nodes.n_nodes, dtype=bool)
+    shifted[table.shifts] = True
+    t, i = np.nonzero(shifted[cell])
+    K = np.tile(np.eye(n_k), (cell.shape[0], 1, 1))
+    K[t, i] = shape_values(nodes.degree, ref[t, i])
+    return ModifiedElementBasis.invert(K.reshape(tets.shape + (n_k, n_k)), tets)

@@ -119,15 +119,17 @@ def test_dofmap_census():
         system = assemble_new_method(
             mesh, cls, SPHERE, degree, lambda p: 1.0, lambda p: 0.0
         )
+        # node ids: vertices, then k-1 nodes per edge id, then face ids
+        n_v, per_edge = mesh.n_vertices, degree - 1
+        first_face = n_v + per_edge * mesh.topology.n_edges
         on_gamma = 0
         for n in range(nodes.n_nodes):
-            kind, key = nodes.entity_kind[n], nodes.entity_key[n]
-            if kind == "vertex":
-                on_gamma += key in cls.gamma_vertices
-            elif kind == "edge":
-                on_gamma += key in cls.gamma_edges
+            if n < n_v:
+                on_gamma += n in cls.gamma_vertices
+            elif n < first_face:
+                on_gamma += (n - n_v) // per_edge in cls.gamma_edges
             else:
-                on_gamma += key in cls.gamma_faces
+                on_gamma += n - first_face in cls.gamma_faces
         assert system.dofmap.n_eq == nodes.n_nodes - on_gamma
         assert system.A.shape == (system.dofmap.n_eq, system.dofmap.n_eq)
 
@@ -138,7 +140,7 @@ def test_methods_coincide_without_curved_boundary():
     mesh = generate_box_tet_mesh(2, 2, 2)
     far_surface = Sphere(np.zeros(3), 10.0)
     cls = classify_boundary(mesh, far_surface)
-    assert not cls.gamma_faces
+    assert not cls.gamma_faces.size
 
     def f(p):
         return 1.0 + p[..., 0]
@@ -255,8 +257,9 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
         system = nc_assemble(mesh, cls, SPHERE, 2, f, lambda p: 0.0)
         shifts = _shifted_edge_points(mesh, cls, SPHERE)
         face_shifts = _shifted_face_points(mesh, cls, SPHERE)
-        C = {t: build_nc_modified_basis(mesh, cls, t, shifts, face_shifts).C
-             for t in cls.o_tets}
+        basis = build_nc_modified_basis(mesh, cls, cls.o_tets, shifts,
+                                        face_shifts)
+        C = dict(zip(basis.tets.tolist(), basis.C))
         T = nc_reference_matrix()
         g_dofs = np.zeros(system.dofmap.n_dofs)
     else:
@@ -266,10 +269,10 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
         g_dofs = np.zeros(nodes.n_nodes)
         if method == "new":
             system = assemble_new_method(mesh, cls, SPHERE, degree, f, g)
-            C = {t: build_modified_basis(mesh, nodes, table, t).C
-                 for t in cls.o_tets}
+            basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
+            C = dict(zip(basis.tets.tolist(), basis.C))
             for n in np.nonzero(table.gamma_mask)[0]:
-                g_dofs[n] = g(table.shifted_point(int(n)))
+                g_dofs[n] = g(table.points[n])
         else:
             system = assemble_polyhedral(mesh, cls, SPHERE, degree, f, g)
             C = {}

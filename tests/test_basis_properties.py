@@ -1,0 +1,129 @@
+"""Properties of the boundary bases, built in one batch per mesh, on random
+meshes: octants of random ellipsoids and torus sectors of random radii,
+with the vertices off the boundary jittered.
+
+* The modified Lagrange basis reproduces P_k at the shifted nodes and is
+  a partition of unity.
+* Before the Dirichlet elimination, every row of the stiffness matrix
+  sums to zero, element by element and assembled, for the new method
+  (k = 2, 3) and the shifted nonconforming element: constants lie in
+  every trial space and have zero gradient.
+"""
+import numpy as np
+from hypothesis import given, strategies as st
+
+from shiftfem.assembly import assemble, element_stiffness
+from shiftfem.dofs import DofMap, build_lagrange_nodes
+from shiftfem.elements import AffineMap, shape_values, tet_quadrature
+from shiftfem.meshgen import (
+    classify_boundary,
+    generate_octant_mesh,
+    generate_torus_sector_mesh,
+)
+from shiftfem.nonconforming import (
+    _shifted_edge_points,
+    _shifted_face_points,
+    build_nc_modified_basis,
+    nc_dofmap,
+    nc_reference_matrix,
+)
+from shiftfem.surfaces import Ellipsoid, Torus
+from shiftfem.trialspace import build_modified_basis, build_shifted_node_table
+
+MESHES = st.one_of(
+    st.tuples(st.just("octant"), st.integers(1, 5),
+              st.tuples(*[st.floats(0.6, 1.0)] * 3)),
+    st.tuples(st.just("torus"), st.sampled_from([2, 4]),
+              st.tuples(st.floats(0.6, 1.0), st.floats(0.1, 0.3))),
+)
+
+
+def jittered_mesh(family, param, shape, rng):
+    """A generated mesh whose vertices on no boundary face are moved by up
+    to a tenth of the shortest edge, with its surface."""
+    if family == "octant":
+        mesh = generate_octant_mesh(param, shape)
+        surface = Ellipsoid(np.array(shape))
+    else:
+        mesh = generate_torus_sector_mesh(param, *shape)
+        surface = Torus(*shape)
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_faces())
+    step = 0.1 * mesh.edge_lengths().min() / np.sqrt(3.0)
+    mesh.vertices[free] += rng.uniform(-step, step, size=(free.size, 3))
+    return mesh, surface
+
+
+def random_polynomial(rng, degree):
+    """A polynomial of total degree `degree` with random coefficients, as
+    a callable on (..., 3) points."""
+    exps = [(a, b, c) for a in range(degree + 1) for b in range(degree + 1 - a)
+            for c in range(degree + 1 - a - b)]
+    coef = rng.standard_normal(len(exps))
+
+    def poly(p):
+        x, y, z = np.moveaxis(p, -1, 0)
+        return sum(w * x**a * y**b * z**c for w, (a, b, c) in zip(coef, exps))
+
+    return poly
+
+
+def random_ref_points(rng, n):
+    lam = rng.dirichlet(np.ones(4), size=n)
+    return lam[:, 1:]
+
+
+@given(MESHES, st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_modified_basis_reproduces_pk_and_sums_to_one(spec, degree, seed):
+    rng = np.random.default_rng(seed)
+    mesh, surface = jittered_mesh(*spec, rng)
+    cls = classify_boundary(mesh, surface)
+    nodes = build_lagrange_nodes(mesh, degree)
+    table = build_shifted_node_table(mesh, cls, surface, nodes)
+    basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
+    assert basis.C.shape == (cls.o_tets.size,) + (nodes.cell_nodes_table.shape[1],) * 2
+
+    # the interpolant at the shifted nodes, in the P_k Lagrange basis
+    poly = random_polynomial(rng, degree)
+    cell = nodes.cell_nodes_table[basis.tets]
+    coef = np.einsum("tij,tj->ti", basis.C, poly(table.points[cell]))
+    ref = random_ref_points(rng, 12)
+    phi = shape_values(degree, ref)  # (m, n_k)
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[basis.tets]])
+    exact = poly(amap.to_physical(ref))  # (n_tets, m)
+    scale = max(1.0, float(np.max(np.abs(exact), initial=0.0)))
+    assert np.max(np.abs(coef @ phi.T - exact), initial=0.0) <= 1e-9 * scale
+
+    pou = (phi @ basis.C).sum(axis=-1)
+    assert np.max(np.abs(pou - 1.0), initial=0.0) <= 1e-10
+
+
+@given(MESHES, st.sampled_from([("new", 2), ("new", 3), ("nonconforming", 2)]),
+       st.integers(0, 2**32 - 1))
+def test_stiffness_rows_sum_to_zero_before_elimination(spec, method, seed):
+    name, degree = method
+    mesh, surface = jittered_mesh(*spec, np.random.default_rng(seed))
+    cls = classify_boundary(mesh, surface)
+    if name == "new":
+        nodes = build_lagrange_nodes(mesh, degree)
+        table = build_shifted_node_table(mesh, cls, surface, nodes)
+        basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
+        cells, R, T = nodes.cell_nodes_table, None, np.eye(basis.C.shape[-1])
+    else:
+        basis = build_nc_modified_basis(
+            mesh, cls, cls.o_tets, _shifted_edge_points(mesh, cls, surface),
+            _shifted_face_points(mesh, cls, surface))
+        cells, R = nc_dofmap(mesh, cls).cells, nc_reference_matrix()
+        T = R
+
+    # element by element: T_test^T S T_test C on the boundary tets
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[basis.tets]])
+    S = T.T @ element_stiffness(amap, degree, tet_quadrature(5)) @ T @ basis.C
+    rows = S.sum(axis=-1)
+    assert np.max(np.abs(rows), initial=0.0) <= 1e-12 * np.max(np.abs(S))
+
+    # assembled, with no DOF eliminated
+    n = int(cells.max()) + 1
+    dofmap = DofMap.build(cells, np.zeros(n, dtype=bool))
+    A = assemble(mesh, degree, dofmap, np.zeros(n), basis, R, lambda p: 0.0).A
+    assert A.shape == (n, n)
+    assert np.max(np.abs(A @ np.ones(n))) <= 1e-12 * np.max(np.abs(A.data))

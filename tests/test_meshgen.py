@@ -6,7 +6,7 @@ from shiftfem.meshgen import (
     generate_box_tet_mesh,
     generate_octant_mesh,
     generate_torus_sector_mesh,
-    skin_direction,
+    skin_directions,
     write_mesh_text,
     write_vtk,
     Mesh,
@@ -16,6 +16,11 @@ from shiftfem.surfaces import Ellipsoid, Sphere, Torus
 SPHERE = Sphere(np.zeros(3), 1.0)
 ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
 TORUS = Torus(5.0 / 6.0, 1.0 / 6.0)
+
+
+def _triples(mesh, faces):
+    """The sorted vertex triples of face ids, as a set."""
+    return {tuple(tri) for tri in mesh.topology.face_vertices[faces].tolist()}
 
 
 def test_box_mesh_counts():
@@ -95,8 +100,8 @@ def test_torus_volume_sanity():
 def test_classification_octant_single_tet():
     m = generate_octant_mesh(1)
     cls = classify_boundary(m, SPHERE)
-    assert cls.s_tets == [0]
-    assert cls.r_tets == []
+    assert cls.s_tets.tolist() == [0]
+    assert cls.r_tets.tolist() == []
     assert len(cls.gamma_faces) == 1
     assert not cls.violations
 
@@ -106,10 +111,10 @@ def test_classification_census_matches_brute_force():
     cls = classify_boundary(m, SPHERE)
     # brute force: recompute which tets touch the surface triangulation
     gamma_faces = set()
-    for tri, (t, skip) in m.boundary_faces().items():
+    for tri in m.boundary_faces().tolist():
         if all(abs(SPHERE.value(m.vertices[v])) <= 1e-9 for v in tri):
-            gamma_faces.add(tri)
-    assert gamma_faces == cls.gamma_faces
+            gamma_faces.add(tuple(tri))
+    assert gamma_faces == _triples(m, cls.gamma_faces)
     touching = set()
     for t, tet in enumerate(m.tets):
         verts = set(int(v) for v in tet)
@@ -120,6 +125,7 @@ def test_classification_census_matches_brute_force():
                 break
     assert set(cls.s_tets) | set(cls.r_tets) == touching
     assert set(cls.s_tets).isdisjoint(cls.r_tets)
+    assert cls.o_tets.tolist() == cls.s_tets.tolist() + cls.r_tets.tolist()
     assert not cls.violations
 
 
@@ -137,10 +143,10 @@ def test_classification_no_violations_on_all_families():
 def test_torus_gamma_edges_have_two_incident_faces_or_rim():
     m = generate_torus_sector_mesh(2, 5.0 / 6.0, 1.0 / 6.0)
     cls = classify_boundary(m, TORUS)
-    for edge in cls.gamma_edges:
+    for edge in m.topology.edge_vertices[cls.gamma_edges]:
         incident = [
             tri
-            for tri in cls.gamma_faces
+            for tri in _triples(m, cls.gamma_faces)
             if edge[0] in tri and edge[1] in tri
         ]
         # interior surface edges have 2 incident faces; rim edges (on a
@@ -149,19 +155,23 @@ def test_torus_gamma_edges_have_two_incident_faces_or_rim():
         if len(incident) == 1:
             sym = [
                 tri
-                for tri in cls.symmetry_faces
+                for tri in _triples(m, cls.symmetry_faces)
                 if edge[0] in tri and edge[1] in tri
             ]
             assert len(sym) == 1
 
 
 def test_boundary_edge_faces_match_a_scan_of_all_boundary_faces():
+    """The edge ids of every boundary face, from which `skin_directions`
+    finds the boundary faces of an edge, equal a scan of all boundary
+    faces for the edges whose two vertices they contain."""
     m = generate_torus_sector_mesh(4, 5.0 / 6.0, 1.0 / 6.0)
-    adjacent = m.boundary_edge_faces()
-    bfaces = list(m.boundary_faces())
-    for a, b in m.edges():
+    top = m.topology
+    bfaces = m.boundary_faces().tolist()
+    face_edges = top.face_edges(top.boundary)
+    for e, (a, b) in enumerate(top.edge_vertices.tolist()):
         scanned = [tri for tri in bfaces if a in tri and b in tri]
-        assert adjacent.get((a, b), []) == scanned
+        assert [bfaces[i] for i in np.nonzero(face_edges == e)[0]] == scanned
 
 
 def test_classification_stable_under_vertex_permutation():
@@ -175,7 +185,7 @@ def test_classification_stable_under_vertex_permutation():
     # permuting vertices may flip orientation; Mesh construction does not
     # reorder, so classify on the raw connectivity
     cls2 = classify_boundary(m2, SPHERE)
-    assert cls.gamma_faces == cls2.gamma_faces
+    assert _triples(m, cls.gamma_faces) == _triples(m2, cls2.gamma_faces)
     assert set(cls.s_tets) == set(cls2.s_tets)
     assert set(cls.r_tets) == set(cls2.r_tets)
 
@@ -202,9 +212,9 @@ def test_skin_direction_flat_and_ridge():
             return p[..., 2]
 
     cls = classify_boundary(mesh, FlatTop())
-    edge = (1, 2)
-    assert edge in cls.gamma_edges
-    w = skin_direction(mesh, cls, edge)
+    edges = mesh.topology.edge_vertices[cls.gamma_edges].tolist()
+    assert [1, 2] in edges
+    w = skin_directions(mesh, cls)[edges.index([1, 2])]
     np.testing.assert_allclose(w, [0, 0, 1], atol=1e-12)
 
 
@@ -212,8 +222,8 @@ def test_skin_direction_upright_on_sphere():
     m = generate_octant_mesh(4)
     cls = classify_boundary(m, SPHERE)
     h = float(m.element_sizes().max())
-    for edge in cls.gamma_edges:
-        w = skin_direction(m, cls, edge)
+    edges = m.topology.edge_vertices[cls.gamma_edges]
+    for edge, w in zip(edges, skin_directions(m, cls)):
         e = m.vertices[edge[1]] - m.vertices[edge[0]]
         assert abs(w @ e) <= 1e-12 * np.linalg.norm(e)
         M = 0.5 * (m.vertices[edge[0]] + m.vertices[edge[1]])
@@ -235,3 +245,33 @@ def test_mesh_export(tmp_path):
     lines = txt.read_text().splitlines()
     assert lines[0] == "vertices %d" % m.n_vertices
     assert lines[m.n_vertices + 1] == "tets %d" % m.n_tets
+
+
+def test_degenerate_tet_error_names_the_first_one():
+    from shiftfem.meshgen import _fix_orientation
+
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [1, 1, 0], [2, 2, 0]], dtype=float)
+    tets = [[0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 4, 5], [0, 1, 2, 4]]
+    with pytest.raises(ValueError, match="degenerate tetrahedron 2 "):
+        _fix_orientation(verts, tets)
+    fixed = _fix_orientation(verts, tets[:2])
+    assert fixed.tolist() == [[0, 1, 2, 3], [0, 2, 3, 1]]
+
+
+def test_skin_direction_needs_two_boundary_faces_per_edge():
+    """Two tets sharing only the edge (0, 1): its four boundary faces
+    admit no skin direction, and the error names the edge."""
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                      [0, -1, 0], [0, 0, -1]], dtype=float)
+
+    class FlatPlane:
+        scale = 1.0
+
+        def value(self, p):
+            return p[..., 2]
+
+    mesh = Mesh(verts, [[0, 1, 2, 3], [0, 1, 4, 5]])
+    cls = classify_boundary(mesh, FlatPlane())
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has 4 adjacent"):
+        skin_directions(mesh, cls)

@@ -84,8 +84,8 @@ def test_dof_census():
     mesh = generate_octant_mesh(3)
     cls = classify_boundary(mesh, SPHERE)
     dofmap = nc_dofmap(mesh, cls)
-    n_free_faces = len(mesh.faces()) - len(cls.gamma_faces)
-    n_free_edges = len(mesh.edges()) - len(cls.gamma_edges)
+    n_free_faces = mesh.topology.n_faces - len(cls.gamma_faces)
+    n_free_edges = mesh.topology.n_edges - len(cls.gamma_edges)
     assert dofmap.n_eq == n_free_faces + n_free_edges
 
 
@@ -200,10 +200,14 @@ def test_nc_mesh_too_coarse_raises():
     mesh = generate_octant_mesh(2)
     cls = classify_boundary(mesh, SPHERE)
     shifts = _shifted_edge_points(mesh, cls, SPHERE)
-    t = cls.r_tets[0] if cls.r_tets else cls.s_tets[0]
-    tet = [int(v) for v in mesh.tets[t]]
-    key = next(e for e in sorted(cls.gamma_edges) if set(e) <= set(tet))
+    t = cls.r_tets[0] if cls.r_tets.size else cls.s_tets[0]
+    key = next(e for e in mesh.topology.tet_edges[t] if e in cls.gamma_edges)
     shifts[key] = shifts[key] * 1e5
     with pytest.raises(ValueError, match=r"too coarse .*condition"):
         build_nc_modified_basis(mesh, cls, t, shifts,
+                                _shifted_face_points(mesh, cls, SPHERE))
+    # the batched call names the first failing tet of the stack
+    first = next(u for u in cls.o_tets if key in mesh.topology.tet_edges[u])
+    with pytest.raises(ValueError, match="on tet %d" % first):
+        build_nc_modified_basis(mesh, cls, cls.o_tets, shifts,
                                 _shifted_face_points(mesh, cls, SPHERE))

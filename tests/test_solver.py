@@ -12,7 +12,7 @@ from shiftfem.surfaces import Ellipsoid
 def _wrap(A, b):
     return System(
         A=sp.csr_matrix(A), b=np.asarray(b, dtype=float), dofmap=None,
-        dirichlet=None, C={}, R=None,
+        dirichlet=None, basis=None, R=None,
     )
 
 

@@ -29,8 +29,8 @@ def _setup(J, degree, surface=SPHERE, axes=(1.0, 1.0, 1.0)):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_shifted_points_lie_on_surface(degree):
     mesh, cls, nodes, table = _setup(4, degree)
-    assert table.shifts  # nonempty
-    for nid, p in table.shifts.items():
+    assert table.shifts.size  # nonempty
+    for p in table.points[table.shifts]:
         assert abs(SPHERE.value(p)) <= 1e-12 * SPHERE.scale
 
 
@@ -42,8 +42,8 @@ def test_shift_magnitude_is_second_order():
             J, 2, surface=ELLIPSOID, axes=(0.6, 0.8, 1.0)
         )
         maxima[J] = max(
-            float(np.linalg.norm(nodes.coords[n] - p))
-            for n, p in table.shifts.items()
+            float(np.linalg.norm(nodes.coords[n] - table.points[n]))
+            for n in table.shifts
         )
     assert 3.4 <= maxima[4] / maxima[8] <= 4.6
 
@@ -52,13 +52,12 @@ def test_face_node_shift_is_radial_for_corner_tet():
     """On the J=1 sphere octant the opposite vertex is the origin, so the
     k=3 face node moves radially: P = M/|M|."""
     mesh, cls, nodes, table = _setup(1, 3)
-    face_nodes = [
-        n for n in table.shifts
-        if nodes.entity_kind[n] == "face"
-    ]
+    # face nodes follow the vertex nodes and the k-1 nodes of every edge
+    first_face_node = mesh.n_vertices + 2 * mesh.topology.n_edges
+    face_nodes = [n for n in table.shifts if n >= first_face_node]
     assert len(face_nodes) == 1
     M = nodes.coords[face_nodes[0]]
-    P = table.shifts[face_nodes[0]]
+    P = table.points[face_nodes[0]]
     np.testing.assert_allclose(P, M / np.linalg.norm(M), atol=1e-12)
 
 
@@ -71,7 +70,7 @@ def test_single_valuedness_across_elements():
         for g in nodes.cell_nodes(t):
             g = int(g)
             if table.gamma_mask[g]:
-                p = table.shifted_point(g)
+                p = table.points[g]
                 if g in seen:
                     np.testing.assert_array_equal(seen[g], p)
                 seen[g] = p
@@ -88,9 +87,7 @@ def test_modified_basis_delta_and_free_counts(degree):
         # psi_j(shifted node i) = delta_ij
         amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
         cell = nodes.cell_nodes(t)
-        refs = amap.to_reference(
-            np.array([table.shifted_point(int(g)) for g in cell])
-        )
+        refs = amap.to_reference(table.points[cell])
         psi = shape_values(degree, refs) @ basis.C
         assert np.max(np.abs(psi - np.eye(n_k))) <= 1e-10
         n_free = np.count_nonzero(~table.gamma_mask[cell])
@@ -138,7 +135,7 @@ def test_dirichlet_values():
     vals = table.dirichlet_values(lambda p: p[..., 0] + 2.0)
     assert np.all(vals[~table.gamma_mask] == 0.0)
     for n in np.nonzero(table.gamma_mask)[0]:
-        assert vals[n] == pytest.approx(table.shifted_point(int(n))[0] + 2.0)
+        assert vals[n] == pytest.approx(table.points[n][0] + 2.0)
 
 
 def test_mesh_too_coarse_raises():
@@ -151,11 +148,14 @@ def test_mesh_too_coarse_raises():
     table = build_shifted_node_table(mesh, cls, surf, nodes)
     # corrupt the table: collapse one shifted point onto a vertex of its
     # element, which makes two rows of the node matrix coincide
-    nid = next(iter(table.shifts))
+    nid = table.shifts[0]
     bad = [t for t in cls.o_tets if nid in map(int, nodes.cell_nodes(t))][0]
-    table.shifts[nid] = mesh.vertices[mesh.tets[bad][0]].copy()
+    table.points[nid] = mesh.vertices[mesh.tets[bad][0]].copy()
     with pytest.raises(ValueError, match="too coarse"):
         build_modified_basis(mesh, nodes, table, bad)
+    # the batched call names the first failing tet of the stack
+    with pytest.raises(ValueError, match="on tet %d" % bad):
+        build_modified_basis(mesh, nodes, table, cls.o_tets)
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -184,5 +184,6 @@ def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
     assert calls["intersection"] == degree - 1
     assert calls["value"] <= 2 * (degree - 1)
     calls.clear()
-    assert classify_boundary(mesh, surface).gamma_faces == cls.gamma_faces
+    assert np.array_equal(classify_boundary(mesh, surface).gamma_faces,
+                          cls.gamma_faces)
     assert calls["value"] == 1
