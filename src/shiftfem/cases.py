@@ -30,7 +30,6 @@ class ExactCase:
     g: callable
     mesh: callable  # refinement parameter -> Mesh
     h_of_param: callable  # reference mesh size 1/J or pi/(8I)
-    convex: bool
     default_params: tuple
 
 
@@ -60,7 +59,6 @@ def _quadratic_ellipsoid():
         g=_zero,
         mesh=lambda J: generate_octant_mesh(J, (a, b, 1.0)),
         h_of_param=lambda J: 1.0 / J,
-        convex=True,
         default_params=(2, 4),
     )
 
@@ -90,7 +88,6 @@ def _tp1_sphere():
         g=_zero,
         mesh=lambda J: generate_octant_mesh(J, (1.0, 1.0, 1.0)),
         h_of_param=lambda J: 1.0 / J,
-        convex=True,
         default_params=(4, 8, 16),
     )
 
@@ -134,7 +131,6 @@ def _tp2_ellipsoid():
         g=_zero,
         mesh=lambda J: generate_octant_mesh(J, (a, b, 1.0)),
         h_of_param=lambda J: 1.0 / J,
-        convex=True,
         default_params=(2, 4, 8),
     )
 
@@ -168,7 +164,6 @@ def _tp3_torus():
         g=_zero,
         mesh=lambda I: generate_torus_sector_mesh(I, R, r),
         h_of_param=lambda I: np.pi / (8.0 * I),
-        convex=False,
         default_params=(2, 4, 8),
     )
 

@@ -4,7 +4,11 @@ Subcommands:
   mesh         generate a case's mesh and export it (VTK + text dump)
   solve        run a single case/refinement and print the error norms
   convergence  run a refinement sequence and emit a CSV + table with EOCs
-  check        run the built-in property suite (pytest) for this package
+  check        run the invariant tests of a source checkout (pytest)
+
+`check` runs the modules named in CHECK_MODULES from the `tests/`
+directory next to `src/` (the editable install of a checkout) and needs
+the `test` extra; without that directory it is an error.
 
 Options may also come from a plain-text config file of key=value lines
 (via --config); command-line flags override file entries.
@@ -29,6 +33,16 @@ _CONFIG_KEYS = {
 _METHODS = ("new", "polyhedral", "nonconforming")
 _DEGREES = (2, 3)
 _BOOLEANS = {"0": False, "false": False, "1": True, "true": True}
+#: the tier-1 modules that assert the method's invariants: quadrature and
+#: shape functions, P_k reproduction of the shifted basis, mesh validity
+#: and the nonconforming patch test
+CHECK_MODULES = (
+    "test_elements.py",
+    "test_basis_properties.py",
+    "test_trialspace.py",
+    "test_nonconforming.py",
+    "test_meshgen.py",
+)
 
 
 def _load_config(path):
@@ -78,7 +92,9 @@ def _build_parser():
     common(sub.add_parser("mesh", help="generate and export a mesh"))
     common(sub.add_parser("solve", help="solve one refinement"))
     common(sub.add_parser("convergence", help="run a refinement study"))
-    common(sub.add_parser("check", help="run the built-in property suite"))
+    common(sub.add_parser(
+        "check", help="run the invariant tests of a source checkout "
+        "(needs the test extra)"))
     return ap
 
 
@@ -212,8 +228,12 @@ def cmd_convergence(args):
 def cmd_check(_args):
     import subprocess
 
-    tests = Path(__file__).resolve().parent / "properties.py"
-    rc = subprocess.call([sys.executable, "-m", "pytest", "-q", str(tests)])
+    tests = Path(__file__).resolve().parents[2] / "tests"
+    if not tests.is_dir():
+        raise RuntimeError("check needs the tests of a source checkout; "
+                           "no directory %s" % tests)
+    rc = subprocess.call([sys.executable, "-m", "pytest", "-q"]
+                         + [str(tests / name) for name in CHECK_MODULES])
     if rc != 0:
         raise SystemExit(rc)
 

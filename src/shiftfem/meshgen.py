@@ -106,14 +106,10 @@ class Mesh:
     name: str = "mesh"
     #: flat symmetry planes of the domain as (point, unit normal) pairs
     symmetry_planes: list = field(default_factory=list)
-    #: nominal mesh size of the generator (used for root brackets)
-    h_ref: float = 0.0
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.tets = np.asarray(self.tets, dtype=np.int64)
-        if self.h_ref == 0.0:
-            self.h_ref = float(np.max(self.edge_lengths()))
 
     @property
     def n_vertices(self):
@@ -199,8 +195,7 @@ def generate_box_tet_mesh(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
     paths = _kuhn_paths((nx, ny, nz))
     tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
     tets = _fix_orientation(verts, tets)
-    h = max((hi - lo)[0] / nx, (hi - lo)[1] / ny, (hi - lo)[2] / nz)
-    return Mesh(verts, tets, name="box", h_ref=h)
+    return Mesh(verts, tets, name="box")
 
 
 # -- octant mesh (sphere / ellipsoid) ---------------------------------------
@@ -250,9 +245,7 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
         (np.zeros(3), np.array([0.0, 1.0, 0.0])),
         (np.zeros(3), np.array([0.0, 0.0, 1.0])),
     ]
-    return Mesh(
-        mapped, tets, name="octant", symmetry_planes=planes, h_ref=1.0 / J
-    )
+    return Mesh(mapped, tets, name="octant", symmetry_planes=planes)
 
 
 # -- torus sector mesh -------------------------------------------------------
@@ -322,13 +315,7 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
         (np.zeros(3), np.array([0.0, 1.0, 0.0])),  # theta = 0
         (np.zeros(3), np.array([sq2, -sq2, 0.0])),  # theta = pi/4
     ]
-    return Mesh(
-        mapped,
-        tets,
-        name="torus-sector",
-        symmetry_planes=planes,
-        h_ref=np.pi / (8.0 * I),
-    )
+    return Mesh(mapped, tets, name="torus-sector", symmetry_planes=planes)
 
 
 # -- boundary classification -------------------------------------------------

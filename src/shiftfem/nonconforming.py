@@ -24,11 +24,11 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import System, assemble
-from .dofs import DofMap
+from .dofs import DofMap, build_lagrange_nodes
 from .elements import EDGES, FACES, AffineMap, REF_VERTICES, shape_values
-from .meshgen import BoundaryClassification, Mesh, skin_directions
+from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
-from .trialspace import ModifiedElementBasis
+from .trialspace import ModifiedElementBasis, build_shifted_node_table
 
 # Not called here: bench/tracing.py rebinds these names on this module.
 from .assembly import element_load, element_stiffness  # noqa: F401
@@ -87,15 +87,10 @@ def nc_dofmap(mesh: Mesh, bc: BoundaryClassification) -> DofMap:
 def _shifted_edge_points(mesh, bc, surface):
     """(n_edges, 3): the middle point of every edge functional, which is
     the skin-shifted midpoint Q_e on a Gamma_h edge and the midpoint
-    elsewhere."""
-    ends = mesh.vertices[mesh.topology.edge_vertices]
-    pts = 0.5 * (ends[:, 0] + ends[:, 1])
-    e = bc.gamma_edges
-    if e.size:
-        pts[e], _ = surface.nearest_line_intersection(
-            pts[e], skin_directions(mesh, bc),
-            4.0 * np.linalg.norm(ends[e, 1] - ends[e, 0], axis=1))
-    return pts
+    elsewhere: the edge nodes of the P2 shift table."""
+    nodes = build_lagrange_nodes(mesh, 2)
+    points = build_shifted_node_table(mesh, bc, surface, nodes).points
+    return points[mesh.n_vertices:]
 
 
 def _shifted_face_points(mesh, bc, surface):

@@ -1,3 +1,8 @@
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,8 @@ from shiftfem.cases import get_case
 from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.elements import refined_quadrature
 from shiftfem.meshgen import generate_box_tet_mesh
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
 
 def test_eoc_trivia():
@@ -140,3 +147,37 @@ def test_csv_header_is_frozen():
 def test_solve_seconds_is_the_sparse_solve():
     rep, _mesh, _system, sol = run_single(get_case("tp1-sphere"), "new", 2, 4)
     assert rep.solve_seconds == sol.seconds > 0.0
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    """The benchmark's jitter rule (bench/inputs.py), loaded read-only."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tp1_orders_on_jittered_meshes(bench_inputs, seed):
+    """tp1 new k=2 keeps the orders of acceptance criterion 2 when every
+    vertex off the boundary moves by up to 0.15x the shortest edge."""
+    case, params = get_case("tp1-sphere"), (4, 8, 16)
+    levels = {p: bench_inputs.make_level(case, p, seed) for p in params}
+    jittered = dataclasses.replace(
+        case, mesh=bench_inputs.jittered_mesh(case.mesh, levels))
+    for p in params:
+        plain, mesh = case.mesh(p), jittered.mesh(p)
+        moved = np.linalg.norm(mesh.vertices - plain.vertices, axis=1)
+        shortest = bench_inputs.shortest_edge(plain.vertices, plain.tets)
+        assert 0.0 < moved.max() <= bench_inputs.JITTER * shortest
+        assert np.all(bench_inputs.tet_volumes(mesh.vertices, mesh.tets) > 0.0)
+        assert (bench_inputs.boundary_counts(mesh, case.surface)
+                == bench_inputs.boundary_counts(plain, case.surface))
+    table = run_convergence(jittered, "new", 2, params, record_time=False)
+    assert 1.8 <= table.eoc_h1[-1] <= 2.1
+    assert 2.7 <= table.eoc_l2[-1] <= 3.1

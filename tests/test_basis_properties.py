@@ -10,7 +10,7 @@ with the vertices off the boundary jittered.
   every trial space and have zero gradient.
 """
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shiftfem.assembly import assemble, element_stiffness
 from shiftfem.dofs import DofMap, build_lagrange_nodes
@@ -73,6 +73,8 @@ def random_ref_points(rng, n):
 
 
 @given(MESHES, st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+@example(("octant", 3, (1.0, 1.0, 1.0)), 2, 0)  # the unit sphere, J = 3
+@example(("octant", 3, (1.0, 1.0, 1.0)), 3, 0)
 def test_modified_basis_reproduces_pk_and_sums_to_one(spec, degree, seed):
     rng = np.random.default_rng(seed)
     mesh, surface = jittered_mesh(*spec, rng)

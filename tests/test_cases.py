@@ -87,8 +87,6 @@ def test_registry_contents():
     assert names == [
         "quadratic-ellipsoid", "tp1-sphere", "tp2-ellipsoid", "tp3-torus",
     ]
-    assert get_case("tp3-torus").convex is False
-    assert get_case("tp1-sphere").convex is True
     with pytest.raises(KeyError):
         get_case("nope")
 

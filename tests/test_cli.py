@@ -1,10 +1,19 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shiftfem
 from shiftfem.analysis import run_single
 from shiftfem.cases import get_case
-from shiftfem.cli import main
+from shiftfem.cli import CHECK_MODULES, main
 from shiftfem.meshgen import classify_boundary
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_mesh_command(tmp_path, capsys):
@@ -168,3 +177,27 @@ def test_config_boolean_words(tmp_path, value, zeroed):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     row = (tmp_path / "tp1-sphere-new-k2.csv").read_text().splitlines()[1]
     assert (row.split(",")[11] == "0") is zeroed
+
+
+def test_check_modules_exist_and_do_not_recurse():
+    """`check` runs tier-1 modules that exist, and none that runs `check`
+    itself."""
+    assert CHECK_MODULES
+    for name in CHECK_MODULES:
+        assert (TESTS / name).is_file(), name
+    assert "test_acceptance.py" not in CHECK_MODULES
+    assert "test_cli.py" not in CHECK_MODULES
+
+
+def test_check_outside_a_checkout_names_the_missing_tests(tmp_path):
+    """An installed copy of the package with no tests/ beside its source
+    directory fails with an error that names the path it looked for."""
+    site = tmp_path / "site"
+    shutil.copytree(Path(shiftfem.__file__).parent, site / "shiftfem",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftfem.cli", "check"], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(site)), capture_output=True,
+        text=True)
+    assert proc.returncode == 1
+    assert str(tmp_path.resolve() / "tests") in proc.stderr

@@ -69,6 +69,7 @@ def test_delta_property_and_partition_of_unity():
         assert np.max(np.abs(V - np.eye(len(nodes)))) <= 1e-12
         pts = random_ref_points(rng, 100)
         assert np.max(np.abs(shape_values(k, pts).sum(axis=1) - 1)) <= 1e-12
+        assert np.max(np.abs(shape_gradients(k, pts).sum(axis=1))) <= 1e-12
 
 
 def test_gradients_vs_finite_differences():

@@ -50,11 +50,13 @@ def test_octant_mesh_counts_and_surface_vertices():
 
 
 def test_octant_mesh_ellipsoid():
-    m = generate_octant_mesh(8, (0.6, 0.8, 1.0))
-    assert np.min(m.tet_volumes()) > 0
-    cls = classify_boundary(m, ELLIPSOID)
-    for v in cls.gamma_vertices:
-        assert abs(ELLIPSOID.value(m.vertices[v])) <= 1e-12 * ELLIPSOID.scale
+    for J in (4, 8):
+        m = generate_octant_mesh(J, (0.6, 0.8, 1.0))
+        assert m.n_tets == J**3
+        assert np.min(m.tet_volumes()) > 0
+        cls = classify_boundary(m, ELLIPSOID)
+        for v in cls.gamma_vertices:
+            assert abs(ELLIPSOID.value(m.vertices[v])) <= 1e-12 * ELLIPSOID.scale
 
 
 def test_octant_volume_converges_at_second_order():
@@ -130,14 +132,20 @@ def test_classification_census_matches_brute_force():
 
 
 def test_classification_no_violations_on_all_families():
+    """Every family classifies without violations, and its Gamma_h
+    vertices lie on the surface."""
     for mesh, surf in (
+        (generate_octant_mesh(4), SPHERE),
         (generate_octant_mesh(8), SPHERE),
+        (generate_octant_mesh(4, (0.6, 0.8, 1.0)), ELLIPSOID),
         (generate_octant_mesh(8, (0.6, 0.8, 1.0)), ELLIPSOID),
         (generate_torus_sector_mesh(2, 5.0 / 6.0, 1.0 / 6.0), TORUS),
         (generate_torus_sector_mesh(4, 5.0 / 6.0, 1.0 / 6.0), TORUS),
     ):
         cls = classify_boundary(mesh, surf)
         assert not cls.violations
+        gamma = mesh.vertices[cls.gamma_vertices]
+        assert np.max(np.abs(surf.value(gamma))) <= 1e-12 * surf.scale
 
 
 def test_torus_gamma_edges_have_two_incident_faces_or_rim():

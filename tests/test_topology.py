@@ -146,8 +146,7 @@ def scrambled_mesh(family, param, shape, seed):
     step = 0.1 * mesh.edge_lengths().min() / np.sqrt(3.0)
     vertices = mesh.vertices.copy()
     vertices[free] += rng.uniform(-step, step, size=(free.size, 3))
-    return Mesh(vertices, tets, symmetry_planes=mesh.symmetry_planes,
-                h_ref=mesh.h_ref), surface
+    return Mesh(vertices, tets, symmetry_planes=mesh.symmetry_planes), surface
 
 
 @given(MESHES, st.integers(0, 2**32 - 1))
