@@ -137,8 +137,7 @@ def assemble_polyhedral(
     nodes = build_lagrange_nodes(mesh, degree)
     gamma_mask = nodes.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
-    on_gamma = [surface.closest_point(p) for p in nodes.coords[gamma_mask]]
-    dirichlet[gamma_mask] = g(np.reshape(on_gamma, (-1, 3)))
+    dirichlet[gamma_mask] = g(surface.closest_point(nodes.coords[gamma_mask]))
     dofmap = DofMap.build(nodes.cell_nodes_table, gamma_mask)
     return assemble(mesh, degree, dofmap, dirichlet, None, None, f)
 

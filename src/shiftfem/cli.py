@@ -6,12 +6,17 @@ Subcommands:
   convergence  run a refinement sequence and emit a CSV + table with EOCs
   check        run the invariant tests of a source checkout (pytest)
 
-`check` runs the modules named in CHECK_MODULES from the `tests/`
-directory next to `src/` (the editable install of a checkout) and needs
-the `test` extra; without that directory it is an error.
+Each takes only the options it reads: `solve` all of them, `convergence`
+all but --vtk and --dump-matrix, `mesh` --config, --case, --refine and
+--out, and `check` none.  `check` runs the modules named in CHECK_MODULES
+from the `tests/` directory next to `src/` (the editable install of a
+checkout) and needs the `test` extra; without that directory it is an
+error.
 
 Options may also come from a plain-text config file of key=value lines
-(via --config); command-line flags override file entries.
+(via --config), whose keys are the subcommand's options; command-line
+flags override file entries.  Every run is deterministic: --sequential
+only writes 0 in the solve_seconds column.
 """
 from __future__ import annotations
 
@@ -26,10 +31,6 @@ from .assembly import element_phi_coefficients, write_matrix_market
 from .cases import case_registry, get_case
 from .meshgen import classify_boundary, write_mesh_text, write_vtk
 
-_CONFIG_KEYS = {
-    "case", "method", "k", "refine", "out", "sequential", "vtk", "tol",
-    "dump_matrix",
-}
 _METHODS = ("new", "polyhedral", "nonconforming")
 _DEGREES = (2, 3)
 _BOOLEANS = {"0": False, "false": False, "1": True, "true": True}
@@ -45,7 +46,7 @@ CHECK_MODULES = (
 )
 
 
-def _load_config(path):
+def _load_config(path, keys):
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -54,7 +55,7 @@ def _load_config(path):
         if "=" not in line:
             raise ValueError("bad config line (expected key=value): %r" % raw)
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValueError("unknown config key %r" % key)
         values[key] = val
     return values
@@ -67,34 +68,33 @@ def _build_parser():
         "trial functions",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    cases = sorted(case_registry())
-
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--case", choices=cases)
-        p.add_argument("--method", choices=_METHODS, default=None)
-        p.add_argument("--k", type=int, choices=_DEGREES, default=None)
-        p.add_argument(
-            "--refine",
-            help="comma-separated refinement parameters (J or I values)",
-        )
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--sequential", action="store_true",
-            help="fully deterministic mode (also zeroes timing columns)",
-        )
-        p.add_argument("--vtk", action="store_true", help="export VTK files")
-        p.add_argument("--tol", type=float, default=None,
-                       help="solver residual tolerance (default 1e-12)")
-        p.add_argument("--dump-matrix", action="store_true",
-                       help="write the system matrix in MatrixMarket format")
-
-    common(sub.add_parser("mesh", help="generate and export a mesh"))
-    common(sub.add_parser("solve", help="solve one refinement"))
-    common(sub.add_parser("convergence", help="run a refinement study"))
-    common(sub.add_parser(
-        "check", help="run the invariant tests of a source checkout "
-        "(needs the test extra)"))
+    options = {
+        "config": dict(help="key=value config file"),
+        "case": dict(choices=sorted(case_registry())),
+        "method": dict(choices=_METHODS),
+        "k": dict(type=int, choices=_DEGREES),
+        "refine": dict(help="comma-separated refinement parameters "
+                       "(J or I values)"),
+        "out": dict(help="output directory (default .)"),
+        "sequential": dict(action="store_true",
+                           help="write 0 in the solve_seconds column"),
+        "tol": dict(type=float, help="solver residual tolerance "
+                    "(default 1e-12)"),
+        "vtk": dict(action="store_true", help="export VTK files"),
+        "dump_matrix": dict(action="store_true", help="write the system "
+                            "matrix in MatrixMarket format"),
+    }
+    for command, text, names in (
+        ("mesh", "generate and export a mesh", ("config", "case", "refine", "out")),
+        ("solve", "solve one refinement", tuple(options)),
+        # every option but vtk and dump_matrix
+        ("convergence", "run a refinement study", tuple(options)[:-2]),
+        ("check", "run the invariant tests of a source checkout (needs the "
+         "test extra)", ()),
+    ):
+        p = sub.add_parser(command, help=text)
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), **options[name])
     return ap
 
 
@@ -107,29 +107,32 @@ def _checked(key, value, choices):
 
 
 def _resolve(args):
-    cfg = _load_config(args.config) if args.config else {}
+    keys = set(vars(args)) - {"command", "config"}
+    cfg = _load_config(args.config, keys) if args.config else {}
+
+    def opt(name, default):
+        """The flag's value, else the config file's, else the default."""
+        value = getattr(args, name, None)
+        return cfg.get(name, default) if value is None else value
 
     def flag(name):
         value = _checked(name, cfg.get(name, "0"), _BOOLEANS)
-        return getattr(args, name) or _BOOLEANS[value]
+        return getattr(args, name, False) or _BOOLEANS[value]
 
-    case = args.case or cfg.get("case")
+    case, refine = opt("case", None), opt("refine", None)
     if case is None:
         raise ValueError("--case is required")
-    refine = args.refine or cfg.get("refine")
     return argparse.Namespace(
         case=_checked("case", case, sorted(case_registry())),
-        method=_checked("method", args.method or cfg.get("method", "new"),
-                        _METHODS),
-        k=args.k if args.k is not None else int(
-            _checked("k", cfg.get("k", "2"), [str(k) for k in _DEGREES])),
+        method=_checked("method", opt("method", "new"), _METHODS),
+        k=int(_checked("k", str(opt("k", 2)), [str(k) for k in _DEGREES])),
         params=[int(s) for s in str(refine).split(",") if s.strip()]
         if refine else None,
-        out=Path(cfg.get("out", args.out) if args.out == "." else args.out),
+        out=Path(opt("out", ".")),
         sequential=flag("sequential"),
         vtk=flag("vtk"),
         dump_matrix=flag("dump_matrix"),
-        tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-12)),
+        tol=float(opt("tol", 1e-12)),
     )
 
 

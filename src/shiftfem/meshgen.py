@@ -184,14 +184,12 @@ def _kuhn_paths(shape):
 # -- box mesh --------------------------------------------------------------
 
 
-def generate_box_tet_mesh(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
-    """Structured mesh of an axis-aligned box, 6 Kuhn tets per cell, all
-    sharing the cell's main diagonal direction."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def generate_box_tet_mesh(nx, ny, nz):
+    """Structured mesh of the unit cube, nx x ny x nz cells of 6 Kuhn tets
+    each, all sharing the cell's main diagonal direction."""
     dims = (nx + 1, ny + 1, nz + 1)
     grid = np.indices(dims).reshape(3, -1).T
-    verts = lo + grid / np.array([nx, ny, nz]) * (hi - lo)
+    verts = grid / np.array([nx, ny, nz])
     paths = _kuhn_paths((nx, ny, nz))
     tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
     tets = _fix_orientation(verts, tets)
@@ -348,6 +346,8 @@ class BoundaryClassification:
             )
 
 
+#: |F| bound, relative to the surface scale, of a vertex on the surface
+ON_SURFACE_TOL = 1e-9
 #: violation kinds of `classify_boundary`, by code
 _VIOLATIONS = {
     1: "tet %d has %d faces on Gamma_h",
@@ -356,11 +356,11 @@ _VIOLATIONS = {
 }
 
 
-def classify_boundary(mesh: Mesh, surface: Surface, tol_rel=1e-9):
+def classify_boundary(mesh: Mesh, surface: Surface):
     """Classify boundary faces/edges/vertices of `mesh` against `surface`.
 
     A boundary face belongs to Gamma_h when all three of its vertices lie
-    on the surface (|F(v)| <= tol_rel * characteristic length); every
+    on the surface (|F(v)| <= ON_SURFACE_TOL * characteristic length); every
     other boundary face is a symmetry face.  When the mesh declares
     symmetry planes, each symmetry face must lie on one of them, or a
     ValueError names the first that does not; a mesh without declared
@@ -368,7 +368,7 @@ def classify_boundary(mesh: Mesh, surface: Surface, tol_rel=1e-9):
     the one-face-or-one-edge assumption are recorded in `violations`.
     """
     top = mesh.topology
-    tol = tol_rel * surface.scale
+    tol = ON_SURFACE_TOL * surface.scale
     tris = mesh.boundary_faces()
     on_surface = np.abs(surface.value(mesh.vertices[tris])).max(axis=1) <= tol
     gamma_faces = top.boundary[on_surface]

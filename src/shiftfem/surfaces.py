@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 def _dot(u, v):
@@ -22,7 +21,7 @@ def _dot(u, v):
 class Surface:
     """Base class: an implicit surface F(p) = 0 with F < 0 inside.
 
-    `value` takes points of shape (..., 3) and returns shape (...).
+    `value` maps points (..., 3) to (...), and `closest_point` to (..., 3).
     `line_roots` takes (n, 3) origins and directions and returns all real
     t with F(origin + t*direction) = 0 as an (n, m) array padded with NaN;
     each surface solves it in closed form.
@@ -90,94 +89,76 @@ class Surface:
         raise NotImplementedError
 
 
-def _unit_sphere_line_roots(o, d):
-    """Both parameters t with |o + t d| = 1, ascending, NaN where the line
-    misses: the line query of a sphere or ellipsoid, scaled to the unit
-    sphere (t is unchanged)."""
-    a = _dot(d, d)
-    b = 2.0 * _dot(o, d)
-    c = _dot(o, o) - 1.0
-    disc = b * b - 4.0 * a * c
-    s = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-    return np.stack([(-b - s) / (2 * a), (-b + s) / (2 * a)], axis=-1)
-
-
-@dataclass
-class Sphere(Surface):
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.scale = float(self.radius)
-
-    def value(self, p):
-        d = np.asarray(p, dtype=float) - self.center
-        return _dot(d, d) - self.radius**2
-
-    def gradient(self, p):
-        return 2.0 * (np.asarray(p, dtype=float) - self.center)
-
-    def line_roots(self, origin, direction):
-        return _unit_sphere_line_roots(
-            (origin - self.center) / self.radius, direction / self.radius)
-
-    def closest_point(self, p):
-        d = np.asarray(p, dtype=float) - self.center
-        r = np.linalg.norm(d)
-        if r == 0.0:
-            raise ValueError("closest point undefined at the sphere center")
-        return self.center + d * (self.radius / r)
-
-
 @dataclass
 class Ellipsoid(Surface):
-    """Axis-aligned ellipsoid (x/a)^2 + (y/b)^2 + (z/c)^2 = 1, centered at 0."""
+    """Axis-aligned ellipsoid F = |(p - center) / semi_axes|^2 - 1."""
 
     semi_axes: np.ndarray
+    center: np.ndarray = 0.0
 
     def __post_init__(self):
         self.semi_axes = np.asarray(self.semi_axes, dtype=float)
+        self.center = np.broadcast_to(self.center, (3,)).astype(float)
         self.scale = float(np.min(self.semi_axes))
 
     def value(self, p):
-        q = np.asarray(p, dtype=float) / self.semi_axes
+        q = (np.asarray(p, dtype=float) - self.center) / self.semi_axes
         return _dot(q, q) - 1.0
 
     def gradient(self, p):
-        return 2.0 * np.asarray(p, dtype=float) / self.semi_axes**2
+        return 2.0 * (np.asarray(p, dtype=float) - self.center) / self.semi_axes**2
 
     def line_roots(self, origin, direction):
-        return _unit_sphere_line_roots(origin / self.semi_axes,
-                                       direction / self.semi_axes)
+        """Both t with |o + t d| = 1 for the origin and direction scaled to
+        the unit sphere (t is unchanged), ascending, NaN where it misses."""
+        o = (origin - self.center) / self.semi_axes
+        d = direction / self.semi_axes
+        a, b, c = _dot(d, d), 2.0 * _dot(o, d), _dot(o, o) - 1.0
+        disc = b * b - 4.0 * a * c
+        s = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        return np.stack([(-b - s) / (2 * a), (-b + s) / (2 * a)], axis=-1)
 
     def closest_point(self, p):
-        """Euclidean projection onto the ellipsoid.
+        """Euclidean projection q = center + s^2 d / (g + mu), d = p - center,
+        g = s^2 - min(s^2), at the root mu > 0 of phi(mu) = |(q - center) /
+        s|^2 - 1, convex and decreasing.  Newton's method from the lower
+        bound mu0 = max_i (s_i |d_i| - g_i), where phi >= 0, rises
+        monotonically to the root (Eberly, "Distance from a point to an
+        ellipse, an ellipsoid, or a hyperellipsoid", Geometric Tools, 2011).
+        mu is the Lagrange multiplier plus min(s^2), so that g + mu keeps
+        its digits near the short axis.  Raises, naming the first such
+        point, where the projection is not unique (mu0 <= 0): the center and
+        the short axis near it."""
+        pts = np.asarray(p, dtype=float).reshape(-1, 3)
+        d = pts - self.center
+        s, s2 = self.semi_axes, self.semi_axes**2
+        g = s2 - np.min(s2)
+        mu = np.max(s * np.abs(d) - g, axis=1, initial=-np.inf)
+        unique = mu > 0.0
+        if not unique.all():
+            i = int(np.argmin(unique))
+            raise ValueError("closest point not unique at point %s (point %d "
+                             "of %d)" % (pts[i], i, len(pts)))
+        done = np.zeros(len(pts), dtype=bool)
+        for _ in range(100):
+            w = g + mu[:, None]
+            u = s * d / w
+            step = mu + (_dot(u, u) - 1.0) / (2.0 * _dot(u, u / w))
+            done |= ~(step > mu)  # a point stops once Newton stalls
+            mu = np.where(done, mu, step)
+            if done.all():
+                return (self.center + s2 * d / (g + mu[:, None])).reshape(np.shape(p))
+        i = int(np.argmin(done))
+        raise ValueError("closest point iteration did not converge at point "
+                         "%s (point %d of %d)" % (pts[i], i, len(pts)))
 
-        The projection q of p satisfies q_i = s_i^2 p_i / (s_i^2 + lam)
-        for a Lagrange multiplier lam solving |q/s| = 1; lam is bracketed
-        and solved with a 1-d root finder.  Works for points inside and
-        outside (p not at the center).
-        """
-        s = self.semi_axes
-        p = np.asarray(p, dtype=float)
-        if np.allclose(p, 0.0):
-            raise ValueError("closest point undefined at the ellipsoid center")
 
-        def g(lam):
-            q = (s * p) / (s * s + lam)
-            return float(q @ q - 1.0)
+class Sphere(Ellipsoid):
+    """The sphere |p - center| = radius: an ellipsoid with equal semi-axes."""
 
-        lo = -np.min(s * s) * (1.0 - 1e-12)
-        # expand upward until g changes sign
-        hi = np.max(s * s)
-        while g(hi) > 0.0:
-            hi *= 2.0
-        if g(lo) < 0.0:
-            # p is very close to the short axis; nudge the bracket
-            lo = -np.min(s * s) + 1e-15 * self.scale**2
-        lam = brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-        return (s * s * p) / (s * s + lam)
+    def __init__(self, center, radius):
+        self.radius = float(radius)
+        super().__init__(np.full(3, self.radius), center)
 
 
 @dataclass
@@ -246,14 +227,19 @@ class Torus(Surface):
         return t
 
     def closest_point(self, p):
-        x, y, z = np.asarray(p, dtype=float)
-        rho = np.hypot(x, y)
-        if rho == 0.0:
-            raise ValueError("closest point undefined on the torus axis")
-        # center of the tube cross-section containing p
-        cx, cy = self.major_radius * x / rho, self.major_radius * y / rho
-        d = np.array([x - cx, y - cy, z])
-        nd = np.linalg.norm(d)
-        if nd == 0.0:
-            raise ValueError("closest point undefined on the tube center circle")
-        return np.array([cx, cy, 0.0]) + d * (self.minor_radius / nd)
+        """Radial projection of points (..., 3) from the center of the tube
+        cross-section through each.  Raises, naming the first such point,
+        on the z-axis and the tube's center circle, where it is not unique."""
+        pts = np.asarray(p, dtype=float).reshape(-1, 3)
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.zeros_like(pts)
+            c[:, :2] = self.major_radius * pts[:, :2] / rho[:, None]
+            nd = np.sqrt(_dot(pts - c, pts - c))
+            q = c + (pts - c) * (self.minor_radius / nd)[:, None]
+        bad = (rho == 0.0) | (nd == 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError("closest point not unique at point %s (point %d "
+                             "of %d)" % (pts[i], i, len(pts)))
+        return q.reshape(np.shape(p))

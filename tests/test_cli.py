@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import shiftfem
+from shiftfem import trialspace
 from shiftfem.analysis import run_single
 from shiftfem.cases import get_case
 from shiftfem.cli import CHECK_MODULES, main
@@ -95,6 +97,28 @@ def test_config_file_and_unknown_key(tmp_path, capsys):
     rc = main(["solve", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_key_must_be_an_option_of_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=tp1-sphere\nrefine=4,8\nvtk=1\n")
+    rc = main(["convergence", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "unknown config key 'vtk'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv,ignored", [
+    (["mesh", "--case", "tp1-sphere"], ["--k", "3"]),
+    (["convergence", "--case", "tp1-sphere"], ["--vtk"]),
+    (["check"], ["--tol", "7"]),
+], ids=["mesh", "convergence", "check"])
+def test_subcommand_rejects_options_it_does_not_read(argv, ignored, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ignored)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: %s" % " ".join(ignored) in err
 
 
 def test_missing_case_is_an_error(tmp_path, capsys):
@@ -201,3 +225,36 @@ def test_check_outside_a_checkout_names_the_missing_tests(tmp_path):
         text=True)
     assert proc.returncode == 1
     assert str(tmp_path.resolve() / "tests") in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["new", "nonconforming"])
+def test_conditioning_guard_fails_the_run(tmp_path, capsys, monkeypatch,
+                                          method):
+    """A DOF matrix over the condition limit stops a full run with exit 1,
+    an error naming a boundary tet, and no output file."""
+    monkeypatch.setattr(trialspace, "COND_LIMIT", 1.0)
+    rc = main(["solve", "--case", "tp1-sphere", "--method", method,
+               "--refine", "4", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    match = re.search(r"mesh too coarse for shifted basis \(DOF matrix "
+                      r"condition (\S+) on tet (\d+)\)", err)
+    assert match, err
+    assert float(match.group(1)) > 1.0
+    case = get_case("tp1-sphere")
+    cls = classify_boundary(case.mesh(4), case.surface)
+    assert int(match.group(2)) in cls.o_tets
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """Starting the command line does not pay for scipy.optimize."""
+    site = Path(shiftfem.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, shiftfem.cli; "
+         "print(shiftfem.cli.__file__); print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(site)), capture_output=True,
+        text=True, check=True)
+    path, loaded = proc.stdout.split()
+    assert Path(path).resolve().parent == site / "shiftfem"
+    assert loaded == "False"
