@@ -128,16 +128,13 @@ def assemble_polyhedral(
     f,
     g,
 ) -> System:
-    """Standard Galerkin baseline: Dirichlet data moved to Gamma_h.
-
-    The value imposed at a boundary node M is g evaluated at the closest
-    point of the true surface (identical to g(M) for the homogeneous
-    cases).
-    """
+    """Standard Galerkin baseline: Dirichlet data moved to Gamma_h, g
+    imposed at the Gamma_h nodes themselves.  `surface` is unused; the
+    signature is that of every builder."""
     nodes = build_lagrange_nodes(mesh, degree)
     gamma_mask = nodes.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
-    dirichlet[gamma_mask] = g(surface.closest_point(nodes.coords[gamma_mask]))
+    dirichlet[gamma_mask] = g(nodes.coords[gamma_mask])
     dofmap = DofMap.build(nodes.cell_nodes_table, gamma_mask)
     return assemble(mesh, degree, dofmap, dirichlet, None, None, f)
 

@@ -106,6 +106,15 @@ def _checked(key, value, choices):
     return value
 
 
+def _refinement(text):
+    """The comma-separated refinement parameters, each an integer >= 1."""
+    items = [s.strip() for s in str(text).split(",") if s.strip()]
+    bad = [s for s in items if not (s.isdecimal() and int(s) >= 1)]
+    if bad:
+        raise ValueError("refine: %r is not an integer >= 1" % bad[0])
+    return [int(s) for s in items]
+
+
 def _resolve(args):
     keys = set(vars(args)) - {"command", "config"}
     cfg = _load_config(args.config, keys) if args.config else {}
@@ -119,20 +128,23 @@ def _resolve(args):
         value = _checked(name, cfg.get(name, "0"), _BOOLEANS)
         return getattr(args, name, False) or _BOOLEANS[value]
 
-    case, refine = opt("case", None), opt("refine", None)
+    case, refine, tol = opt("case", None), opt("refine", None), opt("tol", 1e-12)
     if case is None:
         raise ValueError("--case is required")
+    try:
+        tol = float(tol)
+    except ValueError:
+        raise ValueError("config key tol: %r is not a number" % tol) from None
     return argparse.Namespace(
         case=_checked("case", case, sorted(case_registry())),
         method=_checked("method", opt("method", "new"), _METHODS),
         k=int(_checked("k", str(opt("k", 2)), [str(k) for k in _DEGREES])),
-        params=[int(s) for s in str(refine).split(",") if s.strip()]
-        if refine else None,
+        params=_refinement(refine) if refine else None,
         out=Path(opt("out", ".")),
         sequential=flag("sequential"),
         vtk=flag("vtk"),
         dump_matrix=flag("dump_matrix"),
-        tol=float(opt("tol", 1e-12)),
+        tol=tol,
     )
 
 
@@ -143,10 +155,10 @@ def _default_params(case):
 def cmd_mesh(args):
     run = _resolve(args)
     c = get_case(run.case)
-    run.out.mkdir(parents=True, exist_ok=True)
     for p in run.params or _default_params(run.case)[:1]:
         mesh = c.mesh(p)
         cls = classify_boundary(mesh, c.surface)
+        run.out.mkdir(parents=True, exist_ok=True)
         stem = run.out / ("%s-%d" % (run.case, p))
         write_vtk(mesh, stem.with_suffix(".vtk"))
         write_mesh_text(mesh, stem.with_suffix(".txt"))

@@ -153,12 +153,6 @@ class AffineMap:
 class QuadratureRule:
     points: np.ndarray  # (n, 3) reference coordinates
     weights: np.ndarray  # (n,), sums to 1/6 (reference tet volume)
-    degree: int
-
-
-def _rule_points_from_bary(bary_rows):
-    bary = np.array(bary_rows)
-    return bary[:, 1:]
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +170,7 @@ def tet_quadrature(degree: int) -> QuadratureRule:
             row[i] = a
             bary.append(row)
         w = np.full(4, 1.0 / 24.0)
-        return QuadratureRule(_rule_points_from_bary(bary), w, 2)
+        return QuadratureRule(np.array(bary)[:, 1:], w)
     if degree <= 5:
         s15 = np.sqrt(15.0)
         a1 = (7.0 - s15) / 34.0
@@ -203,7 +197,7 @@ def tet_quadrature(degree: int) -> QuadratureRule:
             row[j] = a3
             bary.append(row)
             weights.append(w3)
-        return QuadratureRule(_rule_points_from_bary(bary), np.array(weights), 5)
+        return QuadratureRule(np.array(bary)[:, 1:], np.array(weights))
     raise ValueError("no rule of degree > 5 available")
 
 
@@ -219,7 +213,7 @@ def refined_quadrature(degree: int, levels: int) -> QuadratureRule:
     amap = AffineMap.from_vertices(np.array(tets))
     pts = amap.to_physical(base.points).reshape(-1, 3)
     wts = (base.weights * amap.detB[:, None]).ravel()
-    return QuadratureRule(pts, wts, base.degree)
+    return QuadratureRule(pts, wts)
 
 
 #: the 8 sub-tets of the red refinement, as indices into the 4 vertices

@@ -187,6 +187,9 @@ def _kuhn_paths(shape):
 def generate_box_tet_mesh(nx, ny, nz):
     """Structured mesh of the unit cube, nx x ny x nz cells of 6 Kuhn tets
     each, all sharing the cell's main diagonal direction."""
+    for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
+        if n < 1:
+            raise ValueError("box mesh needs %s >= 1, got %s" % (name, n))
     dims = (nx + 1, ny + 1, nz + 1)
     grid = np.indices(dims).reshape(3, -1).T
     verts = grid / np.array([nx, ny, nz])
@@ -213,6 +216,8 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
     coordinate planes.  Vertices are numbered by first appearance.
     """
     J = int(J)
+    if J < 1:
+        raise ValueError("octant mesh needs J >= 1, got J = %d" % J)
     semi_axes = np.asarray(semi_axes, dtype=float)
 
     paths = _kuhn_paths((J, J, J))
@@ -275,8 +280,9 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
     face and an extra edge.
     """
     I = int(I)
-    if I % 2 != 0:
-        raise ValueError("torus sector mesh needs an even resolution I")
+    if I < 2 or I % 2 != 0:
+        raise ValueError("torus sector mesh needs an even resolution I >= 2, "
+                         "got I = %d" % I)
     nx, nyz = 2 * I, I // 2
     dims = (nx + 1, nyz + 1, nyz + 1)
 

@@ -6,9 +6,11 @@ Per tet the 10 DOFs are:
   * nu_e(v) = 0.4*v(M_e) + 0.3*[v(A_e) + v(B_e)] for the 6 edges, with
     A_e, B_e the endpoints and M_e the midpoint (canonical edge order).
 
-The canonical basis is obtained by inverting the 10x10 matrix of these
-functionals applied to the P2 Lagrange basis; since all the evaluation
-points map affinely, the same coefficient matrix serves every element.
+The DOFs are written once, as data: 22 reference points and a 10x22
+weight matrix.  The canonical basis is obtained by inverting the 10x10
+matrix of these functionals applied to the P2 Lagrange basis; since all
+the evaluation points map affinely, the same coefficient matrix serves
+every element.
 
 The boundary-shifted variant replaces, on boundary elements, mu_F of a
 Gamma_h face by evaluation at the nearest intersection of the surface
@@ -25,10 +27,14 @@ import numpy as np
 
 from .assembly import System, assemble
 from .dofs import DofMap, build_lagrange_nodes
-from .elements import EDGES, FACES, AffineMap, REF_VERTICES, shape_values
+from .elements import EDGES, FACES, REF_VERTICES, shape_values
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
-from .trialspace import ModifiedElementBasis, build_shifted_node_table
+from .trialspace import (
+    ModifiedElementBasis,
+    build_shifted_node_table,
+    shifted_dof_matrices,
+)
 
 # Not called here: bench/tracing.py rebinds these names on this module.
 from .assembly import element_load, element_stiffness  # noqa: F401
@@ -41,36 +47,28 @@ def nc_edge_functional(v_a, v_m, v_b):
     return 0.4 * v_m + 0.3 * (v_a + v_b)
 
 
-def _reference_dof_points():
-    """Evaluation points feeding the 10 reference DOFs."""
-    centroids = [REF_VERTICES[list(f)].mean(axis=0) for f in FACES]
-    edge_pts = [
-        (REF_VERTICES[a], 0.5 * (REF_VERTICES[a] + REF_VERTICES[b]), REF_VERTICES[b])
-        for a, b in EDGES
-    ]
-    return centroids, edge_pts
+#: per tet: the 4 face centroids, then the 6 edges' A, then M, then B points
+_REF_POINTS = np.vstack([
+    REF_VERTICES[list(FACES)].mean(axis=1),
+    REF_VERTICES[[a for a, _ in EDGES]],
+    REF_VERTICES[list(EDGES)].mean(axis=1),
+    REF_VERTICES[[b for _, b in EDGES]],
+])
+#: DOF i is v -> sum_p _WEIGHTS[i, p] v(_REF_POINTS[p])
+_WEIGHTS = np.zeros((N_DOFS, len(_REF_POINTS)))
+_WEIGHTS[:4, :4] = np.eye(4)
+_WEIGHTS[4:, 4:] = nc_edge_functional(*np.split(np.eye(18), 3))
 
 
 def _apply_reference_dofs(values_at):
-    """Apply the 10 DOFs to a function given by `values_at(points)->array`."""
-    centroids, edge_pts = _reference_dof_points()
-    out = [values_at(c) for c in centroids]
-    for pa, pm, pb in edge_pts:
-        out.append(nc_edge_functional(values_at(pa), values_at(pm), values_at(pb)))
-    return np.array(out)
+    """Apply the 10 DOFs to a function given by `values_at(point)`."""
+    return _WEIGHTS @ np.array([values_at(p) for p in _REF_POINTS])
 
 
 @lru_cache(maxsize=None)
 def nc_reference_matrix() -> np.ndarray:
     """R with b_j = sum_m R[m, j] * phi_m (phi = P2 Lagrange basis)."""
-    def lag(p):
-        return shape_values(2, p)[0]
-
-    N = np.stack([_apply_reference_dofs(lambda p, m=m: lag(p)[m]) for m in range(10)],
-                 axis=1)
-    if abs(np.linalg.det(N)) < 1e-12:
-        raise RuntimeError("nonconforming DOF matrix is singular")
-    return np.linalg.inv(N)
+    return np.linalg.inv(_WEIGHTS @ shape_values(2, _REF_POINTS))
 
 
 def nc_dofmap(mesh: Mesh, bc: BoundaryClassification) -> DofMap:
@@ -107,34 +105,20 @@ def _shifted_face_points(mesh, bc, surface):
     return pts
 
 
-def build_nc_modified_basis(
-    mesh: Mesh,
-    bc: BoundaryClassification,
-    tets,
-    edge_shifts: np.ndarray,
-    face_shifts: np.ndarray,
-) -> ModifiedElementBasis:
+def build_nc_modified_basis(mesh: Mesh, bc: BoundaryClassification, tets,
+                            edge_shifts, face_shifts) -> ModifiedElementBasis:
     """Perturbed DOF matrices of one boundary tet or an id array of them,
     in one batch, from the shifted edge and face points of the mesh."""
-    tets = np.asarray(tets)
     top = mesh.topology
     faces, edges = top.tet_faces[tets], top.tet_edges[tets]
     ends = mesh.vertices[top.edge_vertices[edges]]  # (..., 6, 2, 3)
-    # per tet: 4 face points, then the 6 edges' A, then Q, then B points
-    pts = np.concatenate([face_shifts[faces], ends[..., 0, :],
-                          edge_shifts[edges], ends[..., 1, :]], axis=-2)
-    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tets]])
-    ref = amap.to_reference(pts)
-    vals = shape_values(2, ref.reshape(-1, 3)).reshape(pts.shape[:-1] + (N_DOFS,))
-    vals = vals @ nc_reference_matrix()  # values of the 10 canonical b_j
-    rows = np.concatenate(
-        [vals[..., :4, :],
-         nc_edge_functional(vals[..., 4:10, :], vals[..., 10:16, :],
-                            vals[..., 16:, :])], axis=-2)
+    # in the order of _REF_POINTS, with the shifted face and middle points
+    points = np.concatenate([face_shifts[faces], ends[..., 0, :],
+                             edge_shifts[edges], ends[..., 1, :]], axis=-2)
     shifted = np.concatenate([np.isin(faces, bc.gamma_faces),
                               np.isin(edges, bc.gamma_edges)], axis=-1)
-    K = np.where(shifted[..., None], rows, np.eye(N_DOFS))
-    return ModifiedElementBasis.invert(K, tets)
+    return shifted_dof_matrices(mesh, tets, points, shifted, 2, _WEIGHTS,
+                                nc_reference_matrix())
 
 
 def nc_assemble(

@@ -2,8 +2,8 @@
 
 Each surface is given by a level-set function F with Gamma = {F = 0} and
 F < 0 inside the domain.  The geometric queries needed by the shifted
-trial space are: level-set evaluation, (normalized) gradient, intersection
-of a short line segment with Gamma, and closest-point projection.
+trial space are: level-set evaluation, (normalized) gradient, and the
+intersection of a line with Gamma nearest to a given point.
 """
 from __future__ import annotations
 
@@ -21,10 +21,10 @@ def _dot(u, v):
 class Surface:
     """Base class: an implicit surface F(p) = 0 with F < 0 inside.
 
-    `value` maps points (..., 3) to (...), and `closest_point` to (..., 3).
-    `line_roots` takes (n, 3) origins and directions and returns all real
-    t with F(origin + t*direction) = 0 as an (n, m) array padded with NaN;
-    each surface solves it in closed form.
+    `value` maps points (..., 3) to (...).  `line_roots` takes (n, 3)
+    origins and directions and returns all real t with
+    F(origin + t*direction) = 0 as an (n, m) array padded with NaN; each
+    surface solves it in closed form.
     """
 
     #: characteristic length used to scale tolerances
@@ -85,9 +85,6 @@ class Surface:
                 "%s (origin %d of %d): |F| = %.3g" % (o[i], i, len(o), residual[i]))
         return p.reshape(shape), t.reshape(shape[:-1])[()]
 
-    def closest_point(self, p):
-        raise NotImplementedError
-
 
 @dataclass
 class Ellipsoid(Surface):
@@ -117,40 +114,6 @@ class Ellipsoid(Surface):
         disc = b * b - 4.0 * a * c
         s = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
         return np.stack([(-b - s) / (2 * a), (-b + s) / (2 * a)], axis=-1)
-
-    def closest_point(self, p):
-        """Euclidean projection q = center + s^2 d / (g + mu), d = p - center,
-        g = s^2 - min(s^2), at the root mu > 0 of phi(mu) = |(q - center) /
-        s|^2 - 1, convex and decreasing.  Newton's method from the lower
-        bound mu0 = max_i (s_i |d_i| - g_i), where phi >= 0, rises
-        monotonically to the root (Eberly, "Distance from a point to an
-        ellipse, an ellipsoid, or a hyperellipsoid", Geometric Tools, 2011).
-        mu is the Lagrange multiplier plus min(s^2), so that g + mu keeps
-        its digits near the short axis.  Raises, naming the first such
-        point, where the projection is not unique (mu0 <= 0): the center and
-        the short axis near it."""
-        pts = np.asarray(p, dtype=float).reshape(-1, 3)
-        d = pts - self.center
-        s, s2 = self.semi_axes, self.semi_axes**2
-        g = s2 - np.min(s2)
-        mu = np.max(s * np.abs(d) - g, axis=1, initial=-np.inf)
-        unique = mu > 0.0
-        if not unique.all():
-            i = int(np.argmin(unique))
-            raise ValueError("closest point not unique at point %s (point %d "
-                             "of %d)" % (pts[i], i, len(pts)))
-        done = np.zeros(len(pts), dtype=bool)
-        for _ in range(100):
-            w = g + mu[:, None]
-            u = s * d / w
-            step = mu + (_dot(u, u) - 1.0) / (2.0 * _dot(u, u / w))
-            done |= ~(step > mu)  # a point stops once Newton stalls
-            mu = np.where(done, mu, step)
-            if done.all():
-                return (self.center + s2 * d / (g + mu[:, None])).reshape(np.shape(p))
-        i = int(np.argmin(done))
-        raise ValueError("closest point iteration did not converge at point "
-                         "%s (point %d of %d)" % (pts[i], i, len(pts)))
 
 
 class Sphere(Ellipsoid):
@@ -225,21 +188,3 @@ class Torus(Surface):
                       + 2.0 * p[..., 2] * d[..., 2])
                 t = t - F / dF
         return t
-
-    def closest_point(self, p):
-        """Radial projection of points (..., 3) from the center of the tube
-        cross-section through each.  Raises, naming the first such point,
-        on the z-axis and the tube's center circle, where it is not unique."""
-        pts = np.asarray(p, dtype=float).reshape(-1, 3)
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.zeros_like(pts)
-            c[:, :2] = self.major_radius * pts[:, :2] / rho[:, None]
-            nd = np.sqrt(_dot(pts - c, pts - c))
-            q = c + (pts - c) * (self.minor_radius / nd)[:, None]
-        bad = (rho == 0.0) | (nd == 0.0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError("closest point not unique at point %s (point %d "
-                             "of %d)" % (pts[i], i, len(pts)))
-        return q.reshape(np.shape(p))

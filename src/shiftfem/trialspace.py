@@ -32,7 +32,6 @@ class ShiftedNodeTable:
     """Where the DOF of each Lagrange node evaluates: at the node itself,
     or at the shifted point on Gamma of a Gamma_h edge or face node."""
 
-    nodes: LagrangeNodeSet
     shifts: np.ndarray  # (n_shifted,) ids of the shifted (edge and face) nodes
     points: np.ndarray  # (n_nodes, 3) evaluation point of every node
     gamma_mask: np.ndarray  # per-node: lies on Gamma_h
@@ -40,7 +39,7 @@ class ShiftedNodeTable:
     def dirichlet_values(self, g):
         """Per-node array: the boundary datum at the shifted point of every
         Gamma_h node, 0 elsewhere."""
-        vals = np.zeros(self.nodes.n_nodes)
+        vals = np.zeros(len(self.points))
         vals[self.gamma_mask] = g(self.points[self.gamma_mask])
         return vals
 
@@ -82,8 +81,8 @@ def build_shifted_node_table(
             M, d, 4.0 * np.maximum(h_t, dist))
         shifts.append(nid)
 
-    return ShiftedNodeTable(nodes=nodes, shifts=np.concatenate(shifts),
-                            points=points, gamma_mask=nodes.gamma_mask(cls))
+    return ShiftedNodeTable(shifts=np.concatenate(shifts), points=points,
+                            gamma_mask=nodes.gamma_mask(cls))
 
 
 @dataclass
@@ -122,25 +121,42 @@ class ModifiedElementBasis:
         return cls(tets=tets, K=K, C=np.linalg.inv(K), conditions=cond)
 
 
+def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
+                         weights, T) -> ModifiedElementBasis:
+    """Perturbed DOF matrices of one boundary tet or an id array of them,
+    in one batch, and their inverses behind the conditioning guard.
+
+    DOF i of an element is v -> sum_p weights[i, p] v(points[..., p, :]),
+    and its basis is b_j = sum_m T[m, j] phi_m over the P_k Lagrange basis
+    phi.  On the rows marked in `shifted` (..., n_dofs), K[i, j] is DOF i
+    applied to b_j at the shifted points; the other rows are identity
+    rows.  The points are pulled back through each element's affine map,
+    so that K is formed in reference coordinates and its conditioning is
+    independent of the element size; P_k is evaluated only at the points
+    that feed a shifted DOF.
+    """
+    tets = np.asarray(tets)
+    n, (n_dofs, n_p) = tets.size, weights.shape
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tets.reshape(-1)]])
+    ref = amap.to_reference(np.reshape(points, (n, n_p, 3)))
+    rows = np.reshape(shifted, (n, n_dofs))
+    t, p = np.nonzero(rows @ (weights != 0))
+    phi = np.zeros(ref.shape[:2] + (T.shape[0],))
+    phi[t, p] = shape_values(degree, ref[t, p])
+    K = np.where(rows[..., None], weights @ phi @ T, np.eye(n_dofs))
+    return ModifiedElementBasis.invert(K.reshape(tets.shape + (n_dofs, n_dofs)),
+                                       tets)
+
+
 def build_modified_basis(
     mesh: Mesh, nodes: LagrangeNodeSet, table: ShiftedNodeTable, tets
 ) -> ModifiedElementBasis:
     """Perturbed node matrices and their inverses for one boundary tet or
-    an id array of them, in one batch.
-
-    The shifted points are pulled back through each element's affine map
-    so that K is formed in reference coordinates; its conditioning is then
-    independent of the element size.  Rows of unshifted nodes are identity
-    rows.
-    """
-    tets = np.asarray(tets)
-    cell = nodes.cell_nodes_table[tets.reshape(-1)]  # (n, n_k)
-    n_k = cell.shape[-1]
-    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tets.reshape(-1)]])
-    ref = amap.to_reference(table.points[cell])  # (n, n_k, 3)
+    an id array of them: each DOF evaluates at its node's point, and the
+    rows of the shifted nodes are perturbed."""
+    cell = nodes.cell_nodes_table[tets]
     shifted = np.zeros(nodes.n_nodes, dtype=bool)
     shifted[table.shifts] = True
-    t, i = np.nonzero(shifted[cell])
-    K = np.tile(np.eye(n_k), (cell.shape[0], 1, 1))
-    K[t, i] = shape_values(nodes.degree, ref[t, i])
-    return ModifiedElementBasis.invert(K.reshape(tets.shape + (n_k, n_k)), tets)
+    eye = np.eye(cell.shape[-1])
+    return shifted_dof_matrices(mesh, tets, table.points[cell], shifted[cell],
+                                nodes.degree, eye, eye)

@@ -277,7 +277,7 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
             system = assemble_polyhedral(mesh, cls, SPHERE, degree, f, g)
             C = {}
             for n in np.nonzero(table.gamma_mask)[0]:
-                g_dofs[n] = g(SPHERE.closest_point(nodes.coords[n]))
+                g_dofs[n] = g(nodes.coords[n])
 
     dofmap = system.dofmap
     K = np.zeros((dofmap.n_dofs, dofmap.n_dofs))

@@ -4,12 +4,19 @@ with the vertices off the boundary jittered.
 
 * The modified Lagrange basis reproduces P_k at the shifted nodes and is
   a partition of unity.
+* With every DOF row marked shifted but every point left in place, the
+  one DOF-matrix kernel returns K = I for the Lagrange elements (k = 2, 3)
+  and the nonconforming element: each element's DOF points, weights and
+  reference transform agree.
 * Before the Dirichlet elimination, every row of the stiffness matrix
   sums to zero, element by element and assembled, for the new method
   (k = 2, 3) and the shifted nonconforming element: constants lie in
   every trial space and have zero gradient.
 """
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from shiftfem.assembly import assemble, element_stiffness
@@ -27,8 +34,12 @@ from shiftfem.nonconforming import (
     nc_dofmap,
     nc_reference_matrix,
 )
-from shiftfem.surfaces import Ellipsoid, Torus
-from shiftfem.trialspace import build_modified_basis, build_shifted_node_table
+from shiftfem.surfaces import Ellipsoid, Sphere, Torus
+from shiftfem.trialspace import (
+    ShiftedNodeTable,
+    build_modified_basis,
+    build_shifted_node_table,
+)
 
 MESHES = st.one_of(
     st.tuples(st.just("octant"), st.integers(1, 5),
@@ -97,6 +108,29 @@ def test_modified_basis_reproduces_pk_and_sums_to_one(spec, degree, seed):
 
     pou = (phi @ basis.C).sum(axis=-1)
     assert np.max(np.abs(pou - 1.0), initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("element", ["lagrange-2", "lagrange-3",
+                                     "nonconforming"])
+def test_unshifted_points_give_identity_dof_matrices(element):
+    mesh = generate_octant_mesh(3)
+    tets = np.arange(mesh.n_tets)
+    if element == "nonconforming":
+        top = mesh.topology
+        cls = classify_boundary(mesh, Sphere(np.zeros(3), 1.0))
+        every = dataclasses.replace(cls, gamma_faces=np.arange(top.n_faces),
+                                    gamma_edges=np.arange(top.n_edges))
+        basis = build_nc_modified_basis(
+            mesh, every, tets, mesh.vertices[top.edge_vertices].mean(axis=1),
+            mesh.vertices[top.face_vertices].mean(axis=1))
+    else:
+        nodes = build_lagrange_nodes(mesh, int(element[-1]))
+        table = ShiftedNodeTable(shifts=np.arange(nodes.n_nodes),
+                                 points=nodes.coords,
+                                 gamma_mask=np.ones(nodes.n_nodes, dtype=bool))
+        basis = build_modified_basis(mesh, nodes, table, tets)
+    assert basis.K.shape[0] == mesh.n_tets
+    assert np.max(np.abs(basis.K - np.eye(basis.K.shape[-1]))) <= 1e-13
 
 
 @given(MESHES, st.sampled_from([("new", 2), ("new", 3), ("nonconforming", 2)]),

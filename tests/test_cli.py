@@ -44,6 +44,36 @@ def test_mesh_rejects_odd_torus_parameter(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--case", "tp1-sphere", "--refine", "0"],
+    ["solve", "--case", "tp1-sphere", "--refine", "0"],
+    ["solve", "--case", "tp1-sphere", "--refine=-2"],
+    ["convergence", "--case", "tp1-sphere", "--refine", "0,4"],
+], ids=["mesh-0", "solve-0", "solve-negative", "convergence-0"])
+def test_refinement_below_one_is_an_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: refine: '-?\d' is not an integer >= 1\n", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (["--refine", "4,x"], "", "refine: 'x'"),
+    ([], "refine=2,x\n", "refine: 'x'"),
+    (["--refine", "4"], "tol=abc\n", "config key tol: 'abc'"),
+], ids=["refine-flag", "refine-config", "tol-config"])
+def test_conversion_errors_name_the_option(tmp_path, capsys, argv, config,
+                                           named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=tp1-sphere\n" + config)
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--out", str(out)] + argv)
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_consistency_case(tmp_path, capsys):
     rc = main([
         "solve", "--case", "quadratic-ellipsoid", "--method", "new",

@@ -23,6 +23,21 @@ def _triples(mesh, faces):
     return {tuple(tri) for tri in mesh.topology.face_vertices[faces].tolist()}
 
 
+@pytest.mark.parametrize("generate,name", [
+    (lambda: generate_box_tet_mesh(0, 1, 1), "nx"),
+    (lambda: generate_box_tet_mesh(1, 1, -2), "nz"),
+    (lambda: generate_octant_mesh(0), "J"),
+    (lambda: generate_octant_mesh(-2), "J"),
+    (lambda: generate_torus_sector_mesh(0, 5.0 / 6.0, 1.0 / 6.0), "I"),
+    (lambda: generate_torus_sector_mesh(-2, 5.0 / 6.0, 1.0 / 6.0), "I"),
+], ids=["box-nx", "box-nz", "octant-0", "octant-negative", "torus-0",
+        "torus-negative"])
+def test_generators_reject_sizes_without_a_tet(generate, name):
+    """A size that would give an empty mesh fails, naming the parameter."""
+    with pytest.raises(ValueError, match=r"needs .*\b%s >= " % name):
+        generate()
+
+
 def test_box_mesh_counts():
     assert generate_box_tet_mesh(1, 1, 1).n_tets == 6
     assert generate_box_tet_mesh(8, 8, 8).n_tets == 3072

@@ -135,81 +135,6 @@ def test_quadric_intersection_matches_bisection_oracle(surface):
     _check_against_bisection_oracle(surface, 6)
 
 
-@pytest.mark.parametrize("surface", [SPHERE, ELLIPSOID, TORUS,
-                                     OFF_CENTRE_SPHERE])
-def test_closest_point_matches_dense_sampling_oracle(surface):
-    rng = np.random.default_rng(9)
-    samples = sample_surface_points(surface, 10**6, rng)
-    p0 = sample_surface_points(surface, 20, rng)
-    points = p0 + rng.uniform(-0.05, 0.05, p0.shape) * surface.scale
-    projected = surface.closest_point(points)
-    assert projected.shape == points.shape
-    for p, q in zip(points, projected):
-        assert abs(surface.value(q)) <= 1e-10 * surface.scale
-        d_opt = np.linalg.norm(p - q)
-        d_samples = np.min(np.linalg.norm(samples - p, axis=1))
-        assert d_opt <= d_samples + 1e-4
-
-
-@pytest.mark.parametrize(
-    "surface", [SPHERE, ELLIPSOID, OFF_CENTRE_SPHERE, TORUS],
-    ids=["sphere", "ellipsoid", "off-centre-sphere", "torus"])
-def test_batched_closest_point_equals_per_point_calls(surface):
-    """Points inside and outside, in (n, 3) and (4, 5, 3) batches, project
-    bit for bit as they do one at a time."""
-    rng = np.random.default_rng(3)
-    p0 = sample_surface_points(surface, 20, rng)
-    normal = surface.unit_normal(p0)
-    depth = rng.uniform(-0.3, 0.3, (20, 1)) * surface.scale
-    points = p0 + depth * normal + rng.uniform(-0.02, 0.02, p0.shape)
-    assert np.any(surface.value(points) < 0) and np.any(surface.value(points) > 0)
-    single = np.array([surface.closest_point(p) for p in points])
-    assert single.shape == (20, 3)
-    assert np.array_equal(surface.closest_point(points), single)
-    grid = surface.closest_point(points.reshape(4, 5, 3))
-    assert np.array_equal(grid, single.reshape(4, 5, 3))
-
-
-@pytest.mark.parametrize("surface,point", [
-    (SPHERE, (0.0, 0.0, 0.0)),
-    (OFF_CENTRE_SPHERE, (0.3, -0.2, 0.1)),
-    (ELLIPSOID, (0.0, 0.0, 0.0)),
-    # on the short axis near the center: two nearest points (+-x)
-    (ELLIPSOID, (0.0, 0.1, 0.0)),
-    (TORUS, (0.0, 0.0, 0.1)),
-    (TORUS, (0.0, 5.0 / 6.0, 0.0)),
-], ids=["sphere-centre", "off-centre-sphere-centre", "ellipsoid-centre",
-        "ellipsoid-short-axis", "torus-axis", "torus-tube-circle"])
-def test_closest_point_names_a_point_without_unique_projection(surface, point):
-    points = np.array([[0.5, 0.5, 0.5], point, [0.2, 0.9, 0.1]])
-    with pytest.raises(ValueError, match="closest point not unique") as info:
-        surface.closest_point(points)
-    assert "point 1 of 3" in str(info.value)
-    assert str(points[1]) in str(info.value)
-
-
-def test_ellipsoid_projection_keeps_its_digits_near_the_short_axis():
-    """Points a hair off the short axis, where the axis point itself has two
-    projections, still project onto the surface to round-off."""
-    points = np.array([[x, 0.1, 0.0] for x in (1e-8, 1e-12, 1e-15, 1e-300)])
-    q = ELLIPSOID.closest_point(points)
-    assert np.all(np.abs(ELLIPSOID.value(q)) <= 2e-15)
-    np.testing.assert_allclose(q, np.broadcast_to(q[-1], q.shape), atol=1e-7)
-    assert q[-1, 0] > 0.5
-
-
-def test_closest_point_fixed_points():
-    np.testing.assert_allclose(
-        SPHERE.closest_point((0.5, 0, 0)), [1, 0, 0], atol=1e-14
-    )
-    np.testing.assert_allclose(
-        SPHERE.closest_point((0, 0, 1.0)), [0, 0, 1], atol=1e-14
-    )
-    # ellipsoid projection is a true minimizer compared with nearby points
-    q = ELLIPSOID.closest_point((0.3, 0.2, 0.4))
-    assert abs(ELLIPSOID.value(q)) <= 1e-12
-
-
 def dense_scan_nearest_root(surface, p, d, bracket):
     """Oracle: the root of smallest |t| among the samples of F(p + t d)
     on 4001 points of [-bracket, bracket] where F vanishes and the sign
