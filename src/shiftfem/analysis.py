@@ -4,6 +4,7 @@ table reporting used by the command-line driver.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,10 @@ def run_convergence(case: ExactCase, method: str, degree: int, params,
     params = list(params)
     if len(params) < 1:
         raise ValueError("need at least one refinement parameter")
+    bad = [p for p in params if not (isinstance(p, numbers.Integral) and p >= 1)]
+    if bad:
+        raise ValueError("refinement parameter %r is not an integer >= 1"
+                         % (bad[0],))
     hs = [case.h_of_param(p) for p in params]
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("refinement parameters must make h strictly decrease")

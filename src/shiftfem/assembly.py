@@ -53,10 +53,6 @@ class System:
     basis: ModifiedElementBasis | None  # C of the boundary tets, stacked
     R: np.ndarray | None  # test transform; None is the identity
 
-    @property
-    def symmetric(self):
-        return self.basis is None or self.basis.C.size == 0
-
 
 def element_stiffness(amap: AffineMap, degree: int, quad):
     """Lagrange stiffness matrices of the tets of `amap`: (n_tets, n_k, n_k),
@@ -114,7 +110,7 @@ def assemble_new_method(
     cls.check_assumption()
     nodes = build_lagrange_nodes(mesh, degree)
     table = build_shifted_node_table(mesh, cls, surface, nodes)
-    dofmap = DofMap.build(nodes.cell_nodes_table, table.gamma_mask)
+    dofmap = DofMap(nodes.cell_nodes_table, table.gamma_mask)
     dirichlet = table.dirichlet_values(g)
     basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
     return assemble(mesh, degree, dofmap, dirichlet, basis, None, f)
@@ -135,7 +131,7 @@ def assemble_polyhedral(
     gamma_mask = nodes.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
     dirichlet[gamma_mask] = g(nodes.coords[gamma_mask])
-    dofmap = DofMap.build(nodes.cell_nodes_table, gamma_mask)
+    dofmap = DofMap(nodes.cell_nodes_table, gamma_mask)
     return assemble(mesh, degree, dofmap, dirichlet, None, None, f)
 
 

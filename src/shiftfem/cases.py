@@ -9,6 +9,11 @@ Callable contract: `u`, `grad_u`, `f` and `g` take points of shape
 (..., 3) and return values of shape (...), or (..., 3) for `grad_u`, so
 that one call covers every tet and quadrature point.  A callable may
 return a constant instead; the callers broadcast it.
+
+The three octant cases (the sphere and both ellipsoids) share one
+constructor, `_octant_case`, and the two ellipsoid cases build u from one
+bubble, `_bubble`.  Every exact solution is written out by hand rather
+than taken from `Surface.value`, so that it stays an independent oracle.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshgen import Mesh, generate_octant_mesh, generate_torus_sector_mesh
+from .meshgen import generate_octant_mesh, generate_torus_sector_mesh
 from .surfaces import Ellipsoid, Sphere, Surface, Torus
 
 
@@ -37,10 +42,9 @@ def _zero(p):
     return 0.0
 
 
-def _quadratic_ellipsoid():
-    a, b = 0.6, 0.8
-    surf = Ellipsoid(np.array([a, b, 1.0]))
-    const_f = 2.0 * (a**-2 + b**-2 + 1.0)
+def _bubble(a, b):
+    """u = 1 - (x/a)^2 - (y/b)^2 - z^2, which vanishes on the ellipsoid of
+    semi-axes (a, b, 1), and its gradient."""
 
     def u(p):
         x, y, z = np.moveaxis(p, -1, 0)
@@ -50,22 +54,32 @@ def _quadratic_ellipsoid():
         x, y, z = np.moveaxis(p, -1, 0)
         return np.stack([-2.0 * x / a**2, -2.0 * y / b**2, -2.0 * z], axis=-1)
 
+    return u, grad_u
+
+
+def _octant_case(name, surface, u, grad_u, f, default_params):
+    """A case on the octant mesh of `surface`'s semi-axes: h = 1/J, g = 0."""
     return ExactCase(
-        name="quadratic-ellipsoid",
-        surface=surf,
+        name=name,
+        surface=surface,
         u=u,
         grad_u=grad_u,
-        f=lambda p: const_f,
+        f=f,
         g=_zero,
-        mesh=lambda J: generate_octant_mesh(J, (a, b, 1.0)),
+        mesh=lambda J: generate_octant_mesh(J, surface.semi_axes),
         h_of_param=lambda J: 1.0 / J,
-        default_params=(2, 4),
+        default_params=default_params,
     )
 
 
-def _tp1_sphere():
-    surf = Sphere(np.zeros(3), 1.0)
+def _quadratic_ellipsoid():
+    a, b = 0.6, 0.8
+    const_f = 2.0 * (a**-2 + b**-2 + 1.0)
+    return _octant_case("quadratic-ellipsoid", Ellipsoid(np.array([a, b, 1.0])),
+                        *_bubble(a, b), lambda p: const_f, (2, 4))
 
+
+def _tp1_sphere():
     def r2(p):
         return np.sum(np.square(p), axis=-1)
 
@@ -79,39 +93,17 @@ def _tp1_sphere():
     def f(p):
         return 20.0 * r2(p) - 6.0
 
-    return ExactCase(
-        name="tp1-sphere",
-        surface=surf,
-        u=u,
-        grad_u=grad_u,
-        f=f,
-        g=_zero,
-        mesh=lambda J: generate_octant_mesh(J, (1.0, 1.0, 1.0)),
-        h_of_param=lambda J: 1.0 / J,
-        default_params=(4, 8, 16),
-    )
+    return _octant_case("tp1-sphere", Sphere(np.zeros(3), 1.0), u, grad_u, f,
+                        (4, 8, 16))
 
 
 def _tp2_ellipsoid():
+    """u = A B, the product of the bubbles of the ellipsoid and of its copy
+    with a and b swapped."""
     a, b = 0.6, 0.8
-    surf = Ellipsoid(np.array([a, b, 1.0]))
     lap = -2.0 * (a**-2 + b**-2 + 1.0)  # Laplacian of both factors
-
-    def A(p):
-        x, y, z = np.moveaxis(p, -1, 0)
-        return 1.0 - (x / a) ** 2 - (y / b) ** 2 - z**2
-
-    def B(p):
-        x, y, z = np.moveaxis(p, -1, 0)
-        return 1.0 - (x / b) ** 2 - (y / a) ** 2 - z**2
-
-    def gA(p):
-        x, y, z = np.moveaxis(p, -1, 0)
-        return np.stack([-2.0 * x / a**2, -2.0 * y / b**2, -2.0 * z], axis=-1)
-
-    def gB(p):
-        x, y, z = np.moveaxis(p, -1, 0)
-        return np.stack([-2.0 * x / b**2, -2.0 * y / a**2, -2.0 * z], axis=-1)
+    A, gA = _bubble(a, b)
+    B, gB = _bubble(b, a)
 
     def u(p):
         return A(p) * B(p)
@@ -122,17 +114,8 @@ def _tp2_ellipsoid():
     def f(p):
         return -(A(p) * lap + B(p) * lap + 2.0 * np.sum(gA(p) * gB(p), axis=-1))
 
-    return ExactCase(
-        name="tp2-ellipsoid",
-        surface=surf,
-        u=u,
-        grad_u=grad_u,
-        f=f,
-        g=_zero,
-        mesh=lambda J: generate_octant_mesh(J, (a, b, 1.0)),
-        h_of_param=lambda J: 1.0 / J,
-        default_params=(2, 4, 8),
-    )
+    return _octant_case("tp2-ellipsoid", Ellipsoid(np.array([a, b, 1.0])), u,
+                        grad_u, f, (2, 4, 8))
 
 
 def _tp3_torus():

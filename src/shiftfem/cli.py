@@ -155,10 +155,12 @@ def _default_params(case):
 def cmd_mesh(args):
     run = _resolve(args)
     c = get_case(run.case)
-    for p in run.params or _default_params(run.case)[:1]:
-        mesh = c.mesh(p)
-        cls = classify_boundary(mesh, c.surface)
-        run.out.mkdir(parents=True, exist_ok=True)
+    # build every level first, so that a bad one leaves no partial output
+    params = run.params or _default_params(run.case)[:1]
+    meshes = [c.mesh(p) for p in params]
+    classes = [classify_boundary(mesh, c.surface) for mesh in meshes]
+    run.out.mkdir(parents=True, exist_ok=True)
+    for p, mesh, cls in zip(params, meshes, classes):
         stem = run.out / ("%s-%d" % (run.case, p))
         write_vtk(mesh, stem.with_suffix(".vtk"))
         write_mesh_text(mesh, stem.with_suffix(".txt"))
@@ -263,7 +265,7 @@ def main(argv=None):
     }
     try:
         handlers[args.command](args)
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

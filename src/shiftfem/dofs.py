@@ -9,7 +9,8 @@ continuity automatic and lets boundary classification decide per entity
 whether a node lies on Gamma_h.
 
 Every discretization numbers its equations through one `DofMap`: a table
-of the global DOF ids of each tet plus a Gamma_h mask.
+of the global DOF ids of each tet plus a Gamma_h mask.  The equations are
+the DOFs off Gamma_h, in ascending order.
 """
 from __future__ import annotations
 
@@ -27,19 +28,14 @@ class DofMap:
 
     cells: np.ndarray  # (n_tets, n_loc) global DOF ids of each tet
     gamma_mask: np.ndarray  # (n_dofs,) True for DOFs on Gamma_h
-    eq: np.ndarray  # (n_dofs,) equation number, -1 on Gamma_h
-    n_eq: int
 
     @property
     def n_dofs(self):
         return self.gamma_mask.size
 
-    @classmethod
-    def build(cls, cells, gamma_mask):
-        eq = np.full(gamma_mask.size, -1, dtype=np.int64)
-        free = np.nonzero(~gamma_mask)[0]
-        eq[free] = np.arange(free.size)
-        return cls(cells=cells, gamma_mask=gamma_mask, eq=eq, n_eq=free.size)
+    @property
+    def n_eq(self):
+        return int(np.count_nonzero(~self.gamma_mask))
 
 
 @dataclass
@@ -52,9 +48,6 @@ class LagrangeNodeSet:
     @property
     def n_nodes(self):
         return self.coords.shape[0]
-
-    def cell_nodes(self, t):
-        return self.cell_nodes_table[t]
 
     def edge_nodes(self, edges):
         """Node ids (..., k-1) of edge ids (...), each edge's nodes running

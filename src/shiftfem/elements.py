@@ -65,10 +65,6 @@ def multi_indices(degree: int) -> np.ndarray:
     return out
 
 
-def node_count(degree: int) -> int:
-    return len(multi_indices(degree))
-
-
 def reference_nodes(degree: int) -> np.ndarray:
     """Lagrangian node coordinates on the reference tet, frozen ordering."""
     return multi_indices(degree)[:, 1:] / degree
@@ -144,10 +140,6 @@ class AffineMap:
         pts = np.atleast_2d(np.asarray(phys_points, dtype=float))
         return (pts - self.v0[..., None, :]) @ np.swapaxes(self.Binv, -1, -2)
 
-    @property
-    def volume(self):
-        return self.detB / 6.0
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -157,48 +149,34 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def tet_quadrature(degree: int) -> QuadratureRule:
-    """Symmetric quadrature on the reference tet, exact to `degree`.
-
-    degree <= 2: 4-point rule; degree <= 5: 15-point rule.
-    """
-    if degree <= 2:
-        a = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
-        b = (5.0 - np.sqrt(5.0)) / 20.0
-        bary = []
+    """Symmetric quadrature on the reference tet, exact to `degree`: the
+    15-point rule of degree 5 for every degree <= 5."""
+    if degree > 5:
+        raise ValueError("no rule of degree > 5 available")
+    s15 = np.sqrt(15.0)
+    a1 = (7.0 - s15) / 34.0
+    a2 = (7.0 + s15) / 34.0
+    a3 = (10.0 - 2.0 * s15) / 40.0
+    b3 = (10.0 + 2.0 * s15) / 40.0
+    w0 = 8.0 / 405.0
+    w1 = (2665.0 + 14.0 * s15) / 226800.0
+    w2 = (2665.0 - 14.0 * s15) / 226800.0
+    w3 = 5.0 / 567.0
+    bary = [[0.25, 0.25, 0.25, 0.25]]
+    weights = [w0]
+    for a, w in ((a1, w1), (a2, w2)):
+        b = 1.0 - 3.0 * a
         for i in range(4):
-            row = [b, b, b, b]
-            row[i] = a
+            row = [a, a, a, a]
+            row[i] = b
             bary.append(row)
-        w = np.full(4, 1.0 / 24.0)
-        return QuadratureRule(np.array(bary)[:, 1:], w)
-    if degree <= 5:
-        s15 = np.sqrt(15.0)
-        a1 = (7.0 - s15) / 34.0
-        a2 = (7.0 + s15) / 34.0
-        a3 = (10.0 - 2.0 * s15) / 40.0
-        b3 = (10.0 + 2.0 * s15) / 40.0
-        w0 = 8.0 / 405.0
-        w1 = (2665.0 + 14.0 * s15) / 226800.0
-        w2 = (2665.0 - 14.0 * s15) / 226800.0
-        w3 = 5.0 / 567.0
-        bary = [[0.25, 0.25, 0.25, 0.25]]
-        weights = [w0]
-        for a, w in ((a1, w1), (a2, w2)):
-            b = 1.0 - 3.0 * a
-            for i in range(4):
-                row = [a, a, a, a]
-                row[i] = b
-                bary.append(row)
-                weights.append(w)
-        pair_positions = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        for i, j in pair_positions:
-            row = [b3, b3, b3, b3]
-            row[i] = a3
-            row[j] = a3
-            bary.append(row)
-            weights.append(w3)
-        return QuadratureRule(np.array(bary)[:, 1:], np.array(weights))
-    raise ValueError("no rule of degree > 5 available")
+            weights.append(w)
+    for i, j in EDGES:
+        row = [b3, b3, b3, b3]
+        row[i] = row[j] = a3
+        bary.append(row)
+        weights.append(w3)
+    return QuadratureRule(np.array(bary)[:, 1:], np.array(weights))
 
 
 def refined_quadrature(degree: int, levels: int) -> QuadratureRule:

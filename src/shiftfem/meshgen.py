@@ -336,7 +336,6 @@ class BoundaryClassification:
     s_tets: np.ndarray  # tets with a face on Gamma_h
     r_tets: np.ndarray  # tets with an edge (and no face) on Gamma_h
     violations: list  # human-readable descriptions of assumption violations
-    symmetry_faces: np.ndarray  # the other boundary faces
 
     @property
     def o_tets(self):
@@ -378,9 +377,8 @@ def classify_boundary(mesh: Mesh, surface: Surface):
     tris = mesh.boundary_faces()
     on_surface = np.abs(surface.value(mesh.vertices[tris])).max(axis=1) <= tol
     gamma_faces = top.boundary[on_surface]
-    symmetry_faces = top.boundary[~on_surface]
 
-    if mesh.symmetry_planes and symmetry_faces.size:
+    if mesh.symmetry_planes and not on_surface.all():
         pts = mesh.vertices[tris[~on_surface]]  # (n, 3, 3)
         tol_plane = 1e-9 * max(1.0, surface.scale)
         on_plane = np.any(
@@ -414,7 +412,6 @@ def classify_boundary(mesh: Mesh, surface: Surface):
         s_tets=np.flatnonzero(n_faces >= 1),
         r_tets=np.flatnonzero((n_faces == 0) & (n_edges >= 1)),
         violations=violations,
-        symmetry_faces=symmetry_faces,
     )
 
 

@@ -79,7 +79,7 @@ def nc_dofmap(mesh: Mesh, bc: BoundaryClassification) -> DofMap:
     gamma = np.zeros(top.n_faces + top.n_edges, dtype=bool)
     gamma[bc.gamma_faces] = True
     gamma[top.n_faces + bc.gamma_edges] = True
-    return DofMap.build(cells, gamma)
+    return DofMap(cells, gamma)
 
 
 def _shifted_edge_points(mesh, bc, surface):

@@ -64,7 +64,7 @@ def test_error_norms_exact_interpolant_on_box():
                         axis=-1)
 
     coeffs = np.array(
-        [[u(nodes.coords[n]) for n in nodes.cell_nodes(t)]
+        [[u(nodes.coords[n]) for n in nodes.cell_nodes_table[t]]
          for t in range(mesh.n_tets)]
     )
     h1, l2, nodal = error_norms(mesh, 2, coeffs, u, grad_u)
@@ -129,8 +129,17 @@ def test_convergence_table_structure_and_csv():
 
 def test_run_convergence_validates_params():
     case = get_case("tp1-sphere")
+
+    def no_mesh(param):
+        raise AssertionError("a level was built before the check")
+
+    unbuilt = dataclasses.replace(case, mesh=no_mesh)
     with pytest.raises(ValueError):
-        run_convergence(case, "new", 2, [8, 4])
+        run_convergence(unbuilt, "new", 2, [8, 4])
+    for bad in (0, -2, 2.5):
+        with pytest.raises(ValueError, match=r"parameter %r is not an "
+                           r"integer >= 1" % bad):
+            run_convergence(unbuilt, "new", 2, [bad, 4])
     with pytest.raises(ValueError):
         run_single(case, "nonconforming", 3, 4)
     with pytest.raises(ValueError):

@@ -85,7 +85,7 @@ def test_load_constant_sums_to_volume():
     quad = tet_quadrature(5)
     for k in (2, 3):
         b = element_load(amap, k, quad, lambda p: 1.0)
-        assert float(b.sum()) == pytest.approx(amap.volume, rel=1e-13)
+        assert float(b.sum()) == pytest.approx(amap.detB / 6, rel=1e-13)
 
 
 @given(well_shaped_tets())
@@ -160,7 +160,6 @@ def test_baseline_system_is_symmetric():
     system = assemble_polyhedral(
         mesh, cls, ELLIPSOID, 2, lambda p: 1.0, lambda p: 0.0
     )
-    assert system.symmetric
     diff = (system.A - system.A.T).tocoo()
     scale = np.max(np.abs(system.A.data))
     assert (diff.nnz == 0) or np.max(np.abs(diff.data)) <= 1e-12 * scale
@@ -172,7 +171,6 @@ def test_new_method_system_is_not_symmetric():
     system = assemble_new_method(
         mesh, cls, SPHERE, 2, lambda p: 1.0, lambda p: 0.0
     )
-    assert not system.symmetric
     diff = (system.A - system.A.T).tocoo()
     assert np.max(np.abs(diff.data)) > 1e-8
 
@@ -193,10 +191,9 @@ def test_quadratic_solution_reproduced_at_nodes():
     )
     rep = solve(system)
     nodes = build_lagrange_nodes(mesh, 2)
-    for n in range(nodes.n_nodes):
-        e = system.dofmap.eq[n]
-        if e >= 0:
-            assert abs(rep.x[e] - u(nodes.coords[n])) <= 1e-10
+    free = np.flatnonzero(~system.dofmap.gamma_mask)
+    for e, n in enumerate(free):
+        assert abs(rep.x[e] - u(nodes.coords[n])) <= 1e-10
 
 
 def test_dirichlet_rhs_zero_for_homogeneous_data():

@@ -44,6 +44,31 @@ def test_mesh_rejects_odd_torus_parameter(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_mesh_bad_later_level_writes_nothing(tmp_path, capsys):
+    """Every level is built before the output directory is made."""
+    out = tmp_path / "o"
+    rc = main(["mesh", "--case", "tp3-torus", "--refine", "2,3",
+               "--out", str(out)])
+    assert rc == 1
+    assert "I = 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["solve", "--config"], "missing.cfg"),
+    (["mesh", "--case", "tp1-sphere", "--refine", "2", "--out"], "afile"),
+], ids=["missing-config", "out-is-a-file"])
+def test_os_errors_are_one_line_naming_the_path(tmp_path, capsys, argv, name):
+    """A file that cannot be read or written is an error, not a traceback."""
+    (tmp_path / "afile").write_text("")
+    path = tmp_path / name
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 @pytest.mark.parametrize("argv", [
     ["mesh", "--case", "tp1-sphere", "--refine", "0"],
     ["solve", "--case", "tp1-sphere", "--refine", "0"],
@@ -171,9 +196,9 @@ def test_solution_vtk_vertex_values(tmp_path):
         assert rc == 0
     case = get_case("tp1-sphere")
     _, mesh, system, sol = run_single(case, "new", 2, 4)
-    eq = system.dofmap.eq[:mesh.n_vertices]
-    nodal = np.where(eq >= 0, sol.x[np.maximum(eq, 0)],
-                     system.dirichlet[:mesh.n_vertices])
+    values = system.dirichlet.copy()
+    values[~system.dofmap.gamma_mask] = sol.x
+    nodal = values[:mesh.n_vertices]
     u_new = _vtk_point_values(tmp_path / "tp1-sphere-new-k2-4-solution.vtk")
     np.testing.assert_allclose(u_new, nodal, rtol=0.0,
                                atol=1e-12 * np.max(np.abs(nodal)))

@@ -166,6 +166,8 @@ def test_classification_no_violations_on_all_families():
 def test_torus_gamma_edges_have_two_incident_faces_or_rim():
     m = generate_torus_sector_mesh(2, 5.0 / 6.0, 1.0 / 6.0)
     cls = classify_boundary(m, TORUS)
+    # the boundary faces off the surface
+    symmetry_faces = np.setdiff1d(m.topology.boundary, cls.gamma_faces)
     for edge in m.topology.edge_vertices[cls.gamma_edges]:
         incident = [
             tri
@@ -178,7 +180,7 @@ def test_torus_gamma_edges_have_two_incident_faces_or_rim():
         if len(incident) == 1:
             sym = [
                 tri
-                for tri in _triples(m, cls.symmetry_faces)
+                for tri in _triples(m, symmetry_faces)
                 if edge[0] in tri and edge[1] in tri
             ]
             assert len(sym) == 1

@@ -67,7 +67,7 @@ def test_single_valuedness_across_elements():
     # the entity see the same point by construction
     seen = {}
     for t in cls.o_tets:
-        for g in nodes.cell_nodes(t):
+        for g in nodes.cell_nodes_table[t]:
             g = int(g)
             if table.gamma_mask[g]:
                 p = table.points[g]
@@ -86,7 +86,7 @@ def test_modified_basis_delta_and_free_counts(degree):
         basis = build_modified_basis(mesh, nodes, table, t)
         # psi_j(shifted node i) = delta_ij
         amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
-        cell = nodes.cell_nodes(t)
+        cell = nodes.cell_nodes_table[t]
         refs = amap.to_reference(table.points[cell])
         psi = shape_values(degree, refs) @ basis.C
         assert np.max(np.abs(psi - np.eye(n_k))) <= 1e-10
@@ -149,7 +149,7 @@ def test_mesh_too_coarse_raises():
     # corrupt the table: collapse one shifted point onto a vertex of its
     # element, which makes two rows of the node matrix coincide
     nid = table.shifts[0]
-    bad = [t for t in cls.o_tets if nid in map(int, nodes.cell_nodes(t))][0]
+    bad = [t for t in cls.o_tets if nid in map(int, nodes.cell_nodes_table[t])][0]
     table.points[nid] = mesh.vertices[mesh.tets[bad][0]].copy()
     with pytest.raises(ValueError, match="too coarse"):
         build_modified_basis(mesh, nodes, table, bad)
