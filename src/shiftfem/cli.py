@@ -35,14 +35,15 @@ _METHODS = ("new", "polyhedral", "nonconforming")
 _DEGREES = (2, 3)
 _BOOLEANS = {"0": False, "false": False, "1": True, "true": True}
 #: the tier-1 modules that assert the method's invariants: quadrature and
-#: shape functions, P_k reproduction of the shifted basis, mesh validity
-#: and the nonconforming patch test
+#: shape functions, P_k reproduction of the shifted basis, mesh validity,
+#: the nonconforming patch test, and the sparse solve against dense LU
 CHECK_MODULES = (
     "test_elements.py",
     "test_basis_properties.py",
     "test_trialspace.py",
     "test_nonconforming.py",
     "test_meshgen.py",
+    "test_solver.py",
 )
 
 

@@ -133,7 +133,8 @@ class AffineMap:
     def to_physical(self, ref_points):
         """Reference points (m, 3) -> physical points, (m, 3) or (n, m, 3)."""
         pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
-        return self.v0[..., None, :] + pts @ np.swapaxes(self.B, -1, -2)
+        return self.v0[..., None, :] + np.einsum("...de,me->...md",
+                                                 self.B, pts)
 
     def to_reference(self, phys_points):
         """Physical points (m, 3), or (n, m, 3) for a stack, -> reference."""

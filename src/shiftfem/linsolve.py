@@ -1,4 +1,12 @@
-"""Deterministic direct solution of the assembled sparse systems."""
+"""Deterministic direct solution of the assembled sparse systems.
+
+Every system matrix of the three methods has a structurally symmetric
+pattern (two equations couple exactly when their DOFs share a tet), so
+SuperLU orders the columns by minimum degree on the pattern of A + Aᵀ and
+runs in symmetric mode, which prefers the diagonal pivot.  On the sphere
+systems that stores a quarter to a half fewer factor entries than the
+default COLAMD column ordering.  Threshold partial pivoting stays on, so a
+matrix with an unsymmetric pattern is still solved."""
 from __future__ import annotations
 
 import time
@@ -15,14 +23,29 @@ class SolveReport:
     x: np.ndarray
     relative_residual: float
     seconds: float  # the factorization and solve only
+    # entries SuperLU stores for L and U (its supernodal count, which
+    # includes the zeros of relaxed supernodes); materialising lu.L and
+    # lu.U to count theirs would copy the whole factor
+    fill: int
 
 
 def solve(system: System, tol: float = 1e-12) -> SolveReport:
-    """Sparse LU with partial pivoting; checks the residual contract."""
+    """Sparse LU with a minimum-degree ordering of A + Aᵀ in symmetric
+    mode, with threshold partial pivoting; checks the residual contract."""
     if not 0.0 < tol <= 1e-6:
         raise ValueError("solver tolerance must be in (0, 1e-6]")
     t0 = time.perf_counter()
-    lu = splu(system.A.tocsc())
+    A = system.A.tocsc()
+    try:
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A",
+                  options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise RuntimeError(
+            "solver failure: sparse LU factor of the %d×%d system is "
+            "exactly singular" % A.shape
+        ) from exc
     x = lu.solve(system.b)
     seconds = time.perf_counter() - t0
     res = np.linalg.norm(system.A @ x - system.b)
@@ -32,4 +55,5 @@ def solve(system: System, tol: float = 1e-12) -> SolveReport:
         raise RuntimeError(
             "solver failure: relative residual %.3e exceeds %.1e" % (rel, tol)
         )
-    return SolveReport(x=x, relative_residual=float(rel), seconds=seconds)
+    return SolveReport(x=x, relative_residual=float(rel), seconds=seconds,
+                       fill=lu.nnz)

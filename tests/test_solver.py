@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from shiftfem.assembly import System, assemble_new_method
+from shiftfem.assembly import System, assemble_new_method, assemble_polyhedral
+from shiftfem.cases import get_case
 from shiftfem.dofs import DofMap, build_lagrange_nodes
 from shiftfem.linsolve import solve
 from shiftfem.meshgen import classify_boundary, generate_octant_mesh
+from shiftfem.nonconforming import nc_assemble
 from shiftfem.surfaces import Ellipsoid
+
+BUILDERS = {"new": assemble_new_method, "polyhedral": assemble_polyhedral,
+            "nonconforming": nc_assemble}
+
+
+def _case_system(case_name, method, degree, param):
+    case = get_case(case_name)
+    mesh = case.mesh(param)
+    cls = classify_boundary(mesh, case.surface)
+    return BUILDERS[method](mesh, cls, case.surface, degree, case.f, case.g)
 
 
 def _wrap(A, b):
@@ -24,6 +37,7 @@ def test_identity_system():
 
 
 def test_two_by_two():
+    """Its pattern is not symmetric: symmetric mode still solves it."""
     rep = solve(_wrap([[2.0, 1.0], [0.0, 1.0]], [3.0, 1.0]))
     np.testing.assert_allclose(rep.x, [1.0, 1.0], atol=1e-14)
 
@@ -34,7 +48,7 @@ def test_tolerance_validation():
 
 
 def test_singular_system_fails():
-    with pytest.raises((RuntimeError, ValueError, Exception)):
+    with pytest.raises(RuntimeError, match="solver failure"):
         solve(_wrap([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0]))
 
 
@@ -50,6 +64,43 @@ def test_new_method_system_matches_dense_lu_oracle():
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(rep.x - dense)) <= 1e-9 * scale
     assert rep.relative_residual <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["polyhedral", "nonconforming"])
+def test_baseline_systems_match_dense_lu_oracle(method):
+    system = _case_system("tp1-sphere", method, 2, 4)
+    rep = solve(system)
+    dense = np.linalg.solve(system.A.toarray(), system.b)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(rep.x - dense)) <= 1e-9 * scale
+    assert rep.relative_residual <= 1e-12
+
+
+def test_solve_is_bit_identical_when_repeated():
+    system = _case_system("tp1-sphere", "new", 2, 4)
+    np.testing.assert_array_equal(solve(system).x, solve(system).x)
+
+
+@pytest.mark.parametrize("case_name,method,degree,param", [
+    ("tp1-sphere", "new", 2, 4),
+    ("tp1-sphere", "new", 3, 4),
+    ("tp1-sphere", "polyhedral", 2, 4),
+    ("tp1-sphere", "nonconforming", 2, 4),
+    ("tp2-ellipsoid", "nonconforming", 2, 4),
+    ("tp3-torus", "new", 2, 4),
+])
+def test_system_patterns_are_symmetric(case_name, method, degree, param):
+    """The premise of the A + Aᵀ ordering: the stored entries of A, explicit
+    zeros included, are those of Aᵀ."""
+    A = _case_system(case_name, method, degree, param).A
+    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), A.shape)
+    assert (pattern != pattern.T).nnz == 0
+
+
+def test_ordering_reduces_fill_below_colamd():
+    system = _case_system("tp1-sphere", "nonconforming", 2, 8)
+    colamd = splu(system.A.tocsc())
+    assert solve(system).fill < colamd.nnz
 
 
 def test_dimension_grows_cubically():
