@@ -82,25 +82,21 @@ def eoc(e1, e2, h1, h2):
     return float(np.log(e1 / e2) / np.log(h1 / h2))
 
 
-#: method -> name of its system builder in this module, looked up at call
-#: time so that a rebound builder is the one called
-_BUILDERS = {
-    "new": "assemble_new_method",
-    "polyhedral": "assemble_polyhedral",
-    "nonconforming": "nc_assemble",
-}
-
-
 def run_single(case: ExactCase, method: str, degree: int, param,
                record_time=True, tol=1e-12):
     """Mesh, assemble, solve, and measure one case/refinement combination.
     `solve_seconds` is the sparse solve alone (0 without `record_time`)."""
-    if method not in _BUILDERS:
+    # built at call time, so that a rebound builder is the one called
+    builders = {
+        "new": assemble_new_method,
+        "polyhedral": assemble_polyhedral,
+        "nonconforming": nc_assemble,
+    }
+    if method not in builders:
         raise ValueError("unknown method %r" % method)
     mesh = case.mesh(param)
     cls = classify_boundary(mesh, case.surface)
-    build = globals()[_BUILDERS[method]]
-    system = build(mesh, cls, case.surface, degree, case.f, case.g)
+    system = builders[method](mesh, cls, case.surface, degree, case.f, case.g)
     report = solve(system, tol)
     coeffs = element_phi_coefficients(system, report.x)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dofs import DofMap, build_lagrange_nodes
+from .dofs import DofMap, LagrangeNodeSet, build_lagrange_nodes
 from .elements import AffineMap, shape_gradients, shape_values, tet_quadrature
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
@@ -110,10 +110,8 @@ def assemble_new_method(
     cls.check_assumption()
     nodes = build_lagrange_nodes(mesh, degree)
     table = build_shifted_node_table(mesh, cls, surface, nodes)
-    dofmap = DofMap(nodes.cell_nodes_table, table.gamma_mask)
-    dirichlet = table.dirichlet_values(g)
     basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
-    return assemble(mesh, degree, dofmap, dirichlet, basis, None, f)
+    return _lagrange_system(mesh, cls, nodes, table.points, basis, f, g)
 
 
 def assemble_polyhedral(
@@ -128,11 +126,18 @@ def assemble_polyhedral(
     imposed at the Gamma_h nodes themselves.  `surface` is unused; the
     signature is that of every builder."""
     nodes = build_lagrange_nodes(mesh, degree)
+    return _lagrange_system(mesh, cls, nodes, nodes.coords, None, f, g)
+
+
+def _lagrange_system(mesh: Mesh, cls: BoundaryClassification,
+                     nodes: LagrangeNodeSet, points, basis, f, g) -> System:
+    """The system over the Lagrange nodes, with the Dirichlet value of each
+    Gamma_h node read from `g` at its row of `points` (n_nodes, 3)."""
     gamma_mask = nodes.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
-    dirichlet[gamma_mask] = g(nodes.coords[gamma_mask])
+    dirichlet[gamma_mask] = g(points[gamma_mask])
     dofmap = DofMap(nodes.cell_nodes_table, gamma_mask)
-    return assemble(mesh, degree, dofmap, dirichlet, None, None, f)
+    return assemble(mesh, nodes.degree, dofmap, dirichlet, basis, None, f)
 
 
 def element_phi_coefficients(system: System, x: np.ndarray):

@@ -14,9 +14,11 @@ checkout) and needs the `test` extra; without that directory it is an
 error.
 
 Options may also come from a plain-text config file of key=value lines
-(via --config), whose keys are the subcommand's options; command-line
-flags override file entries.  Every run is deterministic: --sequential
-only writes 0 in the solve_seconds column.
+(via --config), whose keys are the subcommand's options.  The subcommand's
+own parser reads each entry as the flag it stands for, so a value is
+accepted exactly when the flag accepts it; command-line flags override
+file entries.  Every run is deterministic: --sequential only writes 0 in
+the solve_seconds column.
 """
 from __future__ import annotations
 
@@ -31,8 +33,6 @@ from .assembly import element_phi_coefficients, write_matrix_market
 from .cases import case_registry, get_case
 from .meshgen import classify_boundary, write_mesh_text, write_vtk
 
-_METHODS = ("new", "polyhedral", "nonconforming")
-_DEGREES = (2, 3)
 _BOOLEANS = {"0": False, "false": False, "1": True, "true": True}
 #: the tier-1 modules that assert the method's invariants: quadrature and
 #: shape functions, P_k reproduction of the shifted basis, mesh validity,
@@ -63,6 +63,7 @@ def _load_config(path, keys):
 
 
 def _build_parser():
+    """The top-level parser and its subcommands' parsers by name."""
     ap = argparse.ArgumentParser(
         prog="shiftfem",
         description="Poisson solver on curved domains with boundary-shifted "
@@ -72,92 +73,81 @@ def _build_parser():
     options = {
         "config": dict(help="key=value config file"),
         "case": dict(choices=sorted(case_registry())),
-        "method": dict(choices=_METHODS),
-        "k": dict(type=int, choices=_DEGREES),
+        "method": dict(choices=("new", "polyhedral", "nonconforming"),
+                       default="new"),
+        "k": dict(type=int, choices=(2, 3), default=2),
         "refine": dict(help="comma-separated refinement parameters "
                        "(J or I values)"),
-        "out": dict(help="output directory (default .)"),
+        "out": dict(type=Path, default=".",
+                    help="output directory (default %(default)s)"),
         "sequential": dict(action="store_true",
                            help="write 0 in the solve_seconds column"),
-        "tol": dict(type=float, help="solver residual tolerance "
-                    "(default 1e-12)"),
+        "tol": dict(type=float, default=1e-12, help="solver residual "
+                    "tolerance (default %(default)s)"),
         "vtk": dict(action="store_true", help="export VTK files"),
         "dump_matrix": dict(action="store_true", help="write the system "
                             "matrix in MatrixMarket format"),
     }
-    for command, text, names in (
-        ("mesh", "generate and export a mesh", ("config", "case", "refine", "out")),
-        ("solve", "solve one refinement", tuple(options)),
+    for command, handler, text, names in (
+        ("mesh", cmd_mesh, "generate and export a mesh",
+         ("config", "case", "refine", "out")),
+        ("solve", cmd_solve, "solve one refinement", tuple(options)),
         # every option but vtk and dump_matrix
-        ("convergence", "run a refinement study", tuple(options)[:-2]),
-        ("check", "run the invariant tests of a source checkout (needs the "
-         "test extra)", ()),
+        ("convergence", cmd_convergence, "run a refinement study",
+         tuple(options)[:-2]),
+        ("check", cmd_check, "run the invariant tests of a source checkout "
+         "(needs the test extra)", ()),
     ):
         p = sub.add_parser(command, help=text)
+        p.set_defaults(handler=handler)
         for name in names:
             p.add_argument("--" + name.replace("_", "-"), **options[name])
-    return ap
-
-
-def _checked(key, value, choices):
-    """A config value, rejected unless it is one of the flag's choices."""
-    if value not in choices:
-        raise ValueError("config key %s: %r is not one of %s"
-                         % (key, value, ", ".join(map(str, choices))))
-    return value
+    return ap, sub.choices
 
 
 def _refinement(text):
     """The comma-separated refinement parameters, each an integer >= 1."""
-    items = [s.strip() for s in str(text).split(",") if s.strip()]
+    items = [s.strip() for s in (text or "").split(",") if s.strip()]
     bad = [s for s in items if not (s.isdecimal() and int(s) >= 1)]
     if bad:
         raise ValueError("refine: %r is not an integer >= 1" % bad[0])
     return [int(s) for s in items]
 
 
-def _resolve(args):
-    keys = set(vars(args)) - {"command", "config"}
-    cfg = _load_config(args.config, keys) if args.config else {}
-
-    def opt(name, default):
-        """The flag's value, else the config file's, else the default."""
-        value = getattr(args, name, None)
-        return cfg.get(name, default) if value is None else value
-
-    def flag(name):
-        value = _checked(name, cfg.get(name, "0"), _BOOLEANS)
-        return getattr(args, name, False) or _BOOLEANS[value]
-
-    case, refine, tol = opt("case", None), opt("refine", None), opt("tol", 1e-12)
-    if case is None:
+def _resolve(parser, args, argv):
+    """The options of a run: the config file's entries, parsed as the flags
+    they stand for by the subcommand's `parser`, then the command line
+    `argv` on top; argparse's defaults fill what neither sets."""
+    keys = set(vars(args)) - {"command", "config", "handler"}
+    config = getattr(args, "config", None)
+    # the command line has passed this parser: a value it rejects now is
+    # the config file's, an error of the run (exit 1)
+    parser.exit_on_error = False
+    run = argparse.Namespace()
+    for key, value in (_load_config(config, keys) if config else {}).items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(parser.get_default(key), bool):
+            if value not in _BOOLEANS:
+                raise ValueError("config key %s: %r is not one of %s"
+                                 % (key, value, ", ".join(_BOOLEANS)))
+            flags = [flag] if _BOOLEANS[value] else []
+        else:
+            flags = [flag + "=" + value]
+        try:
+            parser.parse_args(flags, namespace=run)
+        except argparse.ArgumentError as exc:
+            raise ValueError("config key %s: %r: %s"
+                             % (key, value, exc.message)) from None
+    parser.parse_args(argv, namespace=run)
+    if "case" in keys and run.case is None:
         raise ValueError("--case is required")
-    try:
-        tol = float(tol)
-    except ValueError:
-        raise ValueError("config key tol: %r is not a number" % tol) from None
-    return argparse.Namespace(
-        case=_checked("case", case, sorted(case_registry())),
-        method=_checked("method", opt("method", "new"), _METHODS),
-        k=int(_checked("k", str(opt("k", 2)), [str(k) for k in _DEGREES])),
-        params=_refinement(refine) if refine else None,
-        out=Path(opt("out", ".")),
-        sequential=flag("sequential"),
-        vtk=flag("vtk"),
-        dump_matrix=flag("dump_matrix"),
-        tol=tol,
-    )
+    return run
 
 
-def _default_params(case):
-    return list(get_case(case).default_params)
-
-
-def cmd_mesh(args):
-    run = _resolve(args)
+def cmd_mesh(run):
     c = get_case(run.case)
     # build every level first, so that a bad one leaves no partial output
-    params = run.params or _default_params(run.case)[:1]
+    params = _refinement(run.refine) or c.default_params[:1]
     meshes = [c.mesh(p) for p in params]
     classes = [classify_boundary(mesh, c.surface) for mesh in meshes]
     run.out.mkdir(parents=True, exist_ok=True)
@@ -179,11 +169,11 @@ def cmd_mesh(args):
                                    stem.with_suffix(".txt")))
 
 
-def cmd_solve(args):
-    run = _resolve(args)
-    if run.params is None or len(run.params) != 1:
+def cmd_solve(run):
+    params = _refinement(run.refine)
+    if len(params) != 1:
         raise ValueError("solve needs exactly one --refine value")
-    param = run.params[0]
+    param = params[0]
     rep, mesh, system, solve_report = analysis.run_single(
         get_case(run.case), run.method, run.k, param,
         record_time=not run.sequential, tol=run.tol,
@@ -197,7 +187,7 @@ def cmd_solve(args):
     print("  err_nodal_max = %.6e" % rep.err_nodal_max)
     run.out.mkdir(parents=True, exist_ok=True)
     table = analysis.ConvergenceTable(
-        case=run.case, method=run.method, degree=run.k, params=run.params,
+        case=run.case, method=run.method, degree=run.k, params=params,
         reports=[rep], eoc_h1=[None], eoc_l2=[None],
     )
     csv_path = run.out / ("%s-%s-k%d.csv" % (run.case, run.method, run.k))
@@ -225,13 +215,13 @@ def _vertex_values(mesh, system, x):
     return total / np.bincount(tets, minlength=mesh.n_vertices)
 
 
-def cmd_convergence(args):
-    run = _resolve(args)
-    params = run.params or _default_params(run.case)
+def cmd_convergence(run):
+    case = get_case(run.case)
+    params = _refinement(run.refine) or case.default_params
     if len(params) < 2:
         raise ValueError("convergence needs at least two --refine values")
-    table = analysis.run_convergence(get_case(run.case), run.method, run.k,
-                                     params, record_time=not run.sequential,
+    table = analysis.run_convergence(case, run.method, run.k, params,
+                                     record_time=not run.sequential,
                                      tol=run.tol)
     print(table.to_text())
     run.out.mkdir(parents=True, exist_ok=True)
@@ -243,7 +233,7 @@ def cmd_convergence(args):
     print("wrote %s and %s" % (csv_path, txt_path))
 
 
-def cmd_check(_args):
+def cmd_check(_run):
     import subprocess
 
     tests = Path(__file__).resolve().parents[2] / "tests"
@@ -257,15 +247,11 @@ def cmd_check(_args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "mesh": cmd_mesh,
-        "solve": cmd_solve,
-        "convergence": cmd_convergence,
-        "check": cmd_check,
-    }
+    argv = sys.argv[1:] if argv is None else argv
+    ap, parsers = _build_parser()
+    args = ap.parse_args(argv)
     try:
-        handlers[args.command](args)
+        args.handler(_resolve(parsers[args.command], args, argv[1:]))
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

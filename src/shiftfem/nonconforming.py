@@ -126,16 +126,21 @@ def nc_assemble(
 ) -> System:
     """Square system over the non-Gamma_h face/edge DOFs.  Only
     homogeneous Dirichlet data is supported: the Gamma_h DOFs carry the
-    value zero, and `g` must vanish on the Gamma_h vertices."""
+    value zero, and `g` must vanish at every point they read, which are
+    the Gamma_h vertices, the shifted edge points Q_e of the Gamma_h edges
+    and the shifted points of the Gamma_h faces."""
     if degree != 2:
         raise ValueError("the nonconforming element only exists for k=2")
-    if np.any(g(mesh.vertices[bc.gamma_vertices]) != 0.0):
+    bc.check_assumption()
+    edge_points = _shifted_edge_points(mesh, bc, surface)
+    face_points = _shifted_face_points(mesh, bc, surface)
+    read = np.vstack([mesh.vertices[bc.gamma_vertices],
+                      edge_points[bc.gamma_edges], face_points[bc.gamma_faces]])
+    if np.any(g(read) != 0.0):
         raise ValueError("the nonconforming element needs homogeneous "
                          "Dirichlet data")
-    bc.check_assumption()
     dofmap = nc_dofmap(mesh, bc)
-    basis = build_nc_modified_basis(
-        mesh, bc, bc.o_tets, _shifted_edge_points(mesh, bc, surface),
-        _shifted_face_points(mesh, bc, surface))
+    basis = build_nc_modified_basis(mesh, bc, bc.o_tets, edge_points,
+                                    face_points)
     return assemble(mesh, 2, dofmap, np.zeros(dofmap.n_dofs), basis,
                     nc_reference_matrix(), f)

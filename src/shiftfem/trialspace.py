@@ -34,14 +34,6 @@ class ShiftedNodeTable:
 
     shifts: np.ndarray  # (n_shifted,) ids of the shifted (edge and face) nodes
     points: np.ndarray  # (n_nodes, 3) evaluation point of every node
-    gamma_mask: np.ndarray  # per-node: lies on Gamma_h
-
-    def dirichlet_values(self, g):
-        """Per-node array: the boundary datum at the shifted point of every
-        Gamma_h node, 0 elsewhere."""
-        vals = np.zeros(len(self.points))
-        vals[self.gamma_mask] = g(self.points[self.gamma_mask])
-        return vals
 
 
 def build_shifted_node_table(
@@ -81,8 +73,7 @@ def build_shifted_node_table(
             M, d, 4.0 * np.maximum(h_t, dist))
         shifts.append(nid)
 
-    return ShiftedNodeTable(shifts=np.concatenate(shifts), points=points,
-                            gamma_mask=nodes.gamma_mask(cls))
+    return ShiftedNodeTable(shifts=np.concatenate(shifts), points=points)
 
 
 @dataclass

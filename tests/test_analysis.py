@@ -8,8 +8,6 @@ import pytest
 
 from shiftfem.analysis import (
     CSV_HEADER,
-    ConvergenceTable,
-    ErrorReport,
     eoc,
     error_norms,
     run_convergence,

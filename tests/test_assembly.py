@@ -8,7 +8,6 @@ from shiftfem.assembly import (
     assemble_polyhedral,
     element_load,
     element_stiffness,
-    element_phi_coefficients,
     write_matrix_market,
 )
 from shiftfem.dofs import build_lagrange_nodes
@@ -268,12 +267,12 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
             system = assemble_new_method(mesh, cls, SPHERE, degree, f, g)
             basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
             C = dict(zip(basis.tets.tolist(), basis.C))
-            for n in np.nonzero(table.gamma_mask)[0]:
+            for n in np.nonzero(nodes.gamma_mask(cls))[0]:
                 g_dofs[n] = g(table.points[n])
         else:
             system = assemble_polyhedral(mesh, cls, SPHERE, degree, f, g)
             C = {}
-            for n in np.nonzero(table.gamma_mask)[0]:
+            for n in np.nonzero(nodes.gamma_mask(cls))[0]:
                 g_dofs[n] = g(nodes.coords[n])
 
     dofmap = system.dofmap

@@ -126,8 +126,7 @@ def test_unshifted_points_give_identity_dof_matrices(element):
     else:
         nodes = build_lagrange_nodes(mesh, int(element[-1]))
         table = ShiftedNodeTable(shifts=np.arange(nodes.n_nodes),
-                                 points=nodes.coords,
-                                 gamma_mask=np.ones(nodes.n_nodes, dtype=bool))
+                                 points=nodes.coords)
         basis = build_modified_basis(mesh, nodes, table, tets)
     assert basis.K.shape[0] == mesh.n_tets
     assert np.max(np.abs(basis.K - np.eye(basis.K.shape[-1]))) <= 1e-13

@@ -249,6 +249,53 @@ def test_config_values_are_checked(tmp_path, capsys, line):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("k", "03"), ("k", "+3"), ("k", "4"), ("tol", "1E-9"), ("tol", "abc"),
+    ("method", "Polyhedral"), ("case", "tp4-cube"),
+])
+def test_config_entry_is_accepted_exactly_when_its_flag_is(tmp_path, capsys,
+                                                          key, value):
+    """The subcommand's parser reads both: an entry the flag accepts gives
+    the same CSV, and one it rejects fails naming the key."""
+    entries = {"case": "tp1-sphere", "refine": "4", key: value}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join("%s=%s\n" % item for item in entries.items()))
+    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+    file_rc = main(["solve", "--config", str(cfg), "--out", str(by_file),
+                    "--sequential"])
+    err = capsys.readouterr().err
+    try:
+        flag_rc = main(["solve", "--out", str(by_flag), "--sequential"]
+                       + ["--%s=%s" % item for item in entries.items()])
+    except SystemExit as exc:
+        flag_rc = exc.code
+    assert (file_rc == 0) == (flag_rc == 0)
+    if file_rc:
+        assert file_rc == 1 and flag_rc == 2
+        assert err.startswith("error: config key %s: %r" % (key, value))
+    else:
+        [csv] = by_file.glob("*.csv")
+        assert csv.read_text() == (by_flag / csv.name).read_text()
+
+
+def test_flags_override_config_entries(tmp_path):
+    """Each kind of option set in the file is overridden by its flag: a
+    choice, an int, a float, a path, a boolean and the refinement."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=tp2-ellipsoid\nmethod=polyhedral\nk=3\ntol=1e-3\n"
+                   "out=%s\nsequential=false\nrefine=8\n" % (tmp_path / "file"))
+    out = tmp_path / "flag"
+    rc = main(["solve", "--config", str(cfg), "--case", "tp1-sphere",
+               "--method", "new", "--k", "2", "--tol", "1e-12", "--out",
+               str(out), "--sequential", "--refine", "4"])
+    # the file's tol alone would fail the solver
+    assert rc == 0
+    assert not (tmp_path / "file").exists()
+    row = (out / "tp1-sphere-new-k2.csv").read_text().splitlines()[1]
+    fields = row.split(",")
+    assert fields[3] == "4" and fields[11] == "0"
+
+
 @pytest.mark.parametrize("value,zeroed", [("true", True), ("false", False)])
 def test_config_boolean_words(tmp_path, value, zeroed):
     cfg = tmp_path / "run.cfg"

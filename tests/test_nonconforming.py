@@ -192,6 +192,19 @@ def test_inhomogeneous_data_rejected():
     with pytest.raises(ValueError, match="homogeneous"):
         nc_assemble(mesh, cls, SPHERE, 2, lambda p: 1.0, lambda p: 1.0)
 
+    # 0 at every Gamma_h vertex and 1 elsewhere: the shifted edge and face
+    # points, which the Gamma_h DOFs read too, see 1
+    mesh = generate_octant_mesh(4)
+    cls = classify_boundary(mesh, SPHERE)
+    vertices = mesh.vertices[cls.gamma_vertices]
+
+    def g(p):
+        on_vertex = np.all(p[..., None, :] == vertices, axis=-1).any(axis=-1)
+        return np.where(on_vertex, 0.0, 1.0)
+
+    with pytest.raises(ValueError, match="homogeneous"):
+        nc_assemble(mesh, cls, SPHERE, 2, lambda p: 1.0, g)
+
 
 def test_nc_mesh_too_coarse_raises():
     """A shifted edge point far off the element trips the same

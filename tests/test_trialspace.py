@@ -4,6 +4,7 @@ import copy
 import numpy as np
 import pytest
 
+from shiftfem.assembly import assemble_new_method
 from shiftfem.cases import get_case
 from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.elements import AffineMap, shape_values, tet_quadrature
@@ -63,13 +64,14 @@ def test_face_node_shift_is_radial_for_corner_tet():
 
 def test_single_valuedness_across_elements():
     mesh, cls, nodes, table = _setup(4, 2)
+    gamma_mask = nodes.gamma_mask(cls)
     # every Gamma_h node appears once in the global table; elements sharing
     # the entity see the same point by construction
     seen = {}
     for t in cls.o_tets:
         for g in nodes.cell_nodes_table[t]:
             g = int(g)
-            if table.gamma_mask[g]:
+            if gamma_mask[g]:
                 p = table.points[g]
                 if g in seen:
                     np.testing.assert_array_equal(seen[g], p)
@@ -82,6 +84,7 @@ def test_modified_basis_delta_and_free_counts(degree):
     n_k = 10 if degree == 2 else 20
     m_k = degree * (degree + 2) * (degree + 1) // 6
     p_k = n_k - (degree + 1)
+    gamma_mask = nodes.gamma_mask(cls)
     for t in cls.o_tets:
         basis = build_modified_basis(mesh, nodes, table, t)
         # psi_j(shifted node i) = delta_ij
@@ -90,7 +93,7 @@ def test_modified_basis_delta_and_free_counts(degree):
         refs = amap.to_reference(table.points[cell])
         psi = shape_values(degree, refs) @ basis.C
         assert np.max(np.abs(psi - np.eye(n_k))) <= 1e-10
-        n_free = np.count_nonzero(~table.gamma_mask[cell])
+        n_free = np.count_nonzero(~gamma_mask[cell])
         if t in cls.s_tets:
             assert n_free == m_k
         else:
@@ -128,13 +131,19 @@ def test_perturbation_shrinks_linearly_with_h():
 
 def test_dirichlet_values():
     mesh, cls, nodes, table = _setup(3, 2)
-    zeros = table.dirichlet_values(lambda p: 0.0)
-    assert zeros.shape == table.gamma_mask.shape
-    assert np.all(zeros == 0.0)
+    gamma_mask = nodes.gamma_mask(cls)
+
+    def system(g):
+        return assemble_new_method(mesh, cls, SPHERE, 2, lambda p: 0.0, g)
+
+    zeros = system(lambda p: 0.0)
+    assert np.array_equal(zeros.dofmap.gamma_mask, gamma_mask)
+    assert zeros.dirichlet.shape == gamma_mask.shape
+    assert np.all(zeros.dirichlet == 0.0)
     # a linear g is evaluated at the shifted points, and only on Gamma_h
-    vals = table.dirichlet_values(lambda p: p[..., 0] + 2.0)
-    assert np.all(vals[~table.gamma_mask] == 0.0)
-    for n in np.nonzero(table.gamma_mask)[0]:
+    vals = system(lambda p: p[..., 0] + 2.0).dirichlet
+    assert np.all(vals[~gamma_mask] == 0.0)
+    for n in np.nonzero(gamma_mask)[0]:
         assert vals[n] == pytest.approx(table.points[n][0] + 2.0)
 
 
