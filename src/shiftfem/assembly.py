@@ -133,7 +133,7 @@ def _lagrange_system(mesh: Mesh, cls: BoundaryClassification,
                      nodes: LagrangeNodeSet, points, basis, f, g) -> System:
     """The system over the Lagrange nodes, with the Dirichlet value of each
     Gamma_h node read from `g` at its row of `points` (n_nodes, 3)."""
-    gamma_mask = nodes.gamma_mask(cls)
+    gamma_mask = nodes.layout.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
     dirichlet[gamma_mask] = g(points[gamma_mask])
     dofmap = DofMap(nodes.cell_nodes_table, gamma_mask)

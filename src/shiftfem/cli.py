@@ -50,8 +50,8 @@ CHECK_MODULES = (
 def _load_config(path, keys):
     values = {}
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError("bad config line (expected key=value): %r" % raw)

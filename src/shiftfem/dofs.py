@@ -1,16 +1,20 @@
-"""Global degree-of-freedom numbering.
+"""Global degree-of-freedom numbering, one block per entity kind.
 
-Lagrange nodes of the continuous P2/P3 spaces are owned by mesh entities:
-one node per vertex, k-1 nodes per edge (ordered from the smaller to the
-larger global vertex id), and for k=3 one node per face.  Node ids follow
-the entity ids of `meshgen.Topology`: the vertices, then the nodes of
-edge 0, edge 1, ..., then the face nodes in face-id order.  This makes
-continuity automatic and lets boundary classification decide per entity
-whether a node lies on Gamma_h.
+A `DofLayout` gives each vertex, edge and face of a mesh a fixed number
+of DOFs and numbers them in one block per entity dimension, the blocks in
+a chosen order and each block in the entity ids of `meshgen.Topology`.
+An edge's DOFs run from its smaller to its larger global vertex id, and
+the per-tet table flips them where the tet's local edge runs the other
+way, which makes continuity automatic.  Boundary classification decides
+per entity whether its DOFs lie on Gamma_h.  scikit-fem (Gustafsson &
+McBain, JOSS 2020) numbers every element this way.
 
-Every discretization numbers its equations through one `DofMap`: a table
-of the global DOF ids of each tet plus a Gamma_h mask.  The equations are
-the DOFs off Gamma_h, in ascending order.
+The Lagrange nodes of degree k have 1, k-1 and (k-1)(k-2)/2 DOFs per
+vertex, edge and face, counted off `elements.multi_indices`, which holds
+the one degree check; the nonconforming DOFs are (0, 1, 1), faces first.
+Each discretization numbers its equations through a `DofMap`: the DOF ids
+of each tet and a Gamma_h mask.  The equations are the DOFs off Gamma_h,
+in ascending order.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import EDGES
+from .elements import EDGES, multi_indices
 from .meshgen import BoundaryClassification, Mesh
 
 
@@ -39,8 +43,50 @@ class DofMap:
 
 
 @dataclass
-class LagrangeNodeSet:
+class DofLayout:
+    """`counts` DOFs per vertex, edge and face of `mesh`, numbered in one
+    block per entity dimension, the blocks in the order of `order`."""
+
     mesh: Mesh
+    counts: tuple  # DOFs per vertex, edge, face
+    order: tuple = (0, 1, 2)  # entity dimension of each block
+
+    @property
+    def sizes(self):
+        """DOFs in the vertex, edge and face blocks."""
+        top = self.mesh.topology
+        return np.multiply(self.counts,
+                           (self.mesh.n_vertices, top.n_edges, top.n_faces))
+
+    def ids(self, dim, entities):
+        """DOF ids (..., counts[dim]) of entity ids (...) of dimension dim."""
+        start = self.sizes[list(self.order[:self.order.index(dim)])].sum()
+        c = self.counts[dim]
+        return start + c * np.asarray(entities)[..., None] + np.arange(c)
+
+    def cells(self):
+        """(n_tets, n_loc) DOF ids of each tet, in the block order."""
+        tets, top = self.mesh.tets, self.mesh.topology
+        a, b = np.array(EDGES).T
+        edge = self.ids(1, top.tet_edges)
+        blocks = (self.ids(0, tets),
+                  np.where((tets[:, a] > tets[:, b])[..., None],
+                           edge[..., ::-1], edge),
+                  self.ids(2, top.tet_faces))
+        return np.hstack([blocks[d].reshape(len(tets), -1) for d in self.order])
+
+    def gamma_mask(self, cls: BoundaryClassification, dims=(0, 1, 2)):
+        """(n_dofs,) True for the DOFs of the Gamma_h entities of `dims`."""
+        mask = np.zeros(self.sizes.sum(), dtype=bool)
+        entities = (cls.gamma_vertices, cls.gamma_edges, cls.gamma_faces)
+        for d in dims:
+            mask[self.ids(d, entities[d])] = True
+        return mask
+
+
+@dataclass
+class LagrangeNodeSet:
+    layout: DofLayout
     degree: int
     coords: np.ndarray  # (n_nodes, 3)
     cell_nodes_table: np.ndarray  # (n_tets, n_k)
@@ -49,51 +95,20 @@ class LagrangeNodeSet:
     def n_nodes(self):
         return self.coords.shape[0]
 
-    def edge_nodes(self, edges):
-        """Node ids (..., k-1) of edge ids (...), each edge's nodes running
-        from its smaller vertex id."""
-        per_edge = self.degree - 1
-        return (self.mesh.n_vertices + per_edge * np.asarray(edges)[..., None]
-                + np.arange(per_edge))
-
-    def face_nodes(self, faces):
-        """Node ids of the centroid nodes of face ids (k = 3)."""
-        return (self.mesh.n_vertices
-                + (self.degree - 1) * self.mesh.topology.n_edges
-                + np.asarray(faces))
-
-    def gamma_mask(self, cls: BoundaryClassification):
-        """Boolean mask over global nodes: True when the node lies on Gamma_h."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[cls.gamma_vertices] = True
-        mask[self.edge_nodes(cls.gamma_edges)] = True
-        if self.degree == 3:
-            mask[self.face_nodes(cls.gamma_faces)] = True
-        return mask
-
 
 def build_lagrange_nodes(mesh: Mesh, degree: int) -> LagrangeNodeSet:
-    if degree not in (2, 3):
-        raise ValueError("only degrees 2 and 3 are supported")
-    k = degree
-    top = mesh.topology
-    frac = (np.arange(k - 1) + 1) / k
-    pa = mesh.vertices[top.edge_vertices[:, 0]][:, None, :]
-    pb = mesh.vertices[top.edge_vertices[:, 1]][:, None, :]
-    edge_coords = (1.0 - frac)[:, None] * pa + frac[:, None] * pb
-    coords = [mesh.vertices, edge_coords.reshape(-1, 3)]
-    if k == 3:
-        coords.append(mesh.vertices[top.face_vertices].mean(axis=1))
-    nodes = LagrangeNodeSet(mesh, degree, np.vstack(coords), None)
-
-    # global edge nodes run from the smaller vertex id; flip them where the
-    # local edge runs the other way
-    tets = mesh.tets
-    ids = nodes.edge_nodes(top.tet_edges)
-    a, b = np.array(EDGES).T
-    ids = np.where((tets[:, a] > tets[:, b])[:, :, None], ids[:, :, ::-1], ids)
-    table = [tets, ids.reshape(mesh.n_tets, -1)]
-    if k == 3:
-        table.append(nodes.face_nodes(top.tet_faces))
-    nodes.cell_nodes_table = np.hstack(table)
-    return nodes
+    """The nodes of the continuous P_k space.  Their counts, and their
+    places on every edge and face (vertices sorted), are those of the
+    reference nodes on edge (0, 1) and face (1, 2, 3)."""
+    k, alpha = degree, multi_indices(degree)
+    support = np.count_nonzero(alpha, axis=1)
+    counts = np.bincount(support, minlength=4)[1:4] // (4, 6, 4)
+    layout = DofLayout(mesh, tuple(counts.tolist()))
+    t = alpha[support == 2][:counts[1], 1, None] / k
+    face = alpha[support == 3][:counts[2], 1:, None]
+    p, top = mesh.vertices, mesh.topology
+    ends = p[top.edge_vertices][:, None]
+    edges = (1.0 - t) * ends[..., 0, :] + t * ends[..., 1, :]
+    faces = (face * p[top.face_vertices][:, None]).sum(axis=2) / k
+    coords = np.vstack([p, edges.reshape(-1, 3), faces.reshape(-1, 3)])
+    return LagrangeNodeSet(layout, k, coords, layout.cells())

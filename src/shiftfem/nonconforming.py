@@ -26,15 +26,12 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import System, assemble
-from .dofs import DofMap, build_lagrange_nodes
+from .dofs import DofLayout, DofMap, build_lagrange_nodes
 from .elements import EDGES, FACES, REF_VERTICES, shape_values
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
-from .trialspace import (
-    ModifiedElementBasis,
-    build_shifted_node_table,
-    shifted_dof_matrices,
-)
+from .trialspace import (ModifiedElementBasis, build_shifted_node_table,
+                         shifted_dof_matrices)
 
 # Not called here: bench/tracing.py rebinds these names on this module.
 from .assembly import element_load, element_stiffness  # noqa: F401
@@ -72,14 +69,9 @@ def nc_reference_matrix() -> np.ndarray:
 
 
 def nc_dofmap(mesh: Mesh, bc: BoundaryClassification) -> DofMap:
-    """DOF map of the face and edge DOFs: face ids, then n_faces + edge
-    ids, with the Gamma_h faces and edges masked."""
-    top = mesh.topology
-    cells = np.hstack([top.tet_faces, top.n_faces + top.tet_edges])
-    gamma = np.zeros(top.n_faces + top.n_edges, dtype=bool)
-    gamma[bc.gamma_faces] = True
-    gamma[top.n_faces + bc.gamma_edges] = True
-    return DofMap(cells, gamma)
+    """One DOF per face and per edge, faces first; Gamma_h ones masked."""
+    layout = DofLayout(mesh, (0, 1, 1), (2, 1, 0))
+    return DofMap(layout.cells(), layout.gamma_mask(bc))
 
 
 def _shifted_edge_points(mesh, bc, surface):
@@ -88,7 +80,7 @@ def _shifted_edge_points(mesh, bc, surface):
     elsewhere: the edge nodes of the P2 shift table."""
     nodes = build_lagrange_nodes(mesh, 2)
     points = build_shifted_node_table(mesh, bc, surface, nodes).points
-    return points[mesh.n_vertices:]
+    return points[nodes.layout.ids(1, np.arange(mesh.topology.n_edges))[:, 0]]
 
 
 def _shifted_face_points(mesh, bc, surface):

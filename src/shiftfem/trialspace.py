@@ -8,9 +8,12 @@ Shift rules per owning entity:
   * interior node of a Gamma_h edge e: moved to the nearest intersection Q
     of Gamma with the line through the node along the skin direction of e
     (orthogonal to e, bisecting the adjacent boundary-face normals);
-  * interior node of a Gamma_h face (degree 3): moved to the nearest
-    intersection P of Gamma with the line through the node and the vertex
-    of the face's tet opposite to the face.
+  * interior node of a Gamma_h face (the centroid at degree 3, none at
+    degree 2): moved to the nearest intersection P of Gamma with the line
+    through the node and the vertex of the face's tet opposite to the face.
+
+The nodes of an entity are read off the layout of `dofs`; the shifted
+nodes are the DOFs of the Gamma_h edges and faces.
 """
 from __future__ import annotations
 
@@ -36,44 +39,38 @@ class ShiftedNodeTable:
     points: np.ndarray  # (n_nodes, 3) evaluation point of every node
 
 
-def build_shifted_node_table(
-    mesh: Mesh,
-    cls: BoundaryClassification,
-    surface: Surface,
-    nodes: LagrangeNodeSet,
-) -> ShiftedNodeTable:
-    """Shift every Gamma_h edge node, and for k=3 every Gamma_h face node,
-    with one batched line query per kind of node."""
-    top = mesh.topology
+def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
+                             surface: Surface, nodes: LagrangeNodeSet
+                             ) -> ShiftedNodeTable:
+    """Shift every node of a Gamma_h edge and of a Gamma_h face, with one
+    batched line query per entity dimension."""
+    top, layout = mesh.topology, nodes.layout
     points = nodes.coords.copy()
-    shifts = [np.zeros(0, dtype=np.int64)]
 
-    edges = cls.gamma_edges
-    if edges.size:
-        ends = mesh.vertices[top.edge_vertices[edges]]
+    nid = layout.ids(1, cls.gamma_edges)  # (n_e, k-1)
+    if nid.size:
+        ends = mesh.vertices[top.edge_vertices[cls.gamma_edges]]
         length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
-        nid = nodes.edge_nodes(edges)  # (n_e, k-1)
         points[nid], _t = surface.nearest_line_intersection(
             nodes.coords[nid], skin_directions(mesh, cls)[:, None, :],
             4.0 * length[:, None])
-        shifts.append(nid.ravel())
 
     faces = cls.gamma_faces
-    if nodes.degree == 3 and faces.size:
+    nid = layout.ids(2, faces)  # (n_f, (k-1)(k-2)/2)
+    if nid.size:
         opp = mesh.vertices[mesh.tets[top.face_tet[faces], top.face_local[faces]]]
-        nid = nodes.face_nodes(faces)
         M = nodes.coords[nid]
-        d = M - opp
-        dist = np.linalg.norm(d, axis=1)
-        d /= dist[:, None]
+        d = M - opp[:, None]
+        dist = np.linalg.norm(d, axis=-1)
+        d /= dist[..., None]
         # the sought intersection lies within O(h_T) of M
-        tris = mesh.vertices[top.face_vertices[faces]]
-        h_t = np.max(np.linalg.norm(tris - M[:, None, :], axis=2), axis=1)
+        tris = mesh.vertices[top.face_vertices[faces]][:, None]
+        h_t = np.max(np.linalg.norm(tris - M[..., None, :], axis=-1), axis=-1)
         points[nid], _t = surface.nearest_line_intersection(
             M, d, 4.0 * np.maximum(h_t, dist))
-        shifts.append(nid)
 
-    return ShiftedNodeTable(shifts=np.concatenate(shifts), points=points)
+    return ShiftedNodeTable(
+        shifts=np.flatnonzero(layout.gamma_mask(cls, (1, 2))), points=points)
 
 
 @dataclass
@@ -97,19 +94,6 @@ class ModifiedElementBasis:
         """The largest row sum of |K - I| over the stack."""
         rows = np.abs(self.K - np.eye(self.K.shape[-1])).sum(axis=-1)
         return float(np.max(rows, initial=0.0))
-
-    @classmethod
-    def invert(cls, K, tets):
-        """Invert K behind the conditioning guard, which names the first
-        tet whose matrix fails it."""
-        cond = np.linalg.cond(K, 1)
-        bad = np.flatnonzero(~(cond <= COND_LIMIT))  # NaN and inf fail too
-        if bad.size:
-            raise ValueError(
-                "mesh too coarse for shifted basis (DOF matrix condition %.3g "
-                "on tet %d)" % (np.ravel(cond)[bad[0]], np.ravel(tets)[bad[0]])
-            )
-        return cls(tets=tets, K=K, C=np.linalg.inv(K), conditions=cond)
 
 
 def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
@@ -135,8 +119,14 @@ def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
     phi = np.zeros(ref.shape[:2] + (T.shape[0],))
     phi[t, p] = shape_values(degree, ref[t, p])
     K = np.where(rows[..., None], weights @ phi @ T, np.eye(n_dofs))
-    return ModifiedElementBasis.invert(K.reshape(tets.shape + (n_dofs, n_dofs)),
-                                       tets)
+    K = K.reshape(tets.shape + (n_dofs, n_dofs))
+    cond = np.linalg.cond(K, 1)
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))  # NaN and inf fail too
+    if bad.size:
+        raise ValueError(
+            "mesh too coarse for shifted basis (DOF matrix condition %.3g "
+            "on tet %d)" % (np.ravel(cond)[bad[0]], np.ravel(tets)[bad[0]]))
+    return ModifiedElementBasis(tets, K, np.linalg.inv(K), cond)
 
 
 def build_modified_basis(

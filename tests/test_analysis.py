@@ -106,6 +106,17 @@ def test_error_norms_match_refined_oracle():
     assert l2_a == pytest.approx(l2_b, rel=1e-4)
 
 
+@pytest.mark.parametrize("degree", [1, 4])
+def test_unsupported_degree_is_rejected(degree):
+    """The one degree check, in `elements.multi_indices`, is what the node
+    builder and a full run report."""
+    message = "only degrees 2 and 3 are supported"
+    with pytest.raises(ValueError, match=message):
+        build_lagrange_nodes(generate_box_tet_mesh(1, 1, 1), degree)
+    with pytest.raises(ValueError, match=message):
+        run_single(get_case("tp1-sphere"), "new", degree, 2)
+
+
 def test_convergence_table_structure_and_csv():
     case = get_case("tp1-sphere")
     table = run_convergence(case, "new", 2, [4, 8], record_time=False)

@@ -267,12 +267,12 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
             system = assemble_new_method(mesh, cls, SPHERE, degree, f, g)
             basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
             C = dict(zip(basis.tets.tolist(), basis.C))
-            for n in np.nonzero(nodes.gamma_mask(cls))[0]:
+            for n in np.nonzero(nodes.layout.gamma_mask(cls))[0]:
                 g_dofs[n] = g(table.points[n])
         else:
             system = assemble_polyhedral(mesh, cls, SPHERE, degree, f, g)
             C = {}
-            for n in np.nonzero(nodes.gamma_mask(cls))[0]:
+            for n in np.nonzero(nodes.layout.gamma_mask(cls))[0]:
                 g_dofs[n] = g(nodes.coords[n])
 
     dofmap = system.dofmap

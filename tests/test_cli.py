@@ -154,6 +154,17 @@ def test_config_file_and_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_comment_is_a_whole_line(tmp_path, capsys):
+    """Only a line whose first non-blank character is '#' is a comment; a
+    '#' inside a value is kept, as it is in the matching flag."""
+    cfg = tmp_path / "mesh.cfg"
+    cfg.write_text("# output of one level\n  # indented comment\n"
+                   "case=tp1-sphere\nrefine=2\nout=%s\n" % (tmp_path / "run#1"))
+    assert main(["mesh", "--config", str(cfg)]) == 0
+    assert (tmp_path / "run#1" / "tp1-sphere-2.vtk").exists()
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_key_must_be_an_option_of_the_subcommand(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case=tp1-sphere\nrefine=4,8\nvtk=1\n")

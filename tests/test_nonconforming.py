@@ -89,6 +89,20 @@ def test_dof_census():
     assert dofmap.n_eq == n_free_faces + n_free_edges
 
 
+def test_dof_table_is_faces_then_edges():
+    """Face ids, then n_faces + edge ids, in the frozen local order; the
+    mask marks exactly the Gamma_h faces and edges."""
+    mesh = generate_octant_mesh(3)
+    cls = classify_boundary(mesh, SPHERE)
+    top = mesh.topology
+    dofmap = nc_dofmap(mesh, cls)
+    np.testing.assert_array_equal(
+        dofmap.cells, np.hstack([top.tet_faces, top.n_faces + top.tet_edges]))
+    np.testing.assert_array_equal(dofmap.gamma_mask, np.concatenate([
+        np.isin(np.arange(top.n_faces), cls.gamma_faces),
+        np.isin(np.arange(top.n_edges), cls.gamma_edges)]))
+
+
 def test_cube_domain_gives_symmetric_system():
     mesh = generate_box_tet_mesh(2, 2, 2)
     far = Sphere(np.zeros(3), 10.0)

@@ -110,7 +110,7 @@ def test_dimension_grows_cubically():
         surf = Ellipsoid(np.array([1.0, 1.0, 1.0]))
         cls = classify_boundary(mesh, surf)
         nodes = build_lagrange_nodes(mesh, 2)
-        dofmap = DofMap(nodes.cell_nodes_table, nodes.gamma_mask(cls))
+        dofmap = DofMap(nodes.cell_nodes_table, nodes.layout.gamma_mask(cls))
         dims.append(dofmap.n_eq)
     for small, big in zip(dims, dims[1:]):
         assert 5.0 <= big / small <= 9.0

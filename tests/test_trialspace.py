@@ -7,7 +7,12 @@ import pytest
 from shiftfem.assembly import assemble_new_method
 from shiftfem.cases import get_case
 from shiftfem.dofs import build_lagrange_nodes
-from shiftfem.elements import AffineMap, shape_values, tet_quadrature
+from shiftfem.elements import (
+    AffineMap,
+    reference_nodes,
+    shape_values,
+    tet_quadrature,
+)
 from shiftfem.meshgen import classify_boundary, generate_octant_mesh
 from shiftfem.surfaces import Ellipsoid, Sphere
 from shiftfem.trialspace import (
@@ -25,6 +30,22 @@ def _setup(J, degree, surface=SPHERE, axes=(1.0, 1.0, 1.0)):
     nodes = build_lagrange_nodes(mesh, degree)
     table = build_shifted_node_table(mesh, cls, surface, nodes)
     return mesh, cls, nodes, table
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("mesh", [generate_octant_mesh(3),
+                                  get_case("tp3-torus").mesh(2)],
+                         ids=["octant-J3", "torus-I2"])
+def test_node_table_matches_mapped_reference_nodes(mesh, degree):
+    """Global node j of tet t sits where the tet's affine map puts
+    reference node j: this pins the entity-block numbering, the frozen
+    local order and the flip of the k=3 edge nodes."""
+    nodes = build_lagrange_nodes(mesh, degree)
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
+    scale = np.max(np.abs(mesh.vertices))
+    np.testing.assert_allclose(nodes.coords[nodes.cell_nodes_table],
+                               amap.to_physical(reference_nodes(degree)),
+                               rtol=0.0, atol=1e-14 * scale)
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -64,7 +85,7 @@ def test_face_node_shift_is_radial_for_corner_tet():
 
 def test_single_valuedness_across_elements():
     mesh, cls, nodes, table = _setup(4, 2)
-    gamma_mask = nodes.gamma_mask(cls)
+    gamma_mask = nodes.layout.gamma_mask(cls)
     # every Gamma_h node appears once in the global table; elements sharing
     # the entity see the same point by construction
     seen = {}
@@ -84,7 +105,7 @@ def test_modified_basis_delta_and_free_counts(degree):
     n_k = 10 if degree == 2 else 20
     m_k = degree * (degree + 2) * (degree + 1) // 6
     p_k = n_k - (degree + 1)
-    gamma_mask = nodes.gamma_mask(cls)
+    gamma_mask = nodes.layout.gamma_mask(cls)
     for t in cls.o_tets:
         basis = build_modified_basis(mesh, nodes, table, t)
         # psi_j(shifted node i) = delta_ij
@@ -131,7 +152,7 @@ def test_perturbation_shrinks_linearly_with_h():
 
 def test_dirichlet_values():
     mesh, cls, nodes, table = _setup(3, 2)
-    gamma_mask = nodes.gamma_mask(cls)
+    gamma_mask = nodes.layout.gamma_mask(cls)
 
     def system(g):
         return assemble_new_method(mesh, cls, SPHERE, 2, lambda p: 0.0, g)
