@@ -1,7 +1,7 @@
 """Assembly of the Poisson systems.
 
 Every discretization goes through one pipeline:
-  * a `DofMap` (per-tet global DOF ids and a Gamma_h mask);
+  * a DOF layout's per-tet global DOF ids and its Gamma_h mask;
   * a per-element transform in reference coordinates: the test functions
     are T_test = I (Lagrange) or R (nonconforming canonical basis) applied
     to the P_k Lagrange basis, and the trial functions are T_test on
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dofs import DofMap, LagrangeNodeSet, build_lagrange_nodes
+from .dofs import LagrangeNodeSet, build_lagrange_nodes
 from .elements import AffineMap, shape_gradients, shape_values, tet_quadrature
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
@@ -48,7 +48,8 @@ class System:
 
     A: sp.csr_matrix
     b: np.ndarray
-    dofmap: DofMap
+    cells: np.ndarray  # (n_tets, n_loc) global DOF ids of each tet
+    gamma_mask: np.ndarray  # (n_dofs,) True for the DOFs on Gamma_h
     dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
     basis: ModifiedElementBasis | None  # C of the boundary tets, stacked
     R: np.ndarray | None  # test transform; None is the identity
@@ -72,8 +73,8 @@ def element_load(amap: AffineMap, degree: int, quad, f):
     return (quad.weights * fq) @ vals * np.asarray(amap.detB)[..., None]
 
 
-def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, basis, R,
-             f) -> System:
+def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
+             R, f) -> System:
     """Form T_test^T S T_trial and T_test^T b_loc on every tet, scatter
     them once and lift the Dirichlet values (see the module docstring)."""
     quad = tet_quadrature(5)
@@ -86,16 +87,16 @@ def assemble(mesh: Mesh, degree: int, dofmap: DofMap, dirichlet, basis, R,
     if basis is not None:
         S_all[basis.tets] = S_all[basis.tets] @ basis.C
 
-    n, n_loc = dofmap.n_dofs, dofmap.cells.shape[1]
-    rows = np.repeat(dofmap.cells, n_loc, axis=1).ravel()
-    cols = np.tile(dofmap.cells, n_loc).ravel()
+    n, n_loc = gamma_mask.size, cells.shape[1]
+    rows = np.repeat(cells, n_loc, axis=1).ravel()
+    cols = np.tile(cells, n_loc).ravel()
     full = sp.coo_matrix((S_all.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    free = ~dofmap.gamma_mask
-    load = np.bincount(dofmap.cells.ravel(), weights=b_all.ravel(), minlength=n)
+    free = ~gamma_mask
+    load = np.bincount(cells.ravel(), weights=b_all.ravel(), minlength=n)
     A_free = full[free]
-    b = load[free] - A_free[:, dofmap.gamma_mask] @ dirichlet[dofmap.gamma_mask]
-    return System(A=A_free[:, free].tocsr(), b=b, dofmap=dofmap,
-                  dirichlet=dirichlet, basis=basis, R=R)
+    b = load[free] - A_free[:, gamma_mask] @ dirichlet[gamma_mask]
+    return System(A=A_free[:, free].tocsr(), b=b, cells=cells,
+                  gamma_mask=gamma_mask, dirichlet=dirichlet, basis=basis, R=R)
 
 
 def assemble_new_method(
@@ -136,8 +137,8 @@ def _lagrange_system(mesh: Mesh, cls: BoundaryClassification,
     gamma_mask = nodes.layout.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
     dirichlet[gamma_mask] = g(points[gamma_mask])
-    dofmap = DofMap(nodes.cell_nodes_table, gamma_mask)
-    return assemble(mesh, nodes.degree, dofmap, dirichlet, basis, None, f)
+    return assemble(mesh, nodes.degree, nodes.cell_nodes_table, gamma_mask,
+                    dirichlet, basis, None, f)
 
 
 def element_phi_coefficients(system: System, x: np.ndarray):
@@ -146,8 +147,8 @@ def element_phi_coefficients(system: System, x: np.ndarray):
     solution entries and Dirichlet values) are mapped through its trial
     transform T_test C (or T_test)."""
     values = system.dirichlet.copy()
-    values[~system.dofmap.gamma_mask] = x
-    coef = values[system.dofmap.cells]
+    values[~system.gamma_mask] = x
+    coef = values[system.cells]
     basis = system.basis
     if basis is not None:
         coef[basis.tets] = np.einsum("tij,tj->ti", basis.C, coef[basis.tets])

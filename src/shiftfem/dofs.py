@@ -12,9 +12,9 @@ McBain, JOSS 2020) numbers every element this way.
 The Lagrange nodes of degree k have 1, k-1 and (k-1)(k-2)/2 DOFs per
 vertex, edge and face, counted off `elements.multi_indices`, which holds
 the one degree check; the nonconforming DOFs are (0, 1, 1), faces first.
-Each discretization numbers its equations through a `DofMap`: the DOF ids
-of each tet and a Gamma_h mask.  The equations are the DOFs off Gamma_h,
-in ascending order.
+Each discretization numbers its equations through its layout's per-tet
+table and Gamma_h mask: the equations are the DOFs off Gamma_h, in
+ascending order.
 """
 from __future__ import annotations
 
@@ -24,22 +24,6 @@ import numpy as np
 
 from .elements import EDGES, multi_indices
 from .meshgen import BoundaryClassification, Mesh
-
-
-@dataclass
-class DofMap:
-    """Equation numbering: one equation per DOF not on Gamma_h."""
-
-    cells: np.ndarray  # (n_tets, n_loc) global DOF ids of each tet
-    gamma_mask: np.ndarray  # (n_dofs,) True for DOFs on Gamma_h
-
-    @property
-    def n_dofs(self):
-        return self.gamma_mask.size
-
-    @property
-    def n_eq(self):
-        return int(np.count_nonzero(~self.gamma_mask))
 
 
 @dataclass

@@ -207,10 +207,9 @@ _RED_SUBTETS = np.array([
 
 
 def _red_refine(verts):
-    """Split one tet into 8 positively oriented ones, (8, 4, 3)."""
+    """Split one tet into its 8 red sub-tets, (8, 4, 3).  Those of the
+    reference tet are positively oriented, so those of any positive tet,
+    their affine images, are too."""
     v = np.asarray(verts, dtype=float)
     a, b = np.array(EDGES).T
-    sub = np.vstack([v, 0.5 * (v[a] + v[b])])[_RED_SUBTETS]
-    flip = np.linalg.det(np.swapaxes(sub[:, 1:] - sub[:, :1], -1, -2)) < 0.0
-    sub[flip] = sub[flip][:, [0, 1, 3, 2]]
-    return sub
+    return np.vstack([v, 0.5 * (v[a] + v[b])])[_RED_SUBTETS]

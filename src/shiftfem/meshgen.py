@@ -20,6 +20,7 @@ these ids, so it is deterministic and independent of hashing.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -188,8 +189,9 @@ def generate_box_tet_mesh(nx, ny, nz):
     """Structured mesh of the unit cube, nx x ny x nz cells of 6 Kuhn tets
     each, all sharing the cell's main diagonal direction."""
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
-        if n < 1:
-            raise ValueError("box mesh needs %s >= 1, got %s" % (name, n))
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError("box mesh needs an integer %s >= 1, got %s"
+                             % (name, n))
     dims = (nx + 1, ny + 1, nz + 1)
     grid = np.indices(dims).reshape(3, -1).T
     verts = grid / np.array([nx, ny, nz])
@@ -215,17 +217,14 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
     vertices land exactly on the surface; the flat faces land in the
     coordinate planes.  Vertices are numbered by first appearance.
     """
-    J = int(J)
-    if J < 1:
-        raise ValueError("octant mesh needs J >= 1, got J = %d" % J)
+    if not (isinstance(J, numbers.Integral) and J >= 1):
+        raise ValueError("octant mesh needs an integer J >= 1, got J = %s" % J)
     semi_axes = np.asarray(semi_axes, dtype=float)
 
     paths = _kuhn_paths((J, J, J))
     inside = np.all((paths[..., 0] >= paths[..., 1])
                     & (paths[..., 1] >= paths[..., 2]), axis=1)
     paths = paths[inside].reshape(-1, 3)
-    if paths.shape[0] != 4 * J**3:
-        raise RuntimeError("octant tiling produced an unexpected tet count")
     tets, first = _number(paths)
     coords = paths[first].astype(float)
 
@@ -279,10 +278,9 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
     cross-section so that no tet touches the curved surface with both a
     face and an extra edge.
     """
-    I = int(I)
-    if I < 2 or I % 2 != 0:
+    if not (isinstance(I, numbers.Integral) and I >= 2 and I % 2 == 0):
         raise ValueError("torus sector mesh needs an even resolution I >= 2, "
-                         "got I = %d" % I)
+                         "got I = %s" % I)
     nx, nyz = 2 * I, I // 2
     dims = (nx + 1, nyz + 1, nyz + 1)
 

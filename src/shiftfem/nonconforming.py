@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import System, assemble
-from .dofs import DofLayout, DofMap, build_lagrange_nodes
+from .dofs import DofLayout, build_lagrange_nodes
 from .elements import EDGES, FACES, REF_VERTICES, shape_values
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
@@ -68,10 +68,9 @@ def nc_reference_matrix() -> np.ndarray:
     return np.linalg.inv(_WEIGHTS @ shape_values(2, _REF_POINTS))
 
 
-def nc_dofmap(mesh: Mesh, bc: BoundaryClassification) -> DofMap:
-    """One DOF per face and per edge, faces first; Gamma_h ones masked."""
-    layout = DofLayout(mesh, (0, 1, 1), (2, 1, 0))
-    return DofMap(layout.cells(), layout.gamma_mask(bc))
+def nc_layout(mesh: Mesh) -> DofLayout:
+    """One DOF per face and per edge, faces first."""
+    return DofLayout(mesh, (0, 1, 1), (2, 1, 0))
 
 
 def _shifted_edge_points(mesh, bc, surface):
@@ -131,8 +130,9 @@ def nc_assemble(
     if np.any(g(read) != 0.0):
         raise ValueError("the nonconforming element needs homogeneous "
                          "Dirichlet data")
-    dofmap = nc_dofmap(mesh, bc)
+    layout = nc_layout(mesh)
+    gamma_mask = layout.gamma_mask(bc)
     basis = build_nc_modified_basis(mesh, bc, bc.o_tets, edge_points,
                                     face_points)
-    return assemble(mesh, 2, dofmap, np.zeros(dofmap.n_dofs), basis,
-                    nc_reference_matrix(), f)
+    return assemble(mesh, 2, layout.cells(), gamma_mask,
+                    np.zeros(gamma_mask.size), basis, nc_reference_matrix(), f)

@@ -21,27 +21,19 @@ def _dot(u, v):
 class Surface:
     """Base class: an implicit surface F(p) = 0 with F < 0 inside.
 
-    `value` maps points (..., 3) to (...).  `line_roots` takes (n, 3)
-    origins and directions and returns all real t with
-    F(origin + t*direction) = 0 as an (n, m) array padded with NaN; each
-    surface solves it in closed form.
+    Each surface defines `value`, `gradient` and `line_roots`.  `value`
+    maps points (..., 3) to (...), and `gradient` maps them to grad F
+    (..., 3).  `line_roots` takes (n, 3) origins and directions and
+    returns all real t with F(origin + t*direction) = 0 as an (n, m)
+    array padded with NaN; each surface solves it in closed form.
     """
 
     #: characteristic length used to scale tolerances
     scale: float = 1.0
 
-    def value(self, p):
-        raise NotImplementedError
-
-    def gradient(self, p):
-        raise NotImplementedError
-
     def unit_normal(self, p):
         g = np.asarray(self.gradient(p), dtype=float)
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-    def line_roots(self, origin, direction):
-        raise NotImplementedError
 
     def nearest_line_intersection(self, origin, direction, bracket):
         """Intersection of Gamma with the line through `origin` along
@@ -95,6 +87,9 @@ class Ellipsoid(Surface):
 
     def __post_init__(self):
         self.semi_axes = np.asarray(self.semi_axes, dtype=float)
+        if not np.all((0.0 < self.semi_axes) & (self.semi_axes < np.inf)):
+            raise ValueError("ellipsoid needs finite semi-axes > 0, got "
+                             "semi_axes = %s" % self.semi_axes)
         self.center = np.broadcast_to(self.center, (3,)).astype(float)
         self.scale = float(np.min(self.semi_axes))
 

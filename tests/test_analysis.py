@@ -143,6 +143,8 @@ def test_run_convergence_validates_params():
         raise AssertionError("a level was built before the check")
 
     unbuilt = dataclasses.replace(case, mesh=no_mesh)
+    with pytest.raises(ValueError, match="need at least one refinement"):
+        run_convergence(unbuilt, "new", 2, [])
     with pytest.raises(ValueError):
         run_convergence(unbuilt, "new", 2, [8, 4])
     for bad in (0, -2, 2.5):
@@ -153,6 +155,9 @@ def test_run_convergence_validates_params():
         run_single(case, "nonconforming", 3, 4)
     with pytest.raises(ValueError):
         run_single(case, "unknown-method", 2, 4)
+    # an error, not the J = 2 mesh reported with h = 0.4
+    with pytest.raises(ValueError, match=r"integer J >= 1, got J = 2\.5"):
+        run_single(case, "new", 2, 2.5)
 
 
 def test_csv_header_is_frozen():

@@ -99,6 +99,26 @@ def test_conversion_errors_name_the_option(tmp_path, capsys, argv, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["solve"], "case tp1-sphere\n", "bad config line"),
+    (["solve", "--refine", "4,8"], "", "exactly one --refine value"),
+    (["convergence", "--refine", "4"], "", "at least two --refine values"),
+], ids=["config-line-without-equals", "solve-two-levels",
+        "convergence-one-level"])
+def test_usage_errors_are_one_line_and_write_nothing(tmp_path, capsys, argv,
+                                                     config, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    rc = main(argv + ["--case", "tp1-sphere", "--config", str(cfg),
+                      "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_solve_consistency_case(tmp_path, capsys):
     rc = main([
         "solve", "--case", "quadratic-ellipsoid", "--method", "new",
@@ -208,7 +228,7 @@ def test_solution_vtk_vertex_values(tmp_path):
     case = get_case("tp1-sphere")
     _, mesh, system, sol = run_single(case, "new", 2, 4)
     values = system.dirichlet.copy()
-    values[~system.dofmap.gamma_mask] = sol.x
+    values[~system.gamma_mask] = sol.x
     nodal = values[:mesh.n_vertices]
     u_new = _vtk_point_values(tmp_path / "tp1-sphere-new-k2-4-solution.vtk")
     np.testing.assert_allclose(u_new, nodal, rtol=0.0,

@@ -10,6 +10,7 @@ from shiftfem.elements import (
     FACES,
     REF_VERTICES,
     AffineMap,
+    _red_refine,
     barycentric,
     reference_nodes,
     refined_quadrature,
@@ -162,6 +163,16 @@ def test_refined_quadrature_is_consistent():
         @ np.exp(3 * refined_quadrature(5, 4).points.sum(axis=1))
     )
     assert abs(integrate(quad) - ref) < abs(integrate(base) - ref)
+
+
+def test_red_refinement_of_the_reference_tet_is_positive():
+    """The 8 red sub-tets of the reference tet are positively oriented,
+    each with an eighth of its volume, so those of any positive tet (their
+    affine images) are positive too."""
+    sub = _red_refine(REF_VERTICES)
+    det = np.linalg.det(sub[:, 1:] - sub[:, :1])
+    assert sub.shape == (8, 4, 3)
+    np.testing.assert_allclose(det, 0.125, rtol=1e-15)
 
 
 def test_affine_map_roundtrip_and_volume():

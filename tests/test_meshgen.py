@@ -30,12 +30,24 @@ def _triples(mesh, faces):
     (lambda: generate_octant_mesh(-2), "J"),
     (lambda: generate_torus_sector_mesh(0, 5.0 / 6.0, 1.0 / 6.0), "I"),
     (lambda: generate_torus_sector_mesh(-2, 5.0 / 6.0, 1.0 / 6.0), "I"),
+    (lambda: generate_box_tet_mesh(1.5, 1, 1), "nx"),
+    (lambda: generate_octant_mesh(2.5), "J"),
+    (lambda: generate_torus_sector_mesh(4.7, 5.0 / 6.0, 1.0 / 6.0), "I"),
 ], ids=["box-nx", "box-nz", "octant-0", "octant-negative", "torus-0",
-        "torus-negative"])
+        "torus-negative", "box-non-integral", "octant-non-integral",
+        "torus-non-integral"])
 def test_generators_reject_sizes_without_a_tet(generate, name):
-    """A size that would give an empty mesh fails, naming the parameter."""
+    """A size that would give an empty mesh, or a non-integral one that
+    would be truncated, fails, naming the parameter."""
     with pytest.raises(ValueError, match=r"needs .*\b%s >= " % name):
         generate()
+
+
+def test_generators_accept_numpy_integers():
+    assert generate_box_tet_mesh(np.int64(1), np.int32(1), 1).n_tets == 6
+    assert generate_octant_mesh(np.int64(2)).n_tets == 8
+    assert generate_torus_sector_mesh(np.int64(2), 5.0 / 6.0,
+                                      1.0 / 6.0).n_tets == 48
 
 
 def test_box_mesh_counts():
@@ -213,6 +225,16 @@ def test_classification_stable_under_vertex_permutation():
     assert _triples(m, cls.gamma_faces) == _triples(m2, cls2.gamma_faces)
     assert set(cls.s_tets) == set(cls2.s_tets)
     assert set(cls.r_tets) == set(cls2.r_tets)
+
+
+def test_face_off_every_declared_plane_is_named():
+    """An octant mesh that does not declare its z = 0 plane: the faces on
+    that plane are on neither the surface nor a declared plane."""
+    m = generate_octant_mesh(2)
+    m2 = Mesh(m.vertices, m.tets, symmetry_planes=m.symmetry_planes[:2])
+    with pytest.raises(ValueError, match=r"boundary face \(\d+, \d+, \d+\) is "
+                       "neither on the surface nor on a symmetry plane"):
+        classify_boundary(m2, SPHERE)
 
 
 def test_skin_direction_flat_and_ridge():

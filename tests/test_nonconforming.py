@@ -14,8 +14,8 @@ from shiftfem.nonconforming import (
     _shifted_face_points,
     build_nc_modified_basis,
     nc_assemble,
-    nc_dofmap,
     nc_edge_functional,
+    nc_layout,
     nc_reference_matrix,
 )
 from shiftfem.linsolve import solve
@@ -83,10 +83,10 @@ def test_p2_interpolation_via_dofs():
 def test_dof_census():
     mesh = generate_octant_mesh(3)
     cls = classify_boundary(mesh, SPHERE)
-    dofmap = nc_dofmap(mesh, cls)
+    gamma_mask = nc_layout(mesh).gamma_mask(cls)
     n_free_faces = mesh.topology.n_faces - len(cls.gamma_faces)
     n_free_edges = mesh.topology.n_edges - len(cls.gamma_edges)
-    assert dofmap.n_eq == n_free_faces + n_free_edges
+    assert np.count_nonzero(~gamma_mask) == n_free_faces + n_free_edges
 
 
 def test_dof_table_is_faces_then_edges():
@@ -95,10 +95,10 @@ def test_dof_table_is_faces_then_edges():
     mesh = generate_octant_mesh(3)
     cls = classify_boundary(mesh, SPHERE)
     top = mesh.topology
-    dofmap = nc_dofmap(mesh, cls)
+    layout = nc_layout(mesh)
     np.testing.assert_array_equal(
-        dofmap.cells, np.hstack([top.tet_faces, top.n_faces + top.tet_edges]))
-    np.testing.assert_array_equal(dofmap.gamma_mask, np.concatenate([
+        layout.cells(), np.hstack([top.tet_faces, top.n_faces + top.tet_edges]))
+    np.testing.assert_array_equal(layout.gamma_mask(cls), np.concatenate([
         np.isin(np.arange(top.n_faces), cls.gamma_faces),
         np.isin(np.arange(top.n_edges), cls.gamma_edges)]))
 

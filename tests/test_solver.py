@@ -5,7 +5,8 @@ from scipy.sparse.linalg import splu
 
 from shiftfem.assembly import System, assemble_new_method, assemble_polyhedral
 from shiftfem.cases import get_case
-from shiftfem.dofs import DofMap, build_lagrange_nodes
+from shiftfem import linsolve
+from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.linsolve import solve
 from shiftfem.meshgen import classify_boundary, generate_octant_mesh
 from shiftfem.nonconforming import nc_assemble
@@ -24,8 +25,8 @@ def _case_system(case_name, method, degree, param):
 
 def _wrap(A, b):
     return System(
-        A=sp.csr_matrix(A), b=np.asarray(b, dtype=float), dofmap=None,
-        dirichlet=None, basis=None, R=None,
+        A=sp.csr_matrix(A), b=np.asarray(b, dtype=float), cells=None,
+        gamma_mask=None, dirichlet=None, basis=None, R=None,
     )
 
 
@@ -50,6 +51,27 @@ def test_tolerance_validation():
 def test_singular_system_fails():
     with pytest.raises(RuntimeError, match="solver failure"):
         solve(_wrap([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0]))
+
+
+def test_residual_above_tolerance_fails():
+    """The LU solve of tp1 J=4 cannot meet a relative residual of 1e-300:
+    the contract fails loudly instead of returning x."""
+    system = _case_system("tp1-sphere", "new", 2, 4)
+    with pytest.raises(RuntimeError, match=r"solver failure: relative "
+                       r"residual \S+ exceeds 1\.0e-300"):
+        solve(system, tol=1e-300)
+
+
+def test_other_factor_errors_pass_through(monkeypatch):
+    error = RuntimeError("out of memory")
+
+    def failing_splu(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(linsolve, "splu", failing_splu)
+    with pytest.raises(RuntimeError) as info:
+        solve(_wrap(np.eye(2), [1.0, 1.0]))
+    assert info.value is error
 
 
 def test_new_method_system_matches_dense_lu_oracle():
@@ -110,7 +132,6 @@ def test_dimension_grows_cubically():
         surf = Ellipsoid(np.array([1.0, 1.0, 1.0]))
         cls = classify_boundary(mesh, surf)
         nodes = build_lagrange_nodes(mesh, 2)
-        dofmap = DofMap(nodes.cell_nodes_table, nodes.layout.gamma_mask(cls))
-        dims.append(dofmap.n_eq)
+        dims.append(np.count_nonzero(~nodes.layout.gamma_mask(cls)))
     for small, big in zip(dims, dims[1:]):
         assert 5.0 <= big / small <= 9.0

@@ -250,6 +250,24 @@ def test_torus_needs_major_radius_above_minor(radii):
         Torus(*radii)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Ellipsoid([0.6, 0.8, -1.0]),
+    lambda: Ellipsoid([0.6, 0.0, 1.0]),
+    lambda: Ellipsoid([0.6, np.nan, 1.0]),
+    lambda: Ellipsoid([np.inf, 0.8, 1.0]),
+    lambda: Sphere(np.zeros(3), 0.0),
+], ids=["negative", "zero", "nan", "inf", "sphere-zero"])
+def test_ellipsoid_needs_finite_positive_semi_axes(make):
+    with pytest.raises(ValueError, match=r"finite semi-axes > 0, got "
+                       r"semi_axes = \["):
+        make()
+
+
+def test_torus_gradient_is_undefined_on_the_axis():
+    with pytest.raises(ValueError, match="undefined on the z-axis"):
+        TORUS.gradient(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.5]]))
+
+
 def test_torus_roots_are_polished_to_round_off():
     """The Newton steps on F take the eigenvalue roots of the quartic from
     about 2e-15 * scale to round-off."""

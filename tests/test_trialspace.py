@@ -158,7 +158,7 @@ def test_dirichlet_values():
         return assemble_new_method(mesh, cls, SPHERE, 2, lambda p: 0.0, g)
 
     zeros = system(lambda p: 0.0)
-    assert np.array_equal(zeros.dofmap.gamma_mask, gamma_mask)
+    assert np.array_equal(zeros.gamma_mask, gamma_mask)
     assert zeros.dirichlet.shape == gamma_mask.shape
     assert np.all(zeros.dirichlet == 0.0)
     # a linear g is evaluated at the shifted points, and only on Gamma_h
