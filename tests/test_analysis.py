@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,14 @@ from shiftfem.analysis import (
 from shiftfem.assembly import element_phi_coefficients
 from shiftfem.cases import get_case
 from shiftfem.dofs import build_lagrange_nodes
-from shiftfem.elements import refined_quadrature
+from shiftfem.elements import (
+    AffineMap,
+    reference_nodes,
+    refined_quadrature,
+    shape_gradients,
+    shape_values,
+    tet_quadrature,
+)
 from shiftfem.meshgen import generate_box_tet_mesh
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
@@ -104,6 +112,65 @@ def test_error_norms_match_refined_oracle():
     # oracle sequence has converged well past the reported digits
     assert h1_a == pytest.approx(h1_b, rel=1e-5)
     assert l2_a == pytest.approx(l2_b, rel=1e-4)
+
+
+def per_point_error_norms(mesh, degree, phi_coeffs, u, grad_u, quad):
+    """Reference loop for `error_norms`: one quadrature point at a time on
+    all tets, each (n_tets,) term accumulated in rule order."""
+    vals = shape_values(degree, quad.points)
+    grads = shape_gradients(degree, quad.points)
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
+    h1_sq = np.zeros(mesh.n_tets)
+    l2_sq = np.zeros(mesh.n_tets)
+    for q, w in enumerate(quad.weights):
+        pts = amap.to_physical(quad.points[q])[:, 0]
+        uh = phi_coeffs @ vals[q]
+        guh = np.einsum("td,tde->te", phi_coeffs @ grads[q], amap.Binv)
+        l2_sq += w * (uh - u(pts)) ** 2
+        h1_sq += w * ((guh - grad_u(pts)) ** 2).sum(axis=-1)
+    nodal = phi_coeffs - u(amap.to_physical(reference_nodes(degree)))
+    return (float(np.sqrt(h1_sq @ amap.detB)), float(np.sqrt(l2_sq @ amap.detB)),
+            float(np.max(np.abs(nodal))))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("case_name,param", [("tp1-sphere", 4),
+                                             ("tp3-torus", 2)])
+def test_blocked_error_norms_match_per_point_loop(case_name, param, degree):
+    """The 16-point blocks give the per-point loop's norms, on rules whose
+    size is not a multiple of 16 (15, 120 points) and one that is (960),
+    and with `u`/`grad_u` returning constants, as the case contract
+    allows."""
+    case = get_case(case_name)
+    _rep, mesh, system, sol = run_single(case, "new", degree, param)
+    coeffs = element_phi_coefficients(system, sol.x)
+    callables = [(case.u, case.grad_u),
+                 (lambda p: 0.25, lambda p: np.array([0.5, -1.0, 2.0]))]
+    for quad in (tet_quadrature(5), refined_quadrature(5, 1),
+                 refined_quadrature(5, 2)):
+        for u, grad_u in callables:
+            np.testing.assert_allclose(
+                error_norms(mesh, degree, coeffs, u, grad_u, quad),
+                per_point_error_norms(mesh, degree, coeffs, u, grad_u, quad),
+                rtol=1e-13, atol=0.0)
+
+
+def test_error_norms_memory_does_not_grow_with_the_rule():
+    """Eight times the quadrature points cost at most 1.5x the peak
+    memory: the kernel holds 16 points of all tets at a time, never the
+    whole rule."""
+    case = get_case("tp1-sphere")
+    mesh = case.mesh(8)
+    coeffs = np.zeros((mesh.n_tets, 10))
+    peaks = []
+    for quad in (refined_quadrature(5, 1), refined_quadrature(5, 2)):
+        tracemalloc.start()
+        try:
+            error_norms(mesh, 2, coeffs, case.u, case.grad_u, quad)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("degree", [1, 4])

@@ -135,3 +135,15 @@ def test_dimension_grows_cubically():
         dims.append(np.count_nonzero(~nodes.layout.gamma_mask(cls)))
     for small, big in zip(dims, dims[1:]):
         assert 5.0 <= big / small <= 9.0
+
+
+def test_factor_stores_no_relaxed_supernode_padding():
+    """With relaxed supernodes off, the stored factor is exactly L + U of
+    the same ordering; SuperLU's default relaxation pads the torus factor
+    with about 60 % more entries than that."""
+    system = _case_system("tp3-torus", "new", 2, 8)
+    ref = splu(system.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+               options=dict(SymmetricMode=True))
+    fill = solve(system).fill
+    assert fill == ref.L.nnz + ref.U.nnz
+    assert fill < ref.nnz

@@ -19,6 +19,7 @@ from hypothesis import given, strategies as st
 from shiftfem.elements import EDGES, FACES
 from shiftfem.meshgen import (
     Mesh,
+    Topology,
     classify_boundary,
     generate_box_tet_mesh,
     generate_octant_mesh,
@@ -184,3 +185,18 @@ def test_topology_and_census_match_brute_force(spec, seed):
         np.testing.assert_allclose(skin_directions(mesh, cls),
                                    np.reshape(expected, (-1, 3)), rtol=0,
                                    atol=1e-14)
+
+
+def test_large_vertex_ids_number_exactly_or_raise():
+    """Entity keys are encoded as one int64 each.  Vertex ids up to
+    2,000,000 still fit a face triple's code and number as the oracle
+    does; at 3,000,000 the code would overflow, and the numbering raises
+    instead of merging distinct faces."""
+    tets = np.array([[0, 1, 2, 2_000_000], [1, 2, 2_000_000, 5]])
+    top = Topology.of(tets)
+    edges, faces, tet_edges, tet_faces, _ = brute_topology(tets)
+    assert list(map(tuple, top.face_vertices.tolist())) == list(faces)
+    assert top.tet_faces.tolist() == tet_faces
+    assert top.tet_edges.tolist() == tet_edges
+    with pytest.raises(ValueError):
+        Topology.of(np.array([[0, 1, 2, 3_000_000]]))
