@@ -94,7 +94,8 @@ def eoc(e1, e2, h1, h2):
 def run_single(case: ExactCase, method: str, degree: int, param,
                record_time=True, tol=1e-12):
     """Mesh, assemble, solve, and measure one case/refinement combination.
-    `solve_seconds` is the sparse solve alone (0 without `record_time`)."""
+    `solve_seconds` is the sparse solve alone, refinement included (0
+    without `record_time`)."""
     # built at call time, so that a rebound builder is the one called
     builders = {
         "new": assemble_new_method,

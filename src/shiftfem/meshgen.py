@@ -34,6 +34,8 @@ _FACES = np.array(FACES)
 #: local edges of each local face (face i is opposite vertex i)
 _FACE_EDGES = np.array([[e for e, pair in enumerate(EDGES) if i not in pair]
                         for i in range(4)])
+#: largest flat index of an entity key in `_number`
+_KEY_MAX = np.iinfo(np.int64).max
 
 # lattice steps of the 6 Kuhn tets of a unit cell: each walks from the cell
 # origin to the opposite corner, one axis step at a time
@@ -44,16 +46,24 @@ _KUHN_PATHS = np.concatenate(
     [np.zeros((6, 1, 3), dtype=np.int64), _KUHN_STEPS], axis=1)  # (6, 4, 3)
 
 
-def _number(keys):
+def _number(keys, kind, entry="vertex id"):
     """Number the distinct rows of `keys` (m, d) by first appearance: the id
     of every row, and the index of the first row of every id.
 
     The rows are non-negative integers.  Each is encoded as one int64, its
     flat index in a (max + 1,)^d array, because a 1-D `np.unique` is
-    several times faster than `np.unique(axis=0)`.  `np.ravel_multi_index`
-    raises ValueError where the index would overflow, so distinct rows
-    never merge."""
-    flat = np.ravel_multi_index(keys.T, (int(keys.max()) + 1,) * keys.shape[1])
+    several times faster than `np.unique(axis=0)`.  Where that index would
+    overflow, a ValueError names the `kind` of row, its largest `entry` and
+    the limit, so distinct rows never merge."""
+    top, d = int(keys.max()), keys.shape[1]
+    if (top + 1) ** d > _KEY_MAX:
+        limit = int(round(_KEY_MAX ** (1.0 / d)))
+        while (limit + 1) ** d > _KEY_MAX:
+            limit -= 1
+        raise ValueError(
+            "cannot number the %ss: largest %s %d is above %d, the largest "
+            "whose %s key fits one int64" % (kind, entry, top, limit, kind))
+    flat = np.ravel_multi_index(keys.T, (top + 1,) * d)
     _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -78,9 +88,9 @@ class Topology:
     def of(cls, tets):
         n = tets.shape[0]
         pairs = np.sort(tets[:, _EDGES], axis=-1).reshape(-1, 2)
-        tet_edges, first_edge = _number(pairs)
+        tet_edges, first_edge = _number(pairs, "edge")
         tris = np.sort(tets[:, _FACES], axis=-1).reshape(-1, 3)
-        tet_faces, first_face = _number(tris)
+        tet_faces, first_face = _number(tris, "face")
         count = np.bincount(tet_faces, minlength=first_face.size)
         return cls(
             tet_edges=tet_edges.reshape(n, 6),
@@ -231,7 +241,7 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
     inside = np.all((paths[..., 0] >= paths[..., 1])
                     & (paths[..., 1] >= paths[..., 2]), axis=1)
     paths = paths[inside].reshape(-1, 3)
-    tets, first = _number(paths)
+    tets, first = _number(paths, "lattice vertex", "coordinate")
     coords = paths[first].astype(float)
 
     # affine map K_J -> corner simplex conv{0, e1, e2, e3}

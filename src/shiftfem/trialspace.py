@@ -120,13 +120,18 @@ def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
     phi[t, p] = shape_values(degree, ref[t, p])
     K = np.where(rows[..., None], weights @ phi @ T, np.eye(n_dofs))
     K = K.reshape(tets.shape + (n_dofs, n_dofs))
-    cond = np.linalg.cond(K, 1)
+    try:
+        C = np.linalg.inv(K)
+        # NumPy's own definition of cond(K, 1), from the one inverse
+        cond = np.linalg.norm(K, 1, axis=(-2, -1)) * np.linalg.norm(C, 1, axis=(-2, -1))
+    except np.linalg.LinAlgError:  # a singular K: cond locates the first
+        C, cond = None, np.linalg.cond(K, 1)
     bad = np.flatnonzero(~(cond <= COND_LIMIT))  # NaN and inf fail too
     if bad.size:
         raise ValueError(
             "mesh too coarse for shifted basis (DOF matrix condition %.3g "
             "on tet %d)" % (np.ravel(cond)[bad[0]], np.ravel(tets)[bad[0]]))
-    return ModifiedElementBasis(tets, K, np.linalg.inv(K), cond)
+    return ModifiedElementBasis(tets, K, C, cond)
 
 
 def build_modified_basis(

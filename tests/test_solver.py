@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import hilbert
 from scipy.sparse.linalg import splu
 
 from shiftfem.assembly import System, assemble_new_method, assemble_polyhedral
@@ -33,7 +34,8 @@ def _wrap(A, b):
 def test_identity_system():
     rep = solve(_wrap(np.eye(3), [1.0, 0.0, 0.0]))
     np.testing.assert_allclose(rep.x, [1, 0, 0])
-    np.testing.assert_array_equal(rep.x, [1, 0, 0])  # a direct solve
+    # the float32 factor of I is exact, so the first solve is
+    np.testing.assert_array_equal(rep.x, [1, 0, 0])
     assert rep.relative_residual <= 1e-12
 
 
@@ -63,15 +65,20 @@ def test_residual_above_tolerance_fails():
 
 
 def test_other_factor_errors_pass_through(monkeypatch):
+    """A factor error other than singularity passes through from either
+    factor: the float32 factor is made singular to reach the float64 one."""
     error = RuntimeError("out of memory")
+    for failing in (np.float32, np.float64):
 
-    def failing_splu(*args, **kwargs):
-        raise error
+        def failing_splu(A, **kwargs):
+            if A.dtype == failing:
+                raise error
+            raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(linsolve, "splu", failing_splu)
-    with pytest.raises(RuntimeError) as info:
-        solve(_wrap(np.eye(2), [1.0, 1.0]))
-    assert info.value is error
+        monkeypatch.setattr(linsolve, "splu", failing_splu)
+        with pytest.raises(RuntimeError) as info:
+            solve(_wrap(np.eye(2), [1.0, 1.0]))
+        assert info.value is error
 
 
 def test_new_method_system_matches_dense_lu_oracle():
@@ -147,3 +154,75 @@ def test_factor_stores_no_relaxed_supernode_padding():
     fill = solve(system).fill
     assert fill == ref.L.nnz + ref.U.nnz
     assert fill < ref.nnz
+
+
+def _float64_lu_solve(system):
+    lu = splu(system.A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
+              options=dict(SymmetricMode=True))
+    return lu.solve(system.b)
+
+
+@pytest.mark.parametrize("case_name,method,degree,param", [
+    ("tp1-sphere", "new", 2, 8),
+    ("tp1-sphere", "polyhedral", 2, 8),
+    ("tp1-sphere", "nonconforming", 2, 8),
+    ("tp3-torus", "new", 2, 4),
+    ("tp1-sphere", "new", 3, 4),
+])
+def test_refined_float32_solve_matches_float64_lu(case_name, method, degree,
+                                                   param):
+    """Refining until the residual stalls brings the float32 factor's x to
+    within rounding of the float64 factor's, in a few steps."""
+    system = _case_system(case_name, method, degree, param)
+    rep = solve(system)
+    assert rep.precision == "float32"
+    assert 1 <= rep.refinement_steps <= 5
+    ref = _float64_lu_solve(system)
+    assert np.max(np.abs(rep.x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert rep.relative_residual <= 1e-12
+
+
+def test_forced_float64_path_matches_float32_path(monkeypatch):
+    system = _case_system("tp1-sphere", "nonconforming", 2, 4)
+    refined = solve(system)
+
+    def splu_singular_in_float32(A, **kwargs):
+        if A.dtype == np.float32:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(linsolve, "splu", splu_singular_in_float32)
+    direct = solve(system)
+    assert (refined.precision, direct.precision) == ("float32", "float64")
+    assert direct.refinement_steps == 0
+    assert direct.fill == refined.fill
+    np.testing.assert_array_equal(direct.x, _float64_lu_solve(system))
+    assert (np.max(np.abs(refined.x - direct.x))
+            <= 1e-12 * np.max(np.abs(direct.x)))
+
+
+def test_singular_in_float32_takes_the_float64_path():
+    """1 + 1e-9 rounds to 1 in float32, so that factor is exactly
+    singular; the float64 factor is not."""
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+    assert linsolve._factor(sp.csc_matrix(A, dtype=np.float32)) is None
+    rep = solve(_wrap(A, [2.0, 2.0 + 1e-9]))
+    assert (rep.precision, rep.refinement_steps) == ("float64", 0)
+    assert rep.relative_residual <= 1e-12
+    np.testing.assert_allclose(rep.x, [1.0, 1.0], rtol=1e-6)
+
+
+def test_stalled_refinement_takes_the_float64_path():
+    """cond(H_8) ≈ 3e10 is beyond what a float32 factor can refine: the
+    residual stalls far above the contract, and the float64 factor meets
+    it."""
+    H = hilbert(8)
+    assert 1e10 <= np.linalg.cond(H, 1) <= 1e11
+    b = H @ np.ones(8)
+    lu = linsolve._factor(sp.csc_matrix(H, dtype=np.float32))
+    x, steps = linsolve._refine(sp.csr_matrix(H), b, lu)
+    assert steps < linsolve.MAX_REFINEMENT_STEPS
+    assert np.linalg.norm(H @ x - b) > 1e-12 * np.linalg.norm(b)
+    rep = solve(_wrap(H, b))
+    assert (rep.precision, rep.refinement_steps) == ("float64", 0)
+    assert rep.relative_residual <= 1e-12

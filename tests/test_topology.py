@@ -198,5 +198,10 @@ def test_large_vertex_ids_number_exactly_or_raise():
     assert list(map(tuple, top.face_vertices.tolist())) == list(faces)
     assert top.tet_faces.tolist() == tet_faces
     assert top.tet_edges.tolist() == tet_edges
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cannot number the faces: largest "
+                       r"vertex id 3000000 is above 2097150, the largest "
+                       r"whose face key fits one int64"):
         Topology.of(np.array([[0, 1, 2, 3_000_000]]))
+    # the limit is exact: 2,097,150 still numbers, and edge keys fit far more
+    top = Topology.of(np.array([[0, 1, 2, 2_097_150]]))
+    assert top.face_vertices.max() == 2_097_150

@@ -189,6 +189,16 @@ def test_mesh_too_coarse_raises():
 
 
 @pytest.mark.parametrize("degree", [2, 3])
+def test_conditions_come_from_the_one_inverse(degree):
+    """The stack is inverted once; its condition numbers are NumPy's
+    cond(K, 1) bit for bit, and C its inv(K)."""
+    mesh, cls, nodes, table = _setup(4, degree)
+    basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
+    np.testing.assert_array_equal(basis.conditions, np.linalg.cond(basis.K, 1))
+    np.testing.assert_array_equal(basis.C, np.linalg.inv(basis.K))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
 def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
     """One batched line query per kind of shifted node, whatever the mesh
     size: no scan along the lines.  Calls are counted on a copy of the
