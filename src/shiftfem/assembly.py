@@ -155,9 +155,3 @@ def element_phi_coefficients(system: System, x: np.ndarray):
     if system.R is not None:
         coef = coef @ system.R.T
     return coef
-
-
-def write_matrix_market(system: System, path):
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), system.A)

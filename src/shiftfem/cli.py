@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .assembly import element_phi_coefficients, write_matrix_market
+from .assembly import element_phi_coefficients
 from .cases import case_registry, get_case
 from .meshgen import classify_boundary, write_mesh_text, write_vtk
 
@@ -195,8 +195,10 @@ def cmd_solve(run):
     print("wrote %s" % csv_path)
     stem = "%s-%s-k%d-%d" % (run.case, run.method, run.k, param)
     if run.dump_matrix:
+        from scipy.io import mmwrite
+
         mm = run.out / (stem + ".mtx")
-        write_matrix_market(system, mm)
+        mmwrite(str(mm), system.A)
         print("wrote %s" % mm)
     if run.vtk:
         path = run.out / (stem + "-solution.vtk")

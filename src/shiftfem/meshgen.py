@@ -2,7 +2,6 @@
 of the boundary entities the shifted trial space needs.
 
 Generators:
-  * box mesh: structured grid, 6 Kuhn tets per cell
   * octant mesh: one octant of a sphere/ellipsoid, built from the Kuhn
     triangulation of a corner simplex mapped radially shell-by-shell
   * torus sector mesh: one symmetry sector (theta in [0, pi/4], z >= 0)
@@ -27,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .elements import EDGES, FACES
-from .surfaces import Surface
+from .surfaces import Ellipsoid, Surface, Torus
 
 _EDGES = np.array(EDGES)
 _FACES = np.array(FACES)
@@ -157,33 +156,17 @@ class Mesh:
         return np.where(np.sum(n * (opp - a), axis=-1, keepdims=True) > 0.0,
                         -n, n)
 
-    def edge_lengths(self):
-        """(n_tets * 6,) lengths of the local edges of every tet."""
-        v = self.vertices[self.tets]
-        return np.linalg.norm(v[:, _EDGES[:, 0]] - v[:, _EDGES[:, 1]],
-                              axis=-1).ravel()
-
-    def element_sizes(self):
-        """Longest edge of each tet."""
-        return self.edge_lengths().reshape(-1, 6).max(axis=1)
-
-    def tet_volumes(self):
-        return _signed_dets(self.vertices, self.tets) / 6.0
-
-
-def _signed_dets(vertices, tets):
-    """det B of every tet, B holding the edge vectors from vertex 0."""
-    v = vertices[tets]
-    return np.linalg.det(np.swapaxes(v[:, 1:] - v[:, :1], -1, -2))
-
 
 def _fix_orientation(vertices, tets):
     """Swap two vertices of negatively oriented tets; reject degenerate ones."""
     tets = np.array(tets, dtype=np.int64)
     v = vertices[tets]
-    det = _signed_dets(vertices, tets)
-    vol_scale = np.max(np.abs(v[:, 1:] - v[:, :1]), axis=(1, 2)) ** 3
-    flat = np.flatnonzero(np.abs(det) <= 1e-12 * np.maximum(vol_scale, 1e-300))
+    edges = v[:, 1:] - v[:, :1]
+    det = np.linalg.det(np.swapaxes(edges, -1, -2))
+    vol_scale = np.max(np.abs(edges), axis=(1, 2)) ** 3
+    # written so that a NaN determinant fails it too
+    ok = np.abs(det) > 1e-12 * np.maximum(vol_scale, 1e-300)
+    flat = np.flatnonzero(~ok)
     if flat.size:
         raise ValueError("degenerate tetrahedron %d produced by mesh mapping"
                          % flat[0])
@@ -196,25 +179,6 @@ def _kuhn_paths(shape):
     `shape` cells, the cells in C order."""
     base = np.indices(shape).reshape(3, -1).T
     return (base[:, None, None, :] + _KUHN_PATHS).reshape(-1, 4, 3)
-
-
-# -- box mesh --------------------------------------------------------------
-
-
-def generate_box_tet_mesh(nx, ny, nz):
-    """Structured mesh of the unit cube, nx x ny x nz cells of 6 Kuhn tets
-    each, all sharing the cell's main diagonal direction."""
-    for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
-        if not (isinstance(n, numbers.Integral) and n >= 1):
-            raise ValueError("box mesh needs an integer %s >= 1, got %s"
-                             % (name, n))
-    dims = (nx + 1, ny + 1, nz + 1)
-    grid = np.indices(dims).reshape(3, -1).T
-    verts = grid / np.array([nx, ny, nz])
-    paths = _kuhn_paths((nx, ny, nz))
-    tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
-    tets = _fix_orientation(verts, tets)
-    return Mesh(verts, tets, name="box")
 
 
 # -- octant mesh (sphere / ellipsoid) ---------------------------------------
@@ -235,7 +199,7 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
     """
     if not (isinstance(J, numbers.Integral) and J >= 1):
         raise ValueError("octant mesh needs an integer J >= 1, got J = %s" % J)
-    semi_axes = np.asarray(semi_axes, dtype=float)
+    semi_axes = Ellipsoid(semi_axes).semi_axes  # finite and > 0, or raise
 
     paths = _kuhn_paths((J, J, J))
     inside = np.all((paths[..., 0] >= paths[..., 1])
@@ -297,6 +261,7 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
     if not (isinstance(I, numbers.Integral) and I >= 2 and I % 2 == 0):
         raise ValueError("torus sector mesh needs an even resolution I >= 2, "
                          "got I = %s" % I)
+    Torus(major_radius, minor_radius)  # rejects radii without R > r > 0
     nx, nyz = 2 * I, I // 2
     dims = (nx + 1, nyz + 1, nyz + 1)
 

@@ -57,11 +57,6 @@ _WEIGHTS[:4, :4] = np.eye(4)
 _WEIGHTS[4:, 4:] = nc_edge_functional(*np.split(np.eye(18), 3))
 
 
-def _apply_reference_dofs(values_at):
-    """Apply the 10 DOFs to a function given by `values_at(point)`."""
-    return _WEIGHTS @ np.array([values_at(p) for p in _REF_POINTS])
-
-
 @lru_cache(maxsize=None)
 def nc_reference_matrix() -> np.ndarray:
     """R with b_j = sum_m R[m, j] * phi_m (phi = P2 Lagrange basis)."""

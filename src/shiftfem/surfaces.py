@@ -2,8 +2,8 @@
 
 Each surface is given by a level-set function F with Gamma = {F = 0} and
 F < 0 inside the domain.  The geometric queries needed by the shifted
-trial space are: level-set evaluation, (normalized) gradient, and the
-intersection of a line with Gamma nearest to a given point.
+trial space are: level-set evaluation, and the intersection of a line
+with Gamma nearest to a given point.
 """
 from __future__ import annotations
 
@@ -21,19 +21,14 @@ def _dot(u, v):
 class Surface:
     """Base class: an implicit surface F(p) = 0 with F < 0 inside.
 
-    Each surface defines `value`, `gradient` and `line_roots`.  `value`
-    maps points (..., 3) to (...), and `gradient` maps them to grad F
-    (..., 3).  `line_roots` takes (n, 3) origins and directions and
-    returns all real t with F(origin + t*direction) = 0 as an (n, m)
+    Each surface defines `value` and `line_roots`.  `value` maps points
+    (..., 3) to (...).  `line_roots` takes (n, 3) origins and directions
+    and returns all real t with F(origin + t*direction) = 0 as an (n, m)
     array padded with NaN; each surface solves it in closed form.
     """
 
     #: characteristic length used to scale tolerances
     scale: float = 1.0
-
-    def unit_normal(self, p):
-        g = np.asarray(self.gradient(p), dtype=float)
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
     def nearest_line_intersection(self, origin, direction, bracket):
         """Intersection of Gamma with the line through `origin` along
@@ -97,9 +92,6 @@ class Ellipsoid(Surface):
         q = (np.asarray(p, dtype=float) - self.center) / self.semi_axes
         return _dot(q, q) - 1.0
 
-    def gradient(self, p):
-        return 2.0 * (np.asarray(p, dtype=float) - self.center) / self.semi_axes**2
-
     def line_roots(self, origin, direction):
         """Both t with |o + t d| = 1 for the origin and direction scaled to
         the unit sphere (t is unchanged), ascending, NaN where it misses."""
@@ -138,14 +130,6 @@ class Torus(Surface):
         rho = np.hypot(p[..., 0], p[..., 1])
         z = p[..., 2]
         return (self.major_radius - rho) ** 2 + z * z - self.minor_radius**2
-
-    def gradient(self, p):
-        p = np.asarray(p, dtype=float)
-        rho = np.hypot(p[..., 0], p[..., 1])
-        if np.any(rho == 0.0):
-            raise ValueError("torus gradient undefined on the z-axis")
-        fac = 2.0 * (rho - self.major_radius) / rho
-        return np.stack([fac * p[..., 0], fac * p[..., 1], 2.0 * p[..., 2]], axis=-1)
 
     def line_roots(self, origin, direction):
         """Real roots of the quartic (|p|^2 + R^2 - r^2)^2 = 4 R^2 rho^2

@@ -1,0 +1,15 @@
+"""Meshes that only the tests need: the unit cube, a domain without a
+curved boundary."""
+import numpy as np
+
+from shiftfem.meshgen import Mesh, _fix_orientation, _kuhn_paths
+
+
+def generate_box_tet_mesh(nx, ny, nz):
+    """Structured mesh of the unit cube, nx x ny x nz cells of 6 Kuhn tets
+    each, all sharing the cell's main diagonal direction."""
+    dims = (nx + 1, ny + 1, nz + 1)
+    verts = np.indices(dims).reshape(3, -1).T / np.array([nx, ny, nz])
+    paths = _kuhn_paths((nx, ny, nz))
+    tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
+    return Mesh(verts, _fix_orientation(verts, tets), name="box")

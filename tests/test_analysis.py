@@ -25,7 +25,7 @@ from shiftfem.elements import (
     shape_values,
     tet_quadrature,
 )
-from shiftfem.meshgen import generate_box_tet_mesh
+from meshes import generate_box_tet_mesh
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 

@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given
+from scipy.io import mmread, mmwrite
 
+from meshes import generate_box_tet_mesh
 from shiftfem.assembly import (
     assemble_new_method,
     assemble_polyhedral,
     element_load,
     element_stiffness,
-    write_matrix_market,
 )
 from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.elements import AffineMap, REF_VERTICES, tet_quadrature
 from shiftfem.linsolve import solve
 from shiftfem.meshgen import (
     classify_boundary,
-    generate_box_tet_mesh,
     generate_octant_mesh,
 )
 from shiftfem.nonconforming import (
@@ -222,15 +222,20 @@ def test_assembly_is_deterministic():
 
 
 def test_matrix_market_dump(tmp_path):
+    # The CLI's --dump-matrix writes system.A with scipy's mmwrite; the
+    # assembled matrix must survive the round trip unchanged.
     mesh = generate_octant_mesh(2)
     cls = classify_boundary(mesh, SPHERE)
     system = assemble_polyhedral(
         mesh, cls, SPHERE, 2, lambda p: 1.0, lambda p: 0.0
     )
     out = tmp_path / "system.mtx"
-    write_matrix_market(system, out)
+    mmwrite(str(out), system.A)
     text = out.read_text()
     assert text.startswith("%%MatrixMarket")
+    back = mmread(str(out)).tocsr()
+    assert back.shape == system.A.shape
+    assert abs(back - system.A).max() == 0.0
 
 
 @pytest.mark.parametrize(

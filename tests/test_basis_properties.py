@@ -59,7 +59,9 @@ def jittered_mesh(family, param, shape, rng):
         mesh = generate_torus_sector_mesh(param, *shape)
         surface = Torus(*shape)
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_faces())
-    step = 0.1 * mesh.edge_lengths().min() / np.sqrt(3.0)
+    ends = mesh.vertices[mesh.topology.edge_vertices]
+    shortest = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min()
+    step = 0.1 * shortest / np.sqrt(3.0)
     mesh.vertices[free] += rng.uniform(-step, step, size=(free.size, 3))
     return mesh, surface
 

@@ -130,7 +130,8 @@ def test_solve_consistency_case(tmp_path, capsys):
     err_line = [l for l in out.splitlines() if "err_h1_broken" in l][0]
     assert float(err_line.split("=")[1]) <= 1e-10
     assert (tmp_path / "quadratic-ellipsoid-new-k2.csv").exists()
-    assert (tmp_path / "quadratic-ellipsoid-new-k2-4.mtx").exists()
+    mtx = (tmp_path / "quadratic-ellipsoid-new-k2-4.mtx").read_text()
+    assert mtx.startswith("%%MatrixMarket")
     assert (tmp_path / "quadratic-ellipsoid-new-k2-4-solution.vtk").exists()
 
 

@@ -1,13 +1,17 @@
-"""No module imports a name it never uses: the check of an unused-import
-lint rule, over the package and the tests."""
+"""No module imports a name it never uses, over the package and the
+tests, and the package defines no function, class or method that neither
+the package nor the benchmark uses: the checks of two lint rules."""
 import ast
+import collections
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "shiftfem").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "shiftfem").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -32,6 +36,50 @@ def unused_imports(source):
                   if name not in used)
 
 
+def dead_definitions(package, bench=None):
+    """The functions, classes and methods (dunders excepted) defined in the
+    `package` sources that are used nowhere outside their own definition,
+    as sorted (module, line, name) triples.  `package` and `bench` map
+    module names to sources.
+
+    A package module uses a name when it reads it as a bare name or an
+    attribute.  A benchmark module uses one only by an attribute read, a
+    `from shiftfem... import`, or a string constant equal to it (the
+    attribute names it patches): a bare name there is its own function,
+    which may share a package method's name."""
+    used = collections.Counter()
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    for tree in trees.values():
+        used.update(_read_names(tree))
+    for source in (bench or {}).values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used[node.attr] += 1
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("shiftfem")):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used[node.value] += 1
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, DEFINITIONS)
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and used[node.name] == _read_names(node)[node.name]):
+                dead.append((module, node.lineno, node.name))
+    return sorted(dead)
+
+
+def _read_names(tree):
+    """How often `tree` reads each bare name and attribute."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
@@ -44,3 +92,29 @@ def test_the_check_finds_an_unused_import():
               "from math import pi  # noqa: F401\n"
               "os.path.join(read('1'))\n")
     assert unused_imports(source) == [(3, "re"), (4, "dumps")]
+
+
+def test_every_package_definition_is_used():
+    assert dead_definitions({p.stem: p.read_text() for p in PACKAGE},
+                            {p.stem: p.read_text() for p in BENCH}) == []
+
+
+def test_the_check_finds_an_unused_definition():
+    package = {
+        "geometry": ("class Shape:\n"
+                     "    def __init__(self):\n        self.size = 1\n"
+                     "    def area(self):\n        return self.area()\n"
+                     "    def volume(self):\n        return 0\n"
+                     "    def patched(self):\n        return 0\n"
+                     "def helper():\n    return Shape()\n"
+                     "def spare():\n    return helper()\n"),
+        "run": "from .geometry import helper\nhelper().volume()\n",
+    }
+    bench = {"trace": ("from shiftfem.geometry import spare\n"
+                       "PATCHES = [('patched', None)]\n"
+                       "def area():\n    return 0\nprint(area())\n")}
+    # `area` reads only itself; the bench reads its own `area`, a bare name
+    assert dead_definitions(package, bench) == [("geometry", 4, "area")]
+    assert dead_definitions(package) == [
+        ("geometry", 4, "area"), ("geometry", 8, "patched"),
+        ("geometry", 12, "spare")]

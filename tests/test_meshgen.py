@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from meshes import generate_box_tet_mesh
+from shiftfem.elements import EDGES, AffineMap
 from shiftfem.meshgen import (
     classify_boundary,
-    generate_box_tet_mesh,
     generate_octant_mesh,
     generate_torus_sector_mesh,
     skin_directions,
@@ -18,29 +19,57 @@ ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
 TORUS = Torus(5.0 / 6.0, 1.0 / 6.0)
 
 
+def _volumes(mesh):
+    """The signed volume of every tet."""
+    return AffineMap.from_vertices(mesh.vertices[mesh.tets]).detB / 6.0
+
+
+def _element_sizes(mesh):
+    """The longest edge of every tet."""
+    v = mesh.vertices[mesh.tets]
+    a, b = np.array(EDGES).T
+    return np.linalg.norm(v[:, a] - v[:, b], axis=-1).max(axis=1)
+
+
 def _triples(mesh, faces):
     """The sorted vertex triples of face ids, as a set."""
     return {tuple(tri) for tri in mesh.topology.face_vertices[faces].tolist()}
 
 
 @pytest.mark.parametrize("generate,name", [
-    (lambda: generate_box_tet_mesh(0, 1, 1), "nx"),
-    (lambda: generate_box_tet_mesh(1, 1, -2), "nz"),
     (lambda: generate_octant_mesh(0), "J"),
     (lambda: generate_octant_mesh(-2), "J"),
     (lambda: generate_torus_sector_mesh(0, 5.0 / 6.0, 1.0 / 6.0), "I"),
     (lambda: generate_torus_sector_mesh(-2, 5.0 / 6.0, 1.0 / 6.0), "I"),
-    (lambda: generate_box_tet_mesh(1.5, 1, 1), "nx"),
     (lambda: generate_octant_mesh(2.5), "J"),
     (lambda: generate_torus_sector_mesh(4.7, 5.0 / 6.0, 1.0 / 6.0), "I"),
-], ids=["box-nx", "box-nz", "octant-0", "octant-negative", "torus-0",
-        "torus-negative", "box-non-integral", "octant-non-integral",
-        "torus-non-integral"])
+], ids=["octant-0", "octant-negative", "torus-0", "torus-negative",
+        "octant-non-integral", "torus-non-integral"])
 def test_generators_reject_sizes_without_a_tet(generate, name):
     """A size that would give an empty mesh, or a non-integral one that
     would be truncated, fails, naming the parameter."""
     with pytest.raises(ValueError, match=r"needs .*\b%s >= " % name):
         generate()
+
+
+@pytest.mark.parametrize("radii", [(1.0, 2.0), (1.0 / 6.0, 1.0 / 6.0),
+                                   (5.0 / 6.0, 0.0), (-1.0, -2.0)],
+                         ids=["r-above-R", "r-equals-R", "r-0", "negative"])
+def test_torus_mesh_needs_major_radius_above_minor(radii):
+    """The radii the torus rejects, for which the sector would cross the
+    axis or have no tube."""
+    with pytest.raises(ValueError, match=r"R = %g, r = %g" % radii):
+        generate_torus_sector_mesh(2, *radii)
+
+
+@pytest.mark.parametrize("semi_axes", [
+    (1.0, np.nan, 1.0), (0.6, 0.0, 1.0), (0.6, 0.8, -1.0), (np.inf, 1.0, 1.0),
+], ids=["nan", "zero", "negative", "inf"])
+def test_octant_mesh_needs_finite_positive_semi_axes(semi_axes):
+    """The semi-axes the ellipsoid rejects."""
+    with pytest.raises(ValueError, match=r"finite semi-axes > 0, got "
+                       r"semi_axes = \["):
+        generate_octant_mesh(2, semi_axes)
 
 
 def test_generators_accept_numpy_integers():
@@ -55,8 +84,8 @@ def test_box_mesh_counts():
     assert generate_box_tet_mesh(8, 8, 8).n_tets == 3072
     m = generate_box_tet_mesh(8, 2, 2)
     assert m.n_tets == 6 * 8 * 2 * 2
-    assert np.min(m.tet_volumes()) > 0
-    assert float(m.tet_volumes().sum()) == pytest.approx(1.0)
+    assert np.min(_volumes(m)) > 0
+    assert float(_volumes(m).sum()) == pytest.approx(1.0)
 
 
 def test_octant_mesh_counts_and_surface_vertices():
@@ -64,7 +93,7 @@ def test_octant_mesh_counts_and_surface_vertices():
     for J in (2, 4):
         m = generate_octant_mesh(J)
         assert m.n_tets == J**3
-        assert np.min(m.tet_volumes()) > 0
+        assert np.min(_volumes(m)) > 0
         # vertices on the outer shell lie exactly on the sphere
         on_gamma = [
             v for v in m.vertices if abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -80,7 +109,7 @@ def test_octant_mesh_ellipsoid():
     for J in (4, 8):
         m = generate_octant_mesh(J, (0.6, 0.8, 1.0))
         assert m.n_tets == J**3
-        assert np.min(m.tet_volumes()) > 0
+        assert np.min(_volumes(m)) > 0
         cls = classify_boundary(m, ELLIPSOID)
         for v in cls.gamma_vertices:
             assert abs(ELLIPSOID.value(m.vertices[v])) <= 1e-12 * ELLIPSOID.scale
@@ -91,7 +120,7 @@ def test_octant_volume_converges_at_second_order():
     errs = []
     for J in (4, 8):
         m = generate_octant_mesh(J, (0.6, 0.8, 1.0))
-        errs.append(exact - float(m.tet_volumes().sum()))
+        errs.append(exact - float(_volumes(m).sum()))
     assert errs[0] > 0 and errs[1] > 0  # inscribed polyhedron
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
@@ -102,7 +131,7 @@ def test_quasi_uniformity():
         generate_octant_mesh(8, (0.6, 0.8, 1.0)),
         generate_torus_sector_mesh(4, 5.0 / 6.0, 1.0 / 6.0),
     ):
-        h = mesh.element_sizes()
+        h = _element_sizes(mesh)
         assert float(h.max() / h.min()) < 6.0
 
 
@@ -110,7 +139,7 @@ def test_torus_mesh_counts_and_surface_vertices():
     for I, n in ((2, 48), (4, 384)):
         m = generate_torus_sector_mesh(I, 5.0 / 6.0, 1.0 / 6.0)
         assert m.n_tets == n
-        assert np.min(m.tet_volumes()) > 0
+        assert np.min(_volumes(m)) > 0
         cls = classify_boundary(m, TORUS)
         for v in cls.gamma_vertices:
             assert abs(TORUS.value(m.vertices[v])) <= 1e-12 * TORUS.scale
@@ -121,8 +150,8 @@ def test_torus_mesh_counts_and_surface_vertices():
 def test_torus_volume_sanity():
     # sector = 1/16 of the full torus (theta span pi/4 of 2*pi, upper half)
     exact = 2 * np.pi**2 * (5.0 / 6.0) * (1.0 / 6.0) ** 2 / 16.0
-    vol = float(generate_torus_sector_mesh(8, 5.0 / 6.0, 1.0 / 6.0)
-                .tet_volumes().sum())
+    vol = float(_volumes(generate_torus_sector_mesh(8, 5.0 / 6.0,
+                                                    1.0 / 6.0)).sum())
     assert abs(vol - exact) / exact < 0.02
 
 
@@ -268,14 +297,14 @@ def test_skin_direction_flat_and_ridge():
 def test_skin_direction_upright_on_sphere():
     m = generate_octant_mesh(4)
     cls = classify_boundary(m, SPHERE)
-    h = float(m.element_sizes().max())
+    h = float(_element_sizes(m).max())
     edges = m.topology.edge_vertices[cls.gamma_edges]
     for edge, w in zip(edges, skin_directions(m, cls)):
         e = m.vertices[edge[1]] - m.vertices[edge[0]]
         assert abs(w @ e) <= 1e-12 * np.linalg.norm(e)
         M = 0.5 * (m.vertices[edge[0]] + m.vertices[edge[1]])
         P, _ = SPHERE.nearest_line_intersection(M, w, 4 * h)
-        n = SPHERE.unit_normal(P)
+        n = P / np.linalg.norm(P)  # the unit sphere's normal
         assert abs(w @ n) >= 1.0 - 1.5 * h
 
 
@@ -304,6 +333,14 @@ def test_degenerate_tet_error_names_the_first_one():
         _fix_orientation(verts, tets)
     fixed = _fix_orientation(verts, tets[:2])
     assert fixed.tolist() == [[0, 1, 2, 3], [0, 2, 3, 1]]
+    # a coordinate that is not finite makes the determinant NaN; an
+    # infinite major radius maps torus vertices to inf and NaN
+    verts[3, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="degenerate tetrahedron 0 "):
+            _fix_orientation(verts, tets[:2])
+        with pytest.raises(ValueError, match="degenerate tetrahedron 0 "):
+            generate_torus_sector_mesh(2, float("inf"), 1.0)
 
 
 def test_skin_direction_needs_two_boundary_faces_per_edge():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from meshes import generate_box_tet_mesh
 from shiftfem.elements import AffineMap, EDGES, FACES, shape_values
-from shiftfem.meshgen import (
-    classify_boundary,
-    generate_box_tet_mesh,
-    generate_octant_mesh,
-)
+from shiftfem.meshgen import classify_boundary, generate_octant_mesh
 from shiftfem.assembly import element_phi_coefficients
 from shiftfem.nonconforming import (
-    _apply_reference_dofs,
+    _REF_POINTS,
+    _WEIGHTS,
     _shifted_edge_points,
     _shifted_face_points,
     build_nc_modified_basis,
@@ -27,6 +25,12 @@ ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
 
 def _zero(p):
     return 0.0
+
+
+def _apply_reference_dofs(values_at):
+    """The 10 DOFs of the function `values_at(point)` on the reference
+    tet, from the element's reference points and weights."""
+    return _WEIGHTS @ np.array([values_at(p) for p in _REF_POINTS])
 
 
 def test_edge_functional_values():

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from meshes import generate_box_tet_mesh
 from shiftfem.elements import EDGES, FACES
 from shiftfem.meshgen import (
     Mesh,
     Topology,
     classify_boundary,
-    generate_box_tet_mesh,
     generate_octant_mesh,
     generate_torus_sector_mesh,
     skin_directions,
@@ -144,7 +144,9 @@ def scrambled_mesh(family, param, shape, seed):
         axis=1)
     boundary = brute_topology(mesh.tets)[4]
     free = np.setdiff1d(np.arange(mesh.n_vertices), np.array(list(boundary)))
-    step = 0.1 * mesh.edge_lengths().min() / np.sqrt(3.0)
+    ends = mesh.vertices[mesh.topology.edge_vertices]
+    shortest = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min()
+    step = 0.1 * shortest / np.sqrt(3.0)
     vertices = mesh.vertices.copy()
     vertices[free] += rng.uniform(-step, step, size=(free.size, 3))
     return Mesh(vertices, tets, symmetry_planes=mesh.symmetry_planes), surface
