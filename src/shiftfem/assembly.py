@@ -7,8 +7,8 @@ Every discretization goes through one pipeline:
     to the P_k Lagrange basis, and the trial functions are T_test on
     interior tets and T_test C on boundary tets, C = K~^-1 being the
     coefficients of the boundary-shifted basis;
-  * a Dirichlet lift: the Gamma_h columns move to the right-hand side,
-    b -= A[free, Gamma_h] @ g, keeping the system square over the free DOFs.
+  * a Dirichlet lift on every tet, b_T -= S_T @ g[cells_T], so that the
+    system is square over the free DOFs.
 
 The builders differ only in what they feed the pipeline:
   * the boundary-shifted method: Lagrange nodes with Dirichlet values at
@@ -19,10 +19,10 @@ The builders differ only in what they feed the pipeline:
     DOFs, T_test = R.
 
 The element kernels run once per mesh on one stacked `AffineMap` of all
-tets, and the scatter goes through COO index arrays, following Cuvelier,
-Japhet & Scarella, "An efficient way to assemble finite element matrices
-in vector languages" (BIT Numer. Math. 2016), and scikit-fem (Gustafsson
-& McBain, JOSS 2020).
+tets, and one scatter into the free DOFs goes through COO index arrays,
+following Cuvelier, Japhet & Scarella, "An efficient way to assemble
+finite element matrices in vector languages" (BIT Numer. Math. 2016), and
+scikit-fem (Gustafsson & McBain, JOSS 2020).
 """
 from __future__ import annotations
 
@@ -87,16 +87,18 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     if basis is not None:
         S_all[basis.tets] = S_all[basis.tets] @ basis.C
 
-    n, n_loc = gamma_mask.size, cells.shape[1]
-    rows = np.repeat(cells, n_loc, axis=1).ravel()
-    cols = np.tile(cells, n_loc).ravel()
-    full = sp.coo_matrix((S_all.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    free = ~gamma_mask
-    load = np.bincount(cells.ravel(), weights=b_all.ravel(), minlength=n)
-    A_free = full[free]
-    b = load[free] - A_free[:, gamma_mask] @ dirichlet[gamma_mask]
-    return System(A=A_free[:, free].tocsr(), b=b, cells=cells,
-                  gamma_mask=gamma_mask, dirichlet=dirichlet, basis=basis, R=R)
+    b_all -= (S_all @ dirichlet[cells][..., None])[..., 0]
+    # equation ids, int32 where they fit; Gamma_h goes to the dropped row n
+    n, n_loc = np.count_nonzero(~gamma_mask), cells.shape[1]
+    idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    eq = np.where(gamma_mask, n, np.cumsum(~gamma_mask) - 1).astype(idx)[cells]
+    A = sp.csr_matrix((S_all.ravel(), (np.repeat(eq, n_loc, axis=1).ravel(),
+                                       np.tile(eq, n_loc).ravel())),
+                      shape=(n + 1, n + 1))
+    A.resize(n, n)
+    b = np.bincount(eq.ravel(), weights=b_all.ravel(), minlength=n + 1)[:n]
+    return System(A=A, b=b, cells=cells, gamma_mask=gamma_mask,
+                  dirichlet=dirichlet, basis=basis, R=R)
 
 
 def assemble_new_method(

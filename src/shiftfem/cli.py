@@ -41,6 +41,7 @@ CHECK_MODULES = (
     "test_elements.py",
     "test_basis_properties.py",
     "test_trialspace.py",
+    "test_assembly.py",
     "test_nonconforming.py",
     "test_meshgen.py",
     "test_solver.py",

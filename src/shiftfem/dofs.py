@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import EDGES, multi_indices
+from .elements import EDGES, barycentric, multi_indices, reference_nodes
 from .meshgen import BoundaryClassification, Mesh
 
 
@@ -59,11 +59,11 @@ class DofLayout:
                   self.ids(2, top.tet_faces))
         return np.hstack([blocks[d].reshape(len(tets), -1) for d in self.order])
 
-    def gamma_mask(self, cls: BoundaryClassification, dims=(0, 1, 2)):
-        """(n_dofs,) True for the DOFs of the Gamma_h entities of `dims`."""
+    def gamma_mask(self, cls: BoundaryClassification):
+        """(n_dofs,) True for the DOFs of the Gamma_h entities."""
         mask = np.zeros(self.sizes.sum(), dtype=bool)
         entities = (cls.gamma_vertices, cls.gamma_edges, cls.gamma_faces)
-        for d in dims:
+        for d in range(3):
             mask[self.ids(d, entities[d])] = True
         return mask
 
@@ -81,18 +81,17 @@ class LagrangeNodeSet:
 
 
 def build_lagrange_nodes(mesh: Mesh, degree: int) -> LagrangeNodeSet:
-    """The nodes of the continuous P_k space.  Their counts, and their
-    places on every edge and face (vertices sorted), are those of the
-    reference nodes on edge (0, 1) and face (1, 2, 3)."""
+    """The nodes of the continuous P_k space.  Each sits where the first
+    tet that holds it maps its reference node, in the orientation of the
+    per-tet table; a vertex that no tet holds has NaN coordinates."""
     k, alpha = degree, multi_indices(degree)
     support = np.count_nonzero(alpha, axis=1)
     counts = np.bincount(support, minlength=4)[1:4] // (4, 6, 4)
     layout = DofLayout(mesh, tuple(counts.tolist()))
-    t = alpha[support == 2][:counts[1], 1, None] / k
-    face = alpha[support == 3][:counts[2], 1:, None]
-    p, top = mesh.vertices, mesh.topology
-    ends = p[top.edge_vertices][:, None]
-    edges = (1.0 - t) * ends[..., 0, :] + t * ends[..., 1, :]
-    faces = (face * p[top.face_vertices][:, None]).sum(axis=2) / k
-    coords = np.vstack([p, edges.reshape(-1, 3), faces.reshape(-1, 3)])
-    return LagrangeNodeSet(layout, k, coords, layout.cells())
+    cells = layout.cells()
+    ids, first = np.unique(cells, return_index=True)
+    tet, local = np.divmod(first, cells.shape[1])
+    coords = np.full((layout.sizes.sum(), 3), np.nan)
+    coords[ids] = (barycentric(reference_nodes(k))[local, None]
+                   @ mesh.vertices[mesh.tets[tet]])[:, 0]
+    return LagrangeNodeSet(layout, k, coords, cells)

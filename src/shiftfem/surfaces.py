@@ -86,6 +86,9 @@ class Ellipsoid(Surface):
             raise ValueError("ellipsoid needs finite semi-axes > 0, got "
                              "semi_axes = %s" % self.semi_axes)
         self.center = np.broadcast_to(self.center, (3,)).astype(float)
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("ellipsoid needs a finite center, got "
+                             "center = %s" % self.center)
         self.scale = float(np.min(self.semi_axes))
 
     def value(self, p):
@@ -119,9 +122,9 @@ class Torus(Surface):
     minor_radius: float
 
     def __post_init__(self):
-        if not self.major_radius > self.minor_radius > 0.0:
+        if not np.inf > self.major_radius > self.minor_radius > 0.0:
             raise ValueError(
-                "torus needs major_radius > minor_radius > 0, got R = %g, r = %g"
+                "torus needs finite radii R > r > 0, got R = %g, r = %g"
                 % (self.major_radius, self.minor_radius))
         self.scale = float(self.minor_radius)
 

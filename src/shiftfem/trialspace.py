@@ -47,30 +47,30 @@ def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
     top, layout = mesh.topology, nodes.layout
     points = nodes.coords.copy()
 
-    nid = layout.ids(1, cls.gamma_edges)  # (n_e, k-1)
-    if nid.size:
+    edge_ids = layout.ids(1, cls.gamma_edges)  # (n_e, k-1)
+    if edge_ids.size:
         ends = mesh.vertices[top.edge_vertices[cls.gamma_edges]]
         length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
-        points[nid], _t = surface.nearest_line_intersection(
-            nodes.coords[nid], skin_directions(mesh, cls)[:, None, :],
+        points[edge_ids], _t = surface.nearest_line_intersection(
+            nodes.coords[edge_ids], skin_directions(mesh, cls)[:, None, :],
             4.0 * length[:, None])
 
     faces = cls.gamma_faces
-    nid = layout.ids(2, faces)  # (n_f, (k-1)(k-2)/2)
-    if nid.size:
+    face_ids = layout.ids(2, faces)  # (n_f, (k-1)(k-2)/2)
+    if face_ids.size:
         opp = mesh.vertices[mesh.tets[top.face_tet[faces], top.face_local[faces]]]
-        M = nodes.coords[nid]
+        M = nodes.coords[face_ids]
         d = M - opp[:, None]
         dist = np.linalg.norm(d, axis=-1)
         d /= dist[..., None]
         # the sought intersection lies within O(h_T) of M
         tris = mesh.vertices[top.face_vertices[faces]][:, None]
         h_t = np.max(np.linalg.norm(tris - M[..., None, :], axis=-1), axis=-1)
-        points[nid], _t = surface.nearest_line_intersection(
+        points[face_ids], _t = surface.nearest_line_intersection(
             M, d, 4.0 * np.maximum(h_t, dist))
 
-    return ShiftedNodeTable(
-        shifts=np.flatnonzero(layout.gamma_mask(cls, (1, 2))), points=points)
+    shifts = np.concatenate([edge_ids.ravel(), face_ids.ravel()])
+    return ShiftedNodeTable(shifts=shifts, points=points)
 
 
 @dataclass

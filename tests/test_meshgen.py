@@ -53,11 +53,13 @@ def test_generators_reject_sizes_without_a_tet(generate, name):
 
 
 @pytest.mark.parametrize("radii", [(1.0, 2.0), (1.0 / 6.0, 1.0 / 6.0),
-                                   (5.0 / 6.0, 0.0), (-1.0, -2.0)],
-                         ids=["r-above-R", "r-equals-R", "r-0", "negative"])
+                                   (5.0 / 6.0, 0.0), (-1.0, -2.0),
+                                   (float("inf"), 1.0)],
+                         ids=["r-above-R", "r-equals-R", "r-0", "negative",
+                              "R-inf"])
 def test_torus_mesh_needs_major_radius_above_minor(radii):
     """The radii the torus rejects, for which the sector would cross the
-    axis or have no tube."""
+    axis, have no tube or map its vertices to inf and NaN."""
     with pytest.raises(ValueError, match=r"R = %g, r = %g" % radii):
         generate_torus_sector_mesh(2, *radii)
 
@@ -333,14 +335,11 @@ def test_degenerate_tet_error_names_the_first_one():
         _fix_orientation(verts, tets)
     fixed = _fix_orientation(verts, tets[:2])
     assert fixed.tolist() == [[0, 1, 2, 3], [0, 2, 3, 1]]
-    # a coordinate that is not finite makes the determinant NaN; an
-    # infinite major radius maps torus vertices to inf and NaN
+    # a coordinate that is not finite makes the determinant NaN
     verts[3, 1] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="degenerate tetrahedron 0 "):
             _fix_orientation(verts, tets[:2])
-        with pytest.raises(ValueError, match="degenerate tetrahedron 0 "):
-            generate_torus_sector_mesh(2, float("inf"), 1.0)
 
 
 def test_skin_direction_needs_two_boundary_faces_per_edge():

@@ -244,7 +244,8 @@ def test_batched_query_names_the_origin_that_misses_the_surface():
     assert str(origins[1]) in str(info.value)
 
 
-@pytest.mark.parametrize("radii", [(0.2, 0.3), (0.3, 0.3)])
+@pytest.mark.parametrize("radii", [(0.2, 0.3), (0.3, 0.3),
+                                   (float("inf"), 1.0)])
 def test_torus_needs_major_radius_above_minor(radii):
     with pytest.raises(ValueError, match=r"R = %g, r = %g" % radii):
         Torus(*radii)
@@ -260,6 +261,16 @@ def test_torus_needs_major_radius_above_minor(radii):
 def test_ellipsoid_needs_finite_positive_semi_axes(make):
     with pytest.raises(ValueError, match=r"finite semi-axes > 0, got "
                        r"semi_axes = \["):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Ellipsoid([0.6, 0.8, 1.0], center=[np.nan, 0.0, 0.0]),
+    lambda: Sphere([0.0, np.inf, 0.0], 1.0),
+], ids=["nan", "inf"])
+def test_ellipsoid_needs_finite_center(make):
+    """A center that is not finite would make `value` NaN everywhere."""
+    with pytest.raises(ValueError, match=r"finite center, got center = \["):
         make()
 
 

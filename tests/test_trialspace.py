@@ -13,7 +13,7 @@ from shiftfem.elements import (
     shape_values,
     tet_quadrature,
 )
-from shiftfem.meshgen import classify_boundary, generate_octant_mesh
+from shiftfem.meshgen import Mesh, classify_boundary, generate_octant_mesh
 from shiftfem.surfaces import Ellipsoid, Sphere
 from shiftfem.trialspace import (
     build_modified_basis,
@@ -46,6 +46,20 @@ def test_node_table_matches_mapped_reference_nodes(mesh, degree):
     np.testing.assert_allclose(nodes.coords[nodes.cell_nodes_table],
                                amap.to_physical(reference_nodes(degree)),
                                rtol=0.0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_vertex_no_tet_holds_moves_no_node(degree):
+    """A vertex that no tet uses holds a DOF that no tet places: it gets
+    NaN coordinates, and every node a tet holds keeps its coordinates."""
+    mesh = get_case("tp1-sphere").mesh(2)
+    extra = Mesh(np.vstack([mesh.vertices, [[5.0, 6.0, 7.0]]]), mesh.tets)
+    nodes = build_lagrange_nodes(mesh, degree)
+    padded = build_lagrange_nodes(extra, degree)
+    assert padded.n_nodes == nodes.n_nodes + 1
+    assert np.isnan(padded.coords[mesh.n_vertices]).all()
+    np.testing.assert_array_equal(padded.coords[padded.cell_nodes_table],
+                                  nodes.coords[nodes.cell_nodes_table])
 
 
 @pytest.mark.parametrize("degree", [2, 3])
