@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dofs import LagrangeNodeSet, build_lagrange_nodes
-from .elements import AffineMap, shape_gradients, shape_values, tet_quadrature
+from .elements import (AffineMap, barycentric, reference_nodes,
+                       shape_gradients, shape_values, tet_quadrature)
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
 from .trialspace import (
@@ -53,6 +54,11 @@ class System:
     dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
     basis: ModifiedElementBasis | None  # C of the boundary tets, stacked
     R: np.ndarray | None  # test transform; None is the identity
+    # the P1 coarse space of `linsolve`: the vertex ids of each tet, and
+    # (n_loc, 4) each local DOF's functional applied to the four P1 hats;
+    # without them the system is solved by LU at every size
+    tets: np.ndarray | None = None
+    coarse_weights: np.ndarray | None = None
 
 
 def element_stiffness(amap: AffineMap, degree: int, quad):
@@ -74,9 +80,10 @@ def element_load(amap: AffineMap, degree: int, quad, f):
 
 
 def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
-             R, f) -> System:
+             R, f, coarse_weights=None) -> System:
     """Form T_test^T S T_trial and T_test^T b_loc on every tet, scatter
-    them once and lift the Dirichlet values (see the module docstring)."""
+    them once and lift the Dirichlet values (see the module docstring).
+    `coarse_weights` only rides along to the solver (see `System`)."""
     quad = tet_quadrature(5)
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
     S_all = element_stiffness(amap, degree, quad)
@@ -98,7 +105,8 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     A.resize(n, n)
     b = np.bincount(eq.ravel(), weights=b_all.ravel(), minlength=n + 1)[:n]
     return System(A=A, b=b, cells=cells, gamma_mask=gamma_mask,
-                  dirichlet=dirichlet, basis=basis, R=R)
+                  dirichlet=dirichlet, basis=basis, R=R, tets=mesh.tets,
+                  coarse_weights=coarse_weights)
 
 
 def assemble_new_method(
@@ -140,7 +148,8 @@ def _lagrange_system(mesh: Mesh, cls: BoundaryClassification,
     dirichlet = np.zeros(nodes.n_nodes)
     dirichlet[gamma_mask] = g(points[gamma_mask])
     return assemble(mesh, nodes.degree, nodes.cell_nodes_table, gamma_mask,
-                    dirichlet, basis, None, f)
+                    dirichlet, basis, None, f,
+                    barycentric(reference_nodes(nodes.degree)))
 
 
 def element_phi_coefficients(system: System, x: np.ndarray):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .assembly import System, assemble
 from .dofs import DofLayout, build_lagrange_nodes
-from .elements import EDGES, FACES, REF_VERTICES, shape_values
+from .elements import EDGES, FACES, REF_VERTICES, barycentric, shape_values
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
 from .trialspace import (ModifiedElementBasis, build_shifted_node_table,
@@ -66,7 +66,9 @@ def nc_reference_matrix() -> np.ndarray:
 def nc_layout(mesh: Mesh) -> DofLayout:
     """One DOF per face and per edge, faces first: numbered edges first,
     the LU factor of tp1 stores 205,890 entries instead of 181,624 at
-    J=8, and 5,123,116 instead of 4,692,672 at J=16."""
+    J=8, and 5,123,116 instead of 4,692,672 at J=16.  The J=16 counts are
+    those of the LU path forced: its 13,616 equations are above the
+    switch of `linsolve`, so by default it takes the multigrid path."""
     return DofLayout(mesh, (0, 1, 1), (2, 1, 0))
 
 
@@ -132,4 +134,5 @@ def nc_assemble(
     basis = build_nc_modified_basis(mesh, bc, bc.o_tets, edge_points,
                                     face_points)
     return assemble(mesh, 2, layout.cells(), gamma_mask,
-                    np.zeros(gamma_mask.size), basis, nc_reference_matrix(), f)
+                    np.zeros(gamma_mask.size), basis, nc_reference_matrix(), f,
+                    _WEIGHTS @ barycentric(_REF_POINTS))

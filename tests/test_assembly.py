@@ -306,10 +306,11 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
 
 
 def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
-                          R, f):
+                          R, f, coarse_weights=None):
     """`assemble` with its scatter written the long way: the full matrix
     over all DOFs, its free rows, then their free and Gamma_h columns, and
-    the lift b -= A[free, Gamma_h] @ g.  The oracle of the one scatter."""
+    the lift b -= A[free, Gamma_h] @ g.  The oracle of the one scatter;
+    the coarse weights only ride along to the solver, so it reads none."""
     quad = tet_quadrature(5)
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
     S_all = element_stiffness(amap, degree, quad)
