@@ -94,7 +94,7 @@ def eoc(e1, e2, h1, h2):
 def run_single(case: ExactCase, method: str, degree: int, param,
                record_time=True, tol=1e-12):
     """Mesh, assemble, solve, and measure one case/refinement combination.
-    `solve_seconds` is the sparse solve alone, refinement or GMRES
+    `solve_seconds` is the sparse solve alone, the factors and GMRES
     included (0 without `record_time`)."""
     # built at call time, so that a rebound builder is the one called
     builders = {

@@ -18,28 +18,6 @@ about doubles the factor time.  On the sphere systems it pads by 0-2 %
 and the time does not change.  Without relaxation the stored factor is
 exactly L + U.
 
-The factor is computed in single precision and the solution refined in
-double precision (mixed-precision iterative refinement: Buttari, Dongarra
-et al., ACM TOMS 2008; Carson & Higham, SIAM J. Sci. Comput. 2018).  The
-float32 factor of ``A.astype(np.float32)``, with the same ordering and
-options, stores the same entries at half the bytes and is computed about a
-third faster.  Each step forms r = b - A x in float64, scales r by its
-max-norm so that nothing underflows in float32, solves with the float32
-factor and adds the correction to x in float64.  The steps go on while
-each one at least halves the residual norm, at most
-`MAX_REFINEMENT_STEPS` times after the first solve, and the x with the
-smallest residual is kept.  Refining until the residual stalls, rather
-than until it meets the tolerance, brings x to within rounding of the
-float64 factor's solution: on the sphere and torus systems, 3 steps (the
-last one stalls) leave x within 1e-14 relative of it.
-
-Refinement converges only while cond(A)·2⁻²⁴ < 1, and the conditioning
-guard of `trialspace` admits element matrices up to cond 1e8.  So when
-the float32 factor is exactly singular, or the refined x misses the
-residual contract, the float64 factor runs as the only factor would.
-Which one runs depends on the input alone, never on timing, so the
-output stays deterministic.
-
 Two-level p-multigrid GMRES, above the switch.
 The LU factor's stored entries grow about as n^1.7, so systems with more
 than `PMG_MIN_EQUATIONS` equations whose builder supplies a coarse space
@@ -50,8 +28,8 @@ Helenbrook, Mavriplis & Atkins, AIAA 2003):
   * the coarse space is P1 on the same mesh, for every element: the
     prolongation P gives each free DOF the value its DOF functional takes
     on the P1 hats, over the vertices that some free DOF reads;
-  * the coarse matrix Pᵀ A P (969 unknowns on tp1 J=16) is factored in
-    float64 with the LU path's options;
+  * the coarse matrix Pᵀ A P (969 unknowns on tp1 J=16) is factored
+    with the LU path's options;
   * one forward Gauss-Seidel sweep runs before the coarse correction and
     one backward sweep after it.  Each sweep is a SuperLU factor of a
     triangle of A in the natural order with the diagonal pivot, which
@@ -67,8 +45,9 @@ and below the 1e-12 contract, which is then checked in float64 on x as
 on the LU path.  The sphere and torus systems take 14-26 iterations
 independently of h, and x lies within 1e-12 relative of the LU path's.
 When GMRES has not met the contract within `MAX_GMRES_ITERATIONS`, or a
-factor of the cycle is singular, the LU path runs instead; the path too
-depends on the input alone."""
+factor of the cycle is singular, the LU path runs instead.  Which path
+runs depends on the input alone, never on timing, so the output stays
+deterministic."""
 from __future__ import annotations
 
 import time
@@ -81,8 +60,6 @@ from scipy.sparse.linalg import splu
 
 from .assembly import System
 
-#: most refinement steps after the first solve with the float32 factor
-MAX_REFINEMENT_STEPS = 10
 #: systems with more equations than this, and a coarse space, take the
 #: p-multigrid GMRES path.  Best of 5 solves, LU / pMG-GMRES, one thread:
 #: tp1 new J=8 (816 eq) 7.9 / 11.6 ms, nonconforming J=8 (1,784) 14.0 /
@@ -109,24 +86,21 @@ _SWEEP_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1)
 class SolveReport:
     x: np.ndarray
     relative_residual: float
-    seconds: float  # the factorizations, solves, refinement and GMRES only
+    seconds: float  # the factorizations, solves and GMRES only
     # entries SuperLU stores for every factor of the path that produced x:
     # L and U of the one LU factor, or of the coarse factor and the two
     # sweep factors of the multigrid cycle; with relaxed supernodes off
     # this is their nonzero count, read without materialising lu.L and
     # lu.U, which would copy the whole factor
     fill: int
-    precision: str  # the factor that produced x: "float32" (refined) or "float64"
-    # float64 corrections after the first float32 solve; 0 on the other paths
-    refinement_steps: int
     path: str  # "lu" or "pmg" (multigrid-preconditioned GMRES)
     iterations: int  # GMRES iterations; 0 on the LU path
 
 
 def _factor(A, **options):
-    """SuperLU factor of A in A's precision, or None when it is exactly
-    singular; any other factor error passes through.  The options default
-    to those of the LU path."""
+    """SuperLU factor of A, or None when it is exactly singular; any other
+    factor error passes through.  The options default to those of the LU
+    path."""
     try:
         return splu(A, **(options or _LU_OPTIONS))
     except RuntimeError as exc:
@@ -135,55 +109,22 @@ def _factor(A, **options):
         return None
 
 
-def _refine(A, b, lu):
-    """x solved with the float32 factor `lu` of A and refined in float64
-    until a step no longer halves the residual norm: the x of smallest
-    residual, and the number of steps after the first solve."""
-    x = np.zeros_like(b)
-    r = b
-    rnorm = np.linalg.norm(r)
-    best, best_norm = x, rnorm
-    for step in range(MAX_REFINEMENT_STEPS + 1):
-        scale = np.max(np.abs(r))
-        if not scale > 0.0:  # solved exactly, or NaN
-            break
-        x = x + scale * lu.solve((r / scale).astype(np.float32)).astype(np.float64)
-        r = b - A @ x
-        prev, rnorm = rnorm, np.linalg.norm(r)
-        if rnorm < best_norm:
-            best, best_norm = x, rnorm
-        if not rnorm <= 0.5 * prev:
-            break
-    return best, step
-
-
 def _relative_residual(A, b, x):
     res = np.linalg.norm(A @ x - b)
     bnorm = np.linalg.norm(b)
     return res / bnorm if bnorm > 0.0 else res
 
 
-def _lu_solve(A, b, tol):
-    """x by the float32 factor and refinement, or by the float64 factor
-    when that one is singular or misses the contract: x, its relative
-    residual, the entries the factor stores, its precision and the
-    refinement steps."""
-    A_csc = A.tocsc()
-    lu = _factor(A_csc.astype(np.float32))
-    if lu is not None:
-        x, steps = _refine(A, b, lu)
-        precision = "float32"
-        rel = _relative_residual(A, b, x)
-    if lu is None or not rel <= tol:
-        lu = None  # free the float32 factor first
-        lu = _factor(A_csc)
-        if lu is None:
-            raise RuntimeError(
-                "solver failure: sparse LU factor of the %d×%d system is "
-                "exactly singular" % A.shape)
-        x, steps, precision = lu.solve(b), 0, "float64"
-        rel = _relative_residual(A, b, x)
-    return x, rel, lu.nnz, precision, steps
+def _lu_solve(A, b):
+    """x by the one sparse LU factor of A: x, its relative residual and
+    the entries the factor stores."""
+    lu = _factor(A.tocsc())
+    if lu is None:
+        raise RuntimeError(
+            "solver failure: sparse LU factor of the %d×%d system is "
+            "exactly singular" % A.shape)
+    x = lu.solve(b)
+    return x, _relative_residual(A, b, x), lu.nnz
 
 
 def _prolongation(system: System):
@@ -285,9 +226,9 @@ def solve(system: System, tol: float = 1e-12) -> SolveReport:
         pmg = _pmg_solve(system, tol)
     if pmg is not None:
         x, rel, fill, iterations = pmg
-        path, precision, steps = "pmg", "float64", 0
+        path = "pmg"
     else:
-        x, rel, fill, precision, steps = _lu_solve(A, b, tol)
+        x, rel, fill = _lu_solve(A, b)
         path, iterations = "lu", 0
     seconds = time.perf_counter() - t0
     if not np.isfinite(rel) or rel > tol:
@@ -295,6 +236,4 @@ def solve(system: System, tol: float = 1e-12) -> SolveReport:
             "solver failure: relative residual %.3e exceeds %.1e" % (rel, tol)
         )
     return SolveReport(x=x, relative_residual=float(rel), seconds=seconds,
-                       fill=fill, precision=precision,
-                       refinement_steps=steps, path=path,
-                       iterations=iterations)
+                       fill=fill, path=path, iterations=iterations)

@@ -43,8 +43,6 @@ def _wrap(A, b):
 
 def test_identity_system():
     rep = solve(_wrap(np.eye(3), [1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(rep.x, [1, 0, 0])
-    # the float32 factor of I is exact, so the first solve is
     np.testing.assert_array_equal(rep.x, [1, 0, 0])
     assert rep.relative_residual <= 1e-12
 
@@ -75,20 +73,16 @@ def test_residual_above_tolerance_fails():
 
 
 def test_other_factor_errors_pass_through(monkeypatch):
-    """A factor error other than singularity passes through from either
-    factor: the float32 factor is made singular to reach the float64 one."""
+    """A factor error other than singularity passes through the LU path."""
     error = RuntimeError("out of memory")
-    for failing in (np.float32, np.float64):
 
-        def failing_splu(A, **kwargs):
-            if A.dtype == failing:
-                raise error
-            raise RuntimeError("Factor is exactly singular")
+    def failing_splu(A, **kwargs):
+        raise error
 
-        monkeypatch.setattr(linsolve, "splu", failing_splu)
-        with pytest.raises(RuntimeError) as info:
-            solve(_wrap(np.eye(2), [1.0, 1.0]))
-        assert info.value is error
+    monkeypatch.setattr(linsolve, "splu", failing_splu)
+    with pytest.raises(RuntimeError) as info:
+        solve(_wrap(np.eye(2), [1.0, 1.0]))
+    assert info.value is error
 
 
 def test_new_method_system_matches_dense_lu_oracle():
@@ -192,64 +186,29 @@ def _float64_lu_solve(system):
     ("tp3-torus", "new", 2, 4),
     ("tp1-sphere", "new", 3, 4),
 ])
-def test_refined_float32_solve_matches_float64_lu(case_name, method, degree,
-                                                   param):
-    """Refining until the residual stalls brings the float32 factor's x to
-    within rounding of the float64 factor's, in a few steps."""
+def test_lu_path_matches_independent_splu(case_name, method, degree, param):
+    """Below the switch x is the one solve with the float64 factor of the
+    pinned ordering, symmetric mode and relax=1, bit for bit."""
     system = _case_system(case_name, method, degree, param)
     rep = solve(system)
     assert rep.path == "lu"
-    assert rep.precision == "float32"
-    assert 1 <= rep.refinement_steps <= 5
-    ref = _float64_lu_solve(system)
-    assert np.max(np.abs(rep.x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(rep.x, _float64_lu_solve(system))
     assert rep.relative_residual <= 1e-12
 
 
-def test_forced_float64_path_matches_float32_path(monkeypatch):
-    system = _case_system("tp1-sphere", "nonconforming", 2, 4)
-    refined = solve(system)
-
-    def splu_singular_in_float32(A, **kwargs):
-        if A.dtype == np.float32:
-            raise RuntimeError("Factor is exactly singular")
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(linsolve, "splu", splu_singular_in_float32)
-    direct = solve(system)
-    assert (refined.precision, direct.precision) == ("float32", "float64")
-    assert direct.refinement_steps == 0
-    assert direct.fill == refined.fill
-    np.testing.assert_array_equal(direct.x, _float64_lu_solve(system))
-    assert (np.max(np.abs(refined.x - direct.x))
-            <= 1e-12 * np.max(np.abs(direct.x)))
-
-
-def test_singular_in_float32_takes_the_float64_path():
-    """1 + 1e-9 rounds to 1 in float32, so that factor is exactly
-    singular; the float64 factor is not."""
-    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
-    assert linsolve._factor(sp.csc_matrix(A, dtype=np.float32)) is None
-    rep = solve(_wrap(A, [2.0, 2.0 + 1e-9]))
-    assert (rep.precision, rep.refinement_steps) == ("float64", 0)
+@pytest.mark.parametrize("A", [
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]]),
+    hilbert(8),
+], ids=["near-singular-2x2", "hilbert-8"])
+def test_ill_conditioned_systems_meet_the_contract(A):
+    """A pivot of 1e-9 and cond(H_8) ≈ 3e10 still leave the float64 LU
+    solve within the 1e-12 residual contract, and x within cond·eps of
+    the exact ones."""
+    b = A @ np.ones(len(A))
+    rep = solve(_wrap(A, b))
+    assert rep.path == "lu"
     assert rep.relative_residual <= 1e-12
-    np.testing.assert_allclose(rep.x, [1.0, 1.0], rtol=1e-6)
-
-
-def test_stalled_refinement_takes_the_float64_path():
-    """cond(H_8) ≈ 3e10 is beyond what a float32 factor can refine: the
-    residual stalls far above the contract, and the float64 factor meets
-    it."""
-    H = hilbert(8)
-    assert 1e10 <= np.linalg.cond(H, 1) <= 1e11
-    b = H @ np.ones(8)
-    lu = linsolve._factor(sp.csc_matrix(H, dtype=np.float32))
-    x, steps = linsolve._refine(sp.csr_matrix(H), b, lu)
-    assert steps < linsolve.MAX_REFINEMENT_STEPS
-    assert np.linalg.norm(H @ x - b) > 1e-12 * np.linalg.norm(b)
-    rep = solve(_wrap(H, b))
-    assert (rep.precision, rep.refinement_steps) == ("float64", 0)
-    assert rep.relative_residual <= 1e-12
+    np.testing.assert_allclose(rep.x, 1.0, rtol=1e-5)
 
 
 @pytest.mark.parametrize("case_name,method,degree,param", [
@@ -272,7 +231,6 @@ def test_pmg_path_matches_lu_path(case_name, method, degree, param,
         assert sol.path == path
         runs[path] = rep, sol
     (rep_lu, lu), (rep_pmg, pmg) = runs["lu"], runs["pmg"]
-    assert (pmg.precision, pmg.refinement_steps) == ("float64", 0)
     assert 1 <= pmg.iterations <= 30
     assert pmg.relative_residual <= 1e-12
     assert np.max(np.abs(pmg.x - lu.x)) <= 1e-10 * np.max(np.abs(lu.x))
@@ -345,3 +303,40 @@ def test_gmres_over_its_cap_falls_back_to_lu(monkeypatch):
     rep = solve(system)
     assert (rep.path, rep.iterations, rep.fill) == ("lu", 0, forced.fill)
     np.testing.assert_array_equal(rep.x, forced.x)
+
+
+def _splu_failing_in_the_sweeps(error):
+    """`splu` that raises `error` for a Gauss-Seidel sweep's factor, the
+    only one in the natural order, and factors everything else."""
+
+    def fake(A, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":
+            raise error
+        return splu(A, **kwargs)
+
+    return fake
+
+
+def test_singular_sweep_factor_falls_back_to_lu(monkeypatch):
+    """A singular factor of the cycle sends the system to the LU path,
+    which gives exactly the x it gives when forced."""
+    system = _case_system("tp1-sphere", "new", 2, 4)
+    _force_path(monkeypatch, "lu")
+    forced = solve(system)
+    _force_path(monkeypatch, "pmg")
+    monkeypatch.setattr(linsolve, "splu", _splu_failing_in_the_sweeps(
+        RuntimeError("Factor is exactly singular")))
+    rep = solve(system)
+    assert (rep.path, rep.iterations, rep.fill) == ("lu", 0, forced.fill)
+    np.testing.assert_array_equal(rep.x, forced.x)
+
+
+def test_other_sweep_factor_errors_pass_through(monkeypatch):
+    """A factor error of the cycle other than singularity is not hidden
+    by the LU fallback."""
+    error = RuntimeError("out of memory")
+    _force_path(monkeypatch, "pmg")
+    monkeypatch.setattr(linsolve, "splu", _splu_failing_in_the_sweeps(error))
+    with pytest.raises(RuntimeError) as info:
+        solve(_case_system("tp1-sphere", "new", 2, 4))
+    assert info.value is error
