@@ -45,6 +45,11 @@ class ErrorReport:
     solve_seconds: float
 
 
+#: quadrature points (tets × rule points) that `error_norms` evaluates at
+#: once: its arrays stay a few MB however large the mesh or the rule
+_CHUNK_POINTS = 2 ** 15
+
+
 def error_norms(mesh, degree, phi_coeffs, u, grad_u, quad=None):
     """Broken-H1 seminorm error, L2 error, and max nodal error of a
     piecewise-P_k function given by per-element Lagrange coefficients.
@@ -52,36 +57,36 @@ def error_norms(mesh, degree, phi_coeffs, u, grad_u, quad=None):
     The error integrands are not polynomial (and the squared L2 integrand
     alone has degree 2(k+2)), so the norms use a once-refined composite of
     the 15-point rule (8 sub-tets, 120 points); this matches a further
-    refined oracle rule to well below the reported digits."""
+    refined oracle rule to well below the reported digits.
+
+    The tets go in chunks of `_CHUNK_POINTS` // n_q, so the memory peak
+    grows with neither the mesh nor the rule.  A chunk evaluates all its
+    points at once, with its own affine map, and sums the squared
+    gradient error as one matrix-vector product with the weights repeated
+    once per component."""
     if quad is None:
         quad = refined_quadrature(5, 1)
-    vals = shape_values(degree, quad.points)  # (n_q, n_k)
-    grads = shape_gradients(degree, quad.points)  # (n_q, n_k, 3)
-    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
+    n_q = quad.weights.size
+    vals = shape_values(degree, quad.points).T  # (n_k, n_q)
     n, n_k = phi_coeffs.shape
-    B = amap.B.reshape(3 * n, 3)
-
-    # 16 quadrature points at a time, on all tets: each block is a few
-    # matrix products over (n_tets, 16, ...) arrays, where the whole rule
-    # at once would hold (n_tets, n_q, 3) arrays, n_q / 16 times the memory
-    h1_sq = np.zeros(n)
-    l2_sq = np.zeros(n)
-    for s in range(0, quad.weights.size, 16):
-        q = slice(s, s + 16)
-        w = quad.weights[q]
-        m = w.size
-        pts = (B @ quad.points[q].T).reshape(n, 3, m).transpose(0, 2, 1)
-        pts += amap.v0[:, None, :]  # (n_tets, m, 3)
-        uh = phi_coeffs @ vals[q].T  # (n_tets, m)
-        ref = grads[q].transpose(1, 0, 2).reshape(n_k, 3 * m)
-        guh = (phi_coeffs @ ref).reshape(n, m, 3) @ amap.Binv
-        l2_sq += (uh - u(pts)) ** 2 @ w
+    grads = shape_gradients(degree, quad.points)  # (n_q, n_k, 3)
+    grads = grads.transpose(1, 0, 2).reshape(n_k, 3 * n_q)
+    w3 = np.repeat(quad.weights, 3)
+    nodes = reference_nodes(degree)
+    step = max(1, _CHUNK_POINTS // n_q)
+    h1_sq = l2_sq = nodal = 0.0
+    for s in range(0, n, step):
+        c = phi_coeffs[s:s + step]
+        m = len(c)
+        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[s:s + step]])
+        pts = amap.to_physical(quad.points)  # (m, n_q, 3)
+        guh = (c @ grads).reshape(m, n_q, 3) @ amap.Binv
         d = guh - grad_u(pts)
-        h1_sq += np.einsum("tqe,tqe,q->t", d, d, w)
-    # the coefficients are the nodal values of a Lagrange function
-    nodal = phi_coeffs - u(amap.to_physical(reference_nodes(degree)))
-    return (float(np.sqrt(h1_sq @ amap.detB)), float(np.sqrt(l2_sq @ amap.detB)),
-            float(np.max(np.abs(nodal))))
+        h1_sq += (np.square(d).reshape(m, 3 * n_q) @ w3) @ amap.detB
+        l2_sq += (np.square(c @ vals - u(pts)) @ quad.weights) @ amap.detB
+        # the coefficients are the nodal values of a Lagrange function
+        nodal = max(nodal, np.max(np.abs(c - u(amap.to_physical(nodes)))))
+    return float(np.sqrt(h1_sq)), float(np.sqrt(l2_sq)), float(nodal)
 
 
 def eoc(e1, e2, h1, h2):

@@ -81,7 +81,8 @@ def _quadratic_ellipsoid():
 
 def _tp1_sphere():
     def r2(p):
-        return np.sum(np.square(p), axis=-1)
+        x, y, z = np.moveaxis(p, -1, 0)
+        return x * x + y * y + z * z
 
     def u(p):
         s = r2(p)

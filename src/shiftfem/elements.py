@@ -108,11 +108,25 @@ def shape_gradients(degree: int, points) -> np.ndarray:
     return dlam @ _BARY_GRADS
 
 
+def edge_adjugate(edges):
+    """For the edge rows e1, e2, e3 of tets, (..., 3, 3): the rows e2×e3,
+    e3×e1, e1×e2 of adj B, where B has the edges as columns, and
+    det B = e1·(e2×e3), in closed form; B⁻¹ = adj B / det B."""
+    a, b = edges[..., [1, 2, 0], :], edges[..., [2, 0, 1], :]
+    adj = (a[..., [1, 2, 0]] * b[..., [2, 0, 1]]
+           - a[..., [2, 0, 1]] * b[..., [1, 2, 0]])
+    d = edges[..., 0, :] * adj[..., 0, :]
+    return adj, d[..., 0] + d[..., 1] + d[..., 2]
+
+
 @dataclass
 class AffineMap:
     """Affine map x = v0 + B x_hat from the reference tet to a physical tet,
     or a stack of n such maps: every field then has a leading tet axis
-    (v0 (n, 3), B and Binv (n, 3, 3), detB (n,))."""
+    (v0 (n, 3), B and Binv (n, 3, 3), detB (n,)).  B⁻¹ and det B come in
+    closed form from the edge vectors (`edge_adjugate`), with no LAPACK
+    call per tet, and `to_physical` maps the reference points into all
+    tets with one matrix product."""
 
     v0: np.ndarray
     B: np.ndarray
@@ -124,19 +138,21 @@ class AffineMap:
         """Map of one tet (4, 3) or of a stack of tets (n, 4, 3)."""
         verts = np.asarray(verts, dtype=float)
         v0 = verts[..., 0, :]
-        B = np.swapaxes(verts[..., 1:, :] - v0[..., None, :], -1, -2)
-        detB = np.linalg.det(B)
+        edges = verts[..., 1:, :] - v0[..., None, :]
+        adj, detB = edge_adjugate(edges)
         bad = np.flatnonzero(~(detB > 0.0))
         if bad.size:
             raise ValueError("tetrahedron %d is degenerate or negatively "
                              "oriented" % bad[0])
-        return cls(v0=v0, B=B, Binv=np.linalg.inv(B), detB=detB)
+        return cls(v0=v0, B=np.swapaxes(edges, -1, -2),
+                   Binv=adj / detB[..., None, None], detB=detB)
 
     def to_physical(self, ref_points):
         """Reference points (m, 3) -> physical points, (m, 3) or (n, m, 3)."""
         pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
-        return self.v0[..., None, :] + np.einsum("...de,me->...md",
-                                                 self.B, pts)
+        lead = self.B.shape[:-2]
+        x = (self.B.reshape(-1, 3) @ pts.T).reshape(lead + (3, len(pts)))
+        return np.swapaxes(x, -1, -2) + self.v0[..., None, :]
 
     def to_reference(self, phys_points):
         """Physical points (m, 3), or (n, m, 3) for a stack, -> reference."""

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elements import EDGES, FACES
+from .elements import EDGES, FACES, edge_adjugate
 from .surfaces import Ellipsoid, Surface, Torus
 
 _EDGES = np.array(EDGES)
@@ -162,7 +162,7 @@ def _fix_orientation(vertices, tets):
     tets = np.array(tets, dtype=np.int64)
     v = vertices[tets]
     edges = v[:, 1:] - v[:, :1]
-    det = np.linalg.det(np.swapaxes(edges, -1, -2))
+    _, det = edge_adjugate(edges)
     vol_scale = np.max(np.abs(edges), axis=(1, 2)) ** 3
     # written so that a NaN determinant fails it too
     ok = np.abs(det) > 1e-12 * np.maximum(vol_scale, 1e-300)

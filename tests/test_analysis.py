@@ -137,10 +137,10 @@ def per_point_error_norms(mesh, degree, phi_coeffs, u, grad_u, quad):
 @pytest.mark.parametrize("case_name,param", [("tp1-sphere", 4),
                                              ("tp3-torus", 2)])
 def test_blocked_error_norms_match_per_point_loop(case_name, param, degree):
-    """The 16-point blocks give the per-point loop's norms, on rules whose
-    size is not a multiple of 16 (15, 120 points) and one that is (960),
-    and with `u`/`grad_u` returning constants, as the case contract
-    allows."""
+    """The tet chunks give the per-point loop's norms, on rules of 15 and
+    120 points, whose chunks hold every tet of these meshes, and of 960
+    points, whose chunks of 34 tets leave a shorter last one, and with
+    `u`/`grad_u` returning constants, as the case contract allows."""
     case = get_case(case_name)
     _rep, mesh, system, sol = run_single(case, "new", degree, param)
     coeffs = element_phi_coefficients(system, sol.x)
@@ -157,8 +157,8 @@ def test_blocked_error_norms_match_per_point_loop(case_name, param, degree):
 
 def test_error_norms_memory_does_not_grow_with_the_rule():
     """Eight times the quadrature points cost at most 1.5x the peak
-    memory: the kernel holds 16 points of all tets at a time, never the
-    whole rule."""
+    memory: the kernel holds one chunk of tets with a fixed number of
+    quadrature points at a time, never the whole rule on every tet."""
     case = get_case("tp1-sphere")
     mesh = case.mesh(8)
     coeffs = np.zeros((mesh.n_tets, 10))
@@ -167,6 +167,25 @@ def test_error_norms_memory_does_not_grow_with_the_rule():
         tracemalloc.start()
         try:
             error_norms(mesh, 2, coeffs, case.u, case.grad_u, quad)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_error_norms_memory_does_not_grow_with_the_mesh():
+    """Eight times the tets (J=8 to J=16, 4,096 tets) cost at most 1.5x
+    the peak memory: each chunk holds a fixed number of quadrature points
+    (measured 3.9 and 4.1 MB; 1.3 and 9.4 MB when each block held 16
+    points of every tet)."""
+    case = get_case("tp1-sphere")
+    peaks = []
+    for J in (8, 16):
+        mesh = case.mesh(J)
+        coeffs = np.zeros((mesh.n_tets, 10))
+        tracemalloc.start()
+        try:
+            error_norms(mesh, 2, coeffs, case.u, case.grad_u)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import hilbert
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from shiftfem.analysis import run_single
 from shiftfem.assembly import System, assemble_new_method, assemble_polyhedral
@@ -340,3 +340,39 @@ def test_other_sweep_factor_errors_pass_through(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         solve(_case_system("tp1-sphere", "new", 2, 4))
     assert info.value is error
+
+
+class _RecordedFactor:
+    """A SuperLU factor that records the right-hand side and the result of
+    every solve."""
+
+    def __init__(self, lu):
+        self.lu, self.nnz, self.solves = lu, lu.nnz, []
+
+    def solve(self, r, trans="N"):
+        z = self.lu.solve(r, trans=trans)
+        self.solves.append((r.copy(), z))
+        return z
+
+
+def test_backward_sweep_solves_with_the_upper_triangle(monkeypatch):
+    """The backward sweep factors the lower triangle triu(A)ᵀ and solves
+    with its transpose: every solve of the cycle equals the upper
+    triangular solve with triu(A) to 1e-14 relative."""
+    system = _case_system("tp1-sphere", "nonconforming", 2, 8)
+    upper = sp.triu(system.A, format="csr")
+    factored = []
+
+    def recording(A, **kwargs):
+        factored.append((A, _RecordedFactor(splu(A, **kwargs))))
+        return factored[-1][1]
+
+    _force_path(monkeypatch, "pmg")
+    monkeypatch.setattr(linsolve, "splu", recording)
+    assert solve(system).path == "pmg"
+    sweep, = [lu for A, lu in factored
+              if A.shape == upper.shape and (A != upper.T).nnz == 0]
+    assert sweep.solves
+    for r, z in sweep.solves:
+        ref = spsolve_triangular(upper, r, lower=False)
+        assert np.max(np.abs(z - ref)) <= 1e-14 * np.max(np.abs(ref))
