@@ -21,10 +21,10 @@ exactly L + U.
 Two-level p-multigrid GMRES, above the switch.
 The LU factor's stored entries grow about as n^1.7, so systems with more
 than `PMG_MIN_EQUATIONS` equations whose builder supplies a coarse space
-(`System.tets` and `System.coarse_weights`) are solved by restarted
-GMRES(`GMRES_RESTART`), preconditioned on the right with a two-level
-p-multigrid V-cycle (Rønquist & Patera, J. Sci. Comput. 1987;
-Helenbrook, Mavriplis & Atkins, AIAA 2003):
+(`System.tets` and `System.coarse_weights`) are solved by one GMRES
+cycle of at most `MAX_GMRES_ITERATIONS` steps, preconditioned on the
+right with a two-level p-multigrid V-cycle (Rønquist & Patera,
+J. Sci. Comput. 1987; Helenbrook, Mavriplis & Atkins, AIAA 2003):
   * the coarse space is P1 on the same mesh, for every element: the
     prolongation P gives each free DOF the value its DOF functional takes
     on the P1 hats, over the vertices that some free DOF reads;
@@ -40,14 +40,15 @@ Helenbrook, Mavriplis & Atkins, AIAA 2003):
     solves with the transpose: SuperLU factors an upper triangle two to
     three times as slowly as a lower one (tp1 nonconforming J=16: 23
     against 14 ms).
-GMRES is written here, with modified Gram-Schmidt and Givens rotations
-(Saad, *Iterative Methods for Sparse Linear Systems*, 2003, ch. 6 and
-9), because right preconditioning makes its stopping test read the true
-residual, not the preconditioned one.  It stops at tol/2 relative: 5e-13
-at the default tolerance, above its attainable accuracy of about 1.3e-13
-and below the 1e-12 contract, which is then checked in float64 on x as
-on the LU path.  The sphere and torus systems take 14-26 iterations
-independently of h, and x lies within 1e-12 relative of the LU path's.
+SciPy's `gmres` is given the operator A M and no preconditioner of its
+own.  That is right preconditioning (Saad, *Iterative Methods for Sparse
+Linear Systems*, 2003, ch. 9): its inner stopping test reads the
+residual of A x = b, not a preconditioned one, and x = M y.  GMRES stops
+at tol/2 relative: 5e-13 at the default tolerance, above its attainable
+accuracy of about 1.3e-13 and below the 1e-12 contract, which is then
+checked in float64 on x as on the LU path.  The sphere and torus systems
+take 14-29 Arnoldi steps independently of h, and x lies within 1e-12
+relative of the LU path's.
 When GMRES has not met the contract within `MAX_GMRES_ITERATIONS`, or a
 factor of the cycle is singular, the LU path runs instead.  Which path
 runs depends on the input alone, never on timing, so the output stays
@@ -59,8 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .assembly import System
 
@@ -74,11 +74,9 @@ from .assembly import System
 #: nonconforming J=16 (13,616) 385 / 128 ms.  The paths cross between
 #: 1,800 and 3,500 equations, and the gap grows with n above that.
 PMG_MIN_EQUATIONS = 2000
-#: GMRES iterations, over all restarts, before the LU fallback runs; the
-#: sphere and torus systems take 14-26
-MAX_GMRES_ITERATIONS = 200
-#: Krylov vectors per GMRES cycle before it restarts
-GMRES_RESTART = 100
+#: Arnoldi steps of the one GMRES cycle before the LU fallback runs: the
+#: systems take 14-29, and SciPy allocates cap + 1 Krylov vectors up front
+MAX_GMRES_ITERATIONS = 50
 _LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", relax=1,
                    options=dict(SymmetricMode=True))
 #: a Gauss-Seidel sweep's factor of a triangle of A: in the natural order
@@ -98,7 +96,7 @@ class SolveReport:
     # lu.U, which would copy the whole factor
     fill: int
     path: str  # "lu" or "pmg" (multigrid-preconditioned GMRES)
-    iterations: int  # GMRES iterations; 0 on the LU path
+    iterations: int  # GMRES Arnoldi steps; 0 on the LU path
 
 
 def _factor(A, **options):
@@ -175,45 +173,17 @@ def _pmg_solve(system: System, tol):
 
 
 def _gmres(A, b, precondition, tol, max_iterations):
-    """Restarted GMRES, right-preconditioned, from x = 0: Arnoldi with
-    modified Gram-Schmidt and Givens rotations (Saad, ch. 6 and 9).  It
-    stops once the residual norm of A x = b falls to tol·‖b‖, or after
-    `max_iterations` in all: x and the iterations run."""
-    x = np.zeros_like(b)
-    target = tol * np.linalg.norm(b)
-    r, iterations = b, 0
-    while iterations < max_iterations:
-        beta = np.linalg.norm(r)
-        if not beta > target:  # met, or b = 0
-            break
-        m = min(GMRES_RESTART, max_iterations - iterations)
-        V, H = [r / beta], np.zeros((m + 1, m))
-        cs, sn = np.zeros(m), np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        for j in range(m):
-            w = A @ precondition(V[j])
-            for i in range(j + 1):
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            h = np.linalg.norm(w)
-            for i in range(j):
-                H[i:i + 2, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                 cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-            d = np.hypot(H[j, j], h)
-            if d == 0.0:  # A M singular on the Krylov space: LU decides
-                return x, iterations
-            cs[j], sn[j] = H[j, j] / d, h / d
-            H[j, j], g[j + 1], g[j] = d, -sn[j] * g[j], cs[j] * g[j]
-            iterations += 1
-            # a happy breakdown, h = 0, leaves g[j + 1] = 0 and ends here
-            if abs(g[j + 1]) <= target:
-                break
-            V.append(w / h)
-        y = solve_triangular(H[:j + 1, :j + 1], g[:j + 1])
-        x += precondition(sum(yi * v for yi, v in zip(y, V)))
-        r = b - A @ x
-    return x, iterations
+    """One cycle of SciPy's GMRES from x = 0 on the right-preconditioned
+    operator A M, of at most `max_iterations` Arnoldi steps: it stops once
+    the residual norm of A x = b falls to tol·‖b‖.  x = M y and the
+    Arnoldi steps run."""
+    steps = []
+    # an explicit dtype, or LinearOperator probes matvec: one more V-cycle
+    AM = LinearOperator(A.shape, matvec=lambda v: A @ precondition(v),
+                        dtype=float)
+    y, _ = gmres(AM, b, rtol=tol, atol=0.0, restart=max_iterations,
+                 maxiter=1, callback=steps.append, callback_type="pr_norm")
+    return precondition(y), len(steps)
 
 
 def solve(system: System, tol: float = 1e-12) -> SolveReport:

@@ -15,9 +15,8 @@ every element.
 The boundary-shifted variant replaces, on boundary elements, mu_F of a
 Gamma_h face by evaluation at the nearest intersection of the surface
 with the perpendicular to F through its centroid, and the midpoint in
-nu_e of a Gamma_h edge by the skin-shifted point Q_e.  Only the
-homogeneous Dirichlet problem is supported: the shifted DOFs of Gamma_h
-entities are constrained to zero.
+nu_e of a Gamma_h edge by the skin-shifted point Q_e.  The Dirichlet
+value of a Gamma_h DOF is its shifted functional applied to g.
 """
 from __future__ import annotations
 
@@ -114,25 +113,25 @@ def build_nc_modified_basis(mesh: Mesh, bc: BoundaryClassification, tets,
 def nc_assemble(
     mesh: Mesh, bc: BoundaryClassification, surface: Surface, degree: int, f, g
 ) -> System:
-    """Square system over the non-Gamma_h face/edge DOFs.  Only
-    homogeneous Dirichlet data is supported: the Gamma_h DOFs carry the
-    value zero, and `g` must vanish at every point they read, which are
-    the Gamma_h vertices, the shifted edge points Q_e of the Gamma_h edges
-    and the shifted points of the Gamma_h faces."""
+    """Square system over the non-Gamma_h face/edge DOFs.  A Gamma_h DOF
+    carries its functional of `g`: g at the shifted point of a Gamma_h
+    face, and the edge functional of g at the endpoints and the shifted
+    point Q_e of a Gamma_h edge."""
     if degree != 2:
         raise ValueError("the nonconforming element only exists for k=2")
     bc.check_assumption()
     edge_points = _shifted_edge_points(mesh, bc, surface)
     face_points = _shifted_face_points(mesh, bc, surface)
-    read = np.vstack([mesh.vertices[bc.gamma_vertices],
-                      edge_points[bc.gamma_edges], face_points[bc.gamma_faces]])
-    if np.any(g(read) != 0.0):
-        raise ValueError("the nonconforming element needs homogeneous "
-                         "Dirichlet data")
     layout = nc_layout(mesh)
     gamma_mask = layout.gamma_mask(bc)
+    dirichlet = np.zeros(gamma_mask.size)
+    faces, edges = bc.gamma_faces, bc.gamma_edges
+    dirichlet[layout.ids(2, faces)[:, 0]] = g(face_points[faces])
+    ends = mesh.vertices[mesh.topology.edge_vertices[edges]]
+    dirichlet[layout.ids(1, edges)[:, 0]] = nc_edge_functional(
+        g(ends[:, 0]), g(edge_points[edges]), g(ends[:, 1]))
     basis = build_nc_modified_basis(mesh, bc, bc.o_tets, edge_points,
                                     face_points)
-    return assemble(mesh, 2, layout.cells(), gamma_mask,
-                    np.zeros(gamma_mask.size), basis, nc_reference_matrix(), f,
+    return assemble(mesh, 2, layout.cells(), gamma_mask, dirichlet, basis,
+                    nc_reference_matrix(), f,
                     _WEIGHTS @ barycentric(_REF_POINTS))

@@ -204,24 +204,14 @@ def test_violation_rejected():
         nc_assemble(mesh, cls, SPHERE, 2, lambda p: 1.0, _zero)
 
 
-def test_inhomogeneous_data_rejected():
-    mesh = generate_octant_mesh(2)
-    cls = classify_boundary(mesh, SPHERE)
-    with pytest.raises(ValueError, match="homogeneous"):
-        nc_assemble(mesh, cls, SPHERE, 2, lambda p: 1.0, lambda p: 1.0)
-
-    # 0 at every Gamma_h vertex and 1 elsewhere: the shifted edge and face
-    # points, which the Gamma_h DOFs read too, see 1
+def test_scalar_dirichlet_data():
+    """g = 1 returned as a scalar, with f = 0: every Gamma_h DOF carries
+    its functional of g, 1, and u = 1 makes every free DOF 1."""
     mesh = generate_octant_mesh(4)
     cls = classify_boundary(mesh, SPHERE)
-    vertices = mesh.vertices[cls.gamma_vertices]
-
-    def g(p):
-        on_vertex = np.all(p[..., None, :] == vertices, axis=-1).any(axis=-1)
-        return np.where(on_vertex, 0.0, 1.0)
-
-    with pytest.raises(ValueError, match="homogeneous"):
-        nc_assemble(mesh, cls, SPHERE, 2, lambda p: 1.0, g)
+    system = nc_assemble(mesh, cls, SPHERE, 2, lambda p: 0.0, lambda p: 1.0)
+    np.testing.assert_array_equal(system.dirichlet[system.gamma_mask], 1.0)
+    np.testing.assert_allclose(solve(system).x, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_nc_mesh_too_coarse_raises():
