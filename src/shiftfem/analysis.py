@@ -100,7 +100,8 @@ def run_single(case: ExactCase, method: str, degree: int, param,
                record_time=True, tol=1e-12):
     """Mesh, assemble, solve, and measure one case/refinement combination.
     `solve_seconds` is the sparse solve alone, the factors and GMRES
-    included (0 without `record_time`)."""
+    included; the multigrid prolongation is built during assembly and not
+    counted (0 without `record_time`)."""
     # built at call time, so that a rebound builder is the one called
     builders = {
         "new": assemble_new_method,

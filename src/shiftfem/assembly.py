@@ -23,6 +23,12 @@ tets, and one scatter into the free DOFs goes through COO index arrays,
 following Cuvelier, Japhet & Scarella, "An efficient way to assemble
 finite element matrices in vector languages" (BIT Numer. Math. 2016), and
 scikit-fem (Gustafsson & McBain, JOSS 2020).
+
+The same equation numbering gives the coarse space of the solver's
+p-multigrid cycle: P1 on the same mesh, for every element.  Its
+prolongation `System.P` gives each free DOF the value its functional takes
+on the P1 hats, read through the first tet that holds the DOF, over the
+vertices that some free DOF reads.
 """
 from __future__ import annotations
 
@@ -54,11 +60,7 @@ class System:
     dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
     basis: ModifiedElementBasis | None  # C of the boundary tets, stacked
     R: np.ndarray | None  # test transform; None is the identity
-    # the P1 coarse space of `linsolve`: the vertex ids of each tet, and
-    # (n_loc, 4) each local DOF's functional applied to the four P1 hats;
-    # without them the system is solved by LU at every size
-    tets: np.ndarray | None = None
-    coarse_weights: np.ndarray | None = None
+    P: sp.csr_matrix | None = None  # the P1 prolongation; None: LU only
 
 
 def element_stiffness(amap: AffineMap, degree: int, quad):
@@ -82,8 +84,9 @@ def element_load(amap: AffineMap, degree: int, quad, f):
 def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
              R, f, coarse_weights=None) -> System:
     """Form T_test^T S T_trial and T_test^T b_loc on every tet, scatter
-    them once and lift the Dirichlet values (see the module docstring).
-    `coarse_weights` only rides along to the solver (see `System`)."""
+    them once and lift the Dirichlet values.  With `coarse_weights`
+    (n_loc, 4), each local DOF's functional applied to the four P1 hats,
+    build the prolongation P too (see the module docstring)."""
     quad = tet_quadrature(5)
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
     S_all = element_stiffness(amap, degree, quad)
@@ -104,9 +107,21 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
                       shape=(n + 1, n + 1))
     A.resize(n, n)
     b = np.bincount(eq.ravel(), weights=b_all.ravel(), minlength=n + 1)[:n]
+    P = None
+    if coarse_weights is not None:
+        # each free DOF read through the first tet that holds it
+        first = np.unique(cells, return_index=True)[1]
+        first = first[eq.ravel()[first] < n]
+        tet, local = np.divmod(first, n_loc)
+        rows = np.repeat(eq.ravel()[first], 4)
+        vals = coarse_weights[local].ravel()
+        read = vals != 0.0
+        vertices, cols = np.unique(mesh.tets[tet].ravel()[read],
+                                   return_inverse=True)
+        P = sp.csr_matrix((vals[read], (rows[read], cols)),
+                          shape=(n, vertices.size))
     return System(A=A, b=b, cells=cells, gamma_mask=gamma_mask,
-                  dirichlet=dirichlet, basis=basis, R=R, tets=mesh.tets,
-                  coarse_weights=coarse_weights)
+                  dirichlet=dirichlet, basis=basis, R=R, P=P)
 
 
 def assemble_new_method(

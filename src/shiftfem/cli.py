@@ -31,6 +31,7 @@ import numpy as np
 from . import analysis
 from .assembly import element_phi_coefficients
 from .cases import case_registry, get_case
+from .linsolve import check_tol
 from .meshgen import classify_boundary, write_mesh_text, write_vtk
 
 _BOOLEANS = {"0": False, "false": False, "1": True, "true": True}
@@ -142,6 +143,8 @@ def _resolve(parser, args, argv):
     parser.parse_args(argv, namespace=run)
     if "case" in keys and run.case is None:
         raise ValueError("--case is required")
+    if "tol" in keys:  # before any work is done
+        check_tol(run.tol)
     return run
 
 

@@ -20,14 +20,11 @@ exactly L + U.
 
 Two-level p-multigrid GMRES, above the switch.
 The LU factor's stored entries grow about as n^1.7, so systems with more
-than `PMG_MIN_EQUATIONS` equations whose builder supplies a coarse space
-(`System.tets` and `System.coarse_weights`) are solved by one GMRES
-cycle of at most `MAX_GMRES_ITERATIONS` steps, preconditioned on the
-right with a two-level p-multigrid V-cycle (Rønquist & Patera,
+than `PMG_MIN_EQUATIONS` equations that carry a prolongation `System.P`
+from a coarse space (P1 on the same mesh, built by `assembly`) are solved
+by one GMRES cycle of at most `MAX_GMRES_ITERATIONS` steps, preconditioned
+on the right with a two-level p-multigrid V-cycle (Rønquist & Patera,
 J. Sci. Comput. 1987; Helenbrook, Mavriplis & Atkins, AIAA 2003):
-  * the coarse space is P1 on the same mesh, for every element: the
-    prolongation P gives each free DOF the value its DOF functional takes
-    on the P1 hats, over the vertices that some free DOF reads;
   * the coarse matrix Pᵀ A P (969 unknowns on tp1 J=16) is factored
     with the LU path's options;
   * one forward Gauss-Seidel sweep runs before the coarse correction and
@@ -99,6 +96,13 @@ class SolveReport:
     iterations: int  # GMRES Arnoldi steps; 0 on the LU path
 
 
+def check_tol(tol):
+    """Raise unless the residual tolerance `tol` lies in (0, 1e-6]."""
+    if not 0.0 < tol <= 1e-6:
+        raise ValueError("tol: solver tolerance must be in (0, 1e-6], "
+                         "not %r" % tol)
+
+
 def _factor(A, **options):
     """SuperLU factor of A, or None when it is exactly singular; any other
     factor error passes through.  The options default to those of the LU
@@ -118,40 +122,21 @@ def _relative_residual(A, b, x):
 
 
 def _lu_solve(A, b):
-    """x by the one sparse LU factor of A: x, its relative residual and
-    the entries the factor stores."""
+    """x by the one sparse LU factor of A: x, its relative residual, the
+    entries the factor stores and 0 GMRES iterations."""
     lu = _factor(A.tocsc())
     if lu is None:
         raise RuntimeError(
             "solver failure: sparse LU factor of the %d×%d system is "
             "exactly singular" % A.shape)
     x = lu.solve(b)
-    return x, _relative_residual(A, b, x), lu.nnz
+    return x, _relative_residual(A, b, x), lu.nnz, 0
 
 
-def _prolongation(system: System):
-    """P (n_eq × n_coarse): each free DOF's functional applied to the P1
-    hats, read through the first tet that holds the DOF, over the vertices
-    that some free DOF reads."""
-    cells, gamma = system.cells, system.gamma_mask
-    ids, first = np.unique(cells, return_index=True)
-    tet, local = np.divmod(first, cells.shape[1])
-    free = ~gamma[ids]
-    rows = np.repeat((np.cumsum(~gamma) - 1)[ids[free]], 4)
-    cols = system.tets[tet[free]].ravel()
-    vals = system.coarse_weights[local[free]].ravel()
-    read = vals != 0.0
-    vertices, cols = np.unique(cols[read], return_inverse=True)
-    return sp.csr_matrix((vals[read], (rows[read], cols)),
-                         shape=(system.A.shape[0], vertices.size))
-
-
-def _pmg_solve(system: System, tol):
-    """x by GMRES preconditioned with the two-level cycle, its relative
+def _pmg_solve(A, b, P, tol):
+    """x by GMRES with the two-level cycle of prolongation P, its relative
     residual, the entries the cycle's three factors store and the
     iterations; None when a factor is singular or x misses the contract."""
-    A, b = system.A, system.b
-    P = _prolongation(system)
     factors = [_factor((P.T @ A @ P).tocsc()),
                _factor(sp.tril(A, format="csc"), **_SWEEP_OPTIONS),
                _factor(sp.triu(A, format="csr").T, **_SWEEP_OPTIONS)]
@@ -189,22 +174,16 @@ def _gmres(A, b, precondition, tol, max_iterations):
 def solve(system: System, tol: float = 1e-12) -> SolveReport:
     """A x = b to the residual contract ‖A x - b‖ <= tol·‖b‖, checked in
     float64 on x: by p-multigrid GMRES above `PMG_MIN_EQUATIONS` when the
-    system carries a coarse space, and by sparse LU otherwise or when
+    system carries a prolongation, and by sparse LU otherwise or when
     GMRES misses the contract (see the module docstring)."""
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError("solver tolerance must be in (0, 1e-6]")
+    check_tol(tol)
     t0 = time.perf_counter()
-    A, b = system.A, system.b
+    A, b, P = system.A, system.b, system.P
     pmg = None
-    if (system.coarse_weights is not None
-            and A.shape[0] > PMG_MIN_EQUATIONS):
-        pmg = _pmg_solve(system, tol)
-    if pmg is not None:
-        x, rel, fill, iterations = pmg
-        path = "pmg"
-    else:
-        x, rel, fill = _lu_solve(A, b)
-        path, iterations = "lu", 0
+    if P is not None and A.shape[0] > PMG_MIN_EQUATIONS:
+        pmg = _pmg_solve(A, b, P, tol)
+    x, rel, fill, iterations = pmg or _lu_solve(A, b)
+    path = "lu" if pmg is None else "pmg"
     seconds = time.perf_counter() - t0
     if not np.isfinite(rel) or rel > tol:
         raise RuntimeError(

@@ -310,7 +310,7 @@ def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
     """`assemble` with its scatter written the long way: the full matrix
     over all DOFs, its free rows, then their free and Gamma_h columns, and
     the lift b -= A[free, Gamma_h] @ g.  The oracle of the one scatter;
-    the coarse weights only ride along to the solver, so it reads none."""
+    it builds no prolongation, so it reads no coarse weights."""
     quad = tet_quadrature(5)
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
     S_all = element_stiffness(amap, degree, quad)
@@ -372,3 +372,23 @@ def test_one_scatter_matches_full_matrix_oracle_in_less_memory(method,
     assert (np.max(np.abs(system.b - b_ref))
             <= 1e-14 * np.max(np.abs(b_ref)))
     assert peak <= 0.85 * peak_ref, (peak, peak_ref)
+
+
+@pytest.mark.parametrize("case_name,param", [("tp1-sphere", 4),
+                                             ("tp3-torus", 2)])
+@pytest.mark.parametrize("build,degree", [
+    (assemble_new_method, 2), (assemble_new_method, 3),
+    (assemble_polyhedral, 2), (nc_assemble, 2),
+], ids=["new-2", "new-3", "polyhedral-2", "nonconforming-2"])
+def test_prolongation_reproduces_constants(case_name, param, build, degree):
+    """Every row of the prolongation sums to 1 (measured: exactly 1), so
+    the P1 coarse space reproduces the constants, and no column of it is
+    empty, which would make the coarse matrix Pᵀ A P singular."""
+    case = get_case(case_name)
+    mesh = case.mesh(param)
+    system = build(mesh, classify_boundary(mesh, case.surface), case.surface,
+                   degree, case.f, case.g)
+    P = system.P
+    assert P.shape[0] == system.A.shape[0]
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-14
+    assert np.all(abs(P).sum(axis=0) > 0.0)

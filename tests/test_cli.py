@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import shiftfem
-from shiftfem import trialspace
+from shiftfem import analysis, cases, trialspace
 from shiftfem.analysis import run_single
 from shiftfem.cases import get_case
 from shiftfem.cli import CHECK_MODULES, main
@@ -244,16 +244,30 @@ def test_solution_vtk_vertex_values(tmp_path):
     assert np.max(np.abs(u_nc - exact)) <= 0.1 * np.max(np.abs(exact))
 
 
-def test_tol_reaches_the_solver(tmp_path, capsys):
-    rc = main(["solve", "--case", "tp1-sphere", "--refine", "4",
-               "--out", str(tmp_path), "--tol", "1e-3"])
-    assert rc == 1
-    assert "solver tolerance must be in" in capsys.readouterr().err
+def test_tol_reaches_the_solver(tmp_path, capsys, monkeypatch):
+    """A tol in (0, 1e-6] reaches `solve`; one outside it, from the command
+    line or a config file, is an error naming `tol` before any mesh is
+    built."""
+    solve, tols = analysis.solve, []
+    monkeypatch.setattr(analysis, "solve", lambda system, tol:
+                        tols.append(tol) or solve(system, tol))
+    assert main(["solve", "--case", "tp1-sphere", "--refine", "4",
+                 "--out", str(tmp_path), "--tol", "1e-8"]) == 0
+    assert tols == [1e-8]
+    meshes = []
+    monkeypatch.setattr(cases, "generate_octant_mesh",
+                        lambda *args: meshes.append(args))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case=tp1-sphere\nrefine=4\ntol=1e-3\n")
-    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == 1
-    assert "solver tolerance must be in" in capsys.readouterr().err
+    for argv in (["solve", "--case", "tp1-sphere", "--refine", "4",
+                  "--tol", "1e-3"],
+                 ["convergence", "--case", "tp1-sphere", "--refine", "4,8",
+                  "--tol", "0"],
+                 ["solve", "--config", str(cfg)]):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert ("tol: solver tolerance must be in"
+                in capsys.readouterr().err)
+    assert meshes == []
 
 
 def test_config_dump_matrix(tmp_path):

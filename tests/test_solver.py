@@ -28,7 +28,7 @@ def _case_system(case_name, method, degree, param):
 
 
 def _force_path(monkeypatch, path):
-    """Every system that carries a coarse space takes `path`, "lu" or
+    """Every system that carries a prolongation takes `path`, "lu" or
     "pmg", at any size: the switch moves to infinity or to 0."""
     monkeypatch.setattr(linsolve, "PMG_MIN_EQUATIONS",
                         np.inf if path == "lu" else 0)
@@ -269,14 +269,14 @@ def test_pmg_zero_right_hand_side_is_zero(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_pmg_happy_breakdown_ends_the_cycle(monkeypatch):
-    """On A = 2I with one P1 tet the Gauss-Seidel sweep inverts A, so the
-    first Arnoldi vector spans an invariant space: H[1, 0] is exactly 0,
-    and the cycle ends with the exact x instead of dividing by it."""
+    """On A = 2I with P = I the Gauss-Seidel sweep inverts A, so the first
+    Arnoldi vector spans an invariant space: SciPy's GMRES meets the
+    contract after one step and returns the exact x, without a division
+    by the zero next Arnoldi vector."""
     _force_path(monkeypatch, "pmg")
     system = dataclasses.replace(
         _wrap(2.0 * np.eye(4), [1.0, 0.0, 0.0, 0.0]),
-        cells=np.arange(4)[None], gamma_mask=np.zeros(4, dtype=bool),
-        tets=np.arange(4)[None], coarse_weights=np.eye(4))
+        P=sp.identity(4, format="csr"))
     rep = solve(system)
     assert (rep.path, rep.iterations) == ("pmg", 1)
     np.testing.assert_array_equal(rep.x, [0.5, 0.0, 0.0, 0.0])
@@ -284,9 +284,9 @@ def test_pmg_happy_breakdown_ends_the_cycle(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_gmres_stops_where_the_preconditioned_operator_is_singular():
-    """A M v = 0 for the first Arnoldi vector: the first Arnoldi step
-    detects the breakdown, and GMRES returns x = 0 without dividing by
-    zero, for LU to decide."""
+    """A M v = 0 for the first Arnoldi vector: SciPy's GMRES stops after
+    that one step, without a division by zero, and returns x = 0, whose
+    residual misses the contract, so the LU path decides."""
     x, iterations = linsolve._gmres(sp.csr_matrix((2, 2)), np.array([1.0, 0.0]),
                                     lambda r: r, 1e-13, 10)
     assert iterations == 1
