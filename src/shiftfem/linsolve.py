@@ -26,71 +26,80 @@ by one GMRES cycle of at most `MAX_GMRES_ITERATIONS` steps, preconditioned
 on the right with a two-level p-multigrid V-cycle (Rønquist & Patera,
 J. Sci. Comput. 1987; Helenbrook, Mavriplis & Atkins, AIAA 2003):
   * the coarse matrix Pᵀ A P (969 unknowns on tp1 J=16) is factored
-    with the LU path's options;
-  * one forward Gauss-Seidel sweep runs before the coarse correction and
-    one backward sweep after it.  Each sweep is a SuperLU factor of a
-    lower triangle in the natural order with the diagonal pivot, which
-    stores the triangle without fill; a solve with it costs about a
-    tenth of `spsolve_triangular`, which checks and copies the matrix on
-    every call.  The forward sweep factors tril(A).  The backward sweep
-    factors triu(A)ᵀ, whose CSC arrays are those of triu(A) in CSR, and
-    solves with the transpose: SuperLU factors an upper triangle two to
-    three times as slowly as a lower one (tp1 nonconforming J=16: 23
-    against 14 ms).
+    with the LU path's options, and the coarse correction
+    z += P (Pᵀ A P)⁻¹ Pᵀ (r - A z) runs between a pre- and a post-smooth;
+  * each smooth is three steps of Chebyshev iteration on D⁻¹A, D = diag A
+    (Saad, *Iterative Methods for Sparse Linear Systems*, 2003, §12.1;
+    as a multigrid smoother: Adams, Brezina, Hu & Tuminaro, J. Comput.
+    Phys. 188, 2003).  It needs only products with A and D⁻¹.  Its error
+    propagator is T₃((θ - λ)/δ) / T₃(θ/δ) on the eigenvalues λ of D⁻¹A,
+    with the interval [θ - δ, θ + δ] = [λ̂/10, λ̂], PETSc's default;
+  * λ̂ is 1.1 times the largest modulus of the Ritz values of 15 Arnoldi
+    steps on D⁻¹A, started from the fixed vector cos(i), so that the
+    estimate is a function of the input alone.  On ten sphere, ellipsoid
+    and torus systems λ̂ lies within 1.088-1.100 of ARPACK's largest |λ|.
+The cycle is one fixed linear operator, and it stores only the coarse
+factor.  A diagonal that is not strictly positive leaves D⁻¹A undefined,
+or its spectrum off the smoother's positive interval, and sends the
+system to the LU path.
 SciPy's `gmres` is given the operator A M and no preconditioner of its
-own.  That is right preconditioning (Saad, *Iterative Methods for Sparse
-Linear Systems*, 2003, ch. 9): its inner stopping test reads the
-residual of A x = b, not a preconditioned one, and x = M y.  GMRES stops
-at tol/2 relative: 5e-13 at the default tolerance, above its attainable
-accuracy of about 1.3e-13 and below the 1e-12 contract, which is then
-checked in float64 on x as on the LU path.  The sphere and torus systems
-take 14-29 Arnoldi steps independently of h, and x lies within 1e-12
-relative of the LU path's.
-When GMRES has not met the contract within `MAX_GMRES_ITERATIONS`, or a
-factor of the cycle is singular, the LU path runs instead.  Which path
-runs depends on the input alone, never on timing, so the output stays
-deterministic."""
+own.  That is right preconditioning (Saad 2003, ch. 9): its inner
+stopping test reads the residual of A x = b, not a preconditioned one,
+and x = M y.  GMRES stops at tol/2 relative: 5e-13 at the default
+tolerance, above its attainable accuracy of about 1.3e-13 and below the
+1e-12 contract, which is then checked in float64 on x as on the LU path.
+The sphere and torus systems take 9-18 Arnoldi steps independently of
+h, and x lies within 1e-12 relative of the LU path's.
+When GMRES has not met the contract within `MAX_GMRES_ITERATIONS`, the
+coarse factor is singular or the diagonal is not strictly positive, the
+LU path runs instead.  Which path runs depends on the input alone, never
+on timing, so the output stays deterministic."""
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .assembly import System
 
 #: systems with more equations than this, and a coarse space, take the
 #: p-multigrid GMRES path.  Best of 5 solves, LU / pMG-GMRES, one thread:
-#: tp1 new J=8 (816 eq) 7.9 / 11.6 ms, nonconforming J=8 (1,784) 14.0 /
-#: 21.0 ms, new J=10 (1,540) 17.3 / 17.8 ms, tp3 I=6 (1,650) 18.3 /
-#: 18.0 ms, new J=12 (2,600) 41 / 29 ms, new k=3 J=8 (2,600) 30 / 32 ms,
-#: nonconforming J=10 (3,420) 33 / 36 ms and J=12 (5,836) 54 / 41 ms,
-#: tp3 I=8 (3,960) 43 / 28 ms, new J=16 (5,984) 113 / 45 ms,
-#: nonconforming J=16 (13,616) 385 / 128 ms.  The paths cross between
-#: 1,800 and 3,500 equations, and the gap grows with n above that.
+#: tp1 new J=8 (816 eq) 5.4-6.5 / 5.9-7.0 ms, nonconforming J=8 (1,784)
+#: 11.0-11.9 / 12.0-15.5 ms, new J=10 (1,540) 16.6 / 10.3 ms, tp3 I=6
+#: (1,650) 15.4 / 9.9 ms, new J=12 (2,600) 39 / 16 ms, new k=3 J=8
+#: (2,600) 33-39 / 20-26 ms, nonconforming J=10 (3,420) 28 / 21 ms and
+#: J=12 (5,836) 84 / 31 ms, tp3 I=8 (3,960) 61 / 20 ms, new J=16 (5,984)
+#: 186 / 34 ms, nonconforming J=16 (13,616) 438 / 72 ms.  The paths cross
+#: between 816 and 1,540 equations for the Lagrange systems and above
+#: 1,784 for the nonconforming ones.  The switch stays at 2,000, so that
+#: the J=8 systems, on which the LU path is tested, keep taking it.
 PMG_MIN_EQUATIONS = 2000
 #: Arnoldi steps of the one GMRES cycle before the LU fallback runs: the
-#: systems take 14-29, and SciPy allocates cap + 1 Krylov vectors up front
+#: systems take 9-18, and SciPy allocates cap + 1 Krylov vectors up front
 MAX_GMRES_ITERATIONS = 50
 _LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", relax=1,
                    options=dict(SymmetricMode=True))
-#: a Gauss-Seidel sweep's factor of a triangle of A: in the natural order
-#: with the diagonal pivot, SuperLU stores the triangle without fill
-_SWEEP_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1)
+#: the smoother: Chebyshev steps per smooth, the lower end of its interval
+#: as a fraction of the upper end λ̂, and the Arnoldi steps on D⁻¹A and the
+#: safety factor of the estimate λ̂
+_CHEBYSHEV_DEGREE = 3
+_CHEBYSHEV_LOWER = 0.1
+_ARNOLDI_STEPS = 15
+_ESTIMATE_SAFETY = 1.1
 
 
 @dataclass
 class SolveReport:
     x: np.ndarray
     relative_residual: float
-    seconds: float  # the factorizations, solves and GMRES only
-    # entries SuperLU stores for every factor of the path that produced x:
-    # L and U of the one LU factor, or of the coarse factor and the two
-    # sweep factors of the multigrid cycle; with relaxed supernodes off
-    # this is their nonzero count, read without materialising lu.L and
-    # lu.U, which would copy the whole factor
+    seconds: float  # the factorization, estimate, solves and GMRES only
+    # entries SuperLU stores for the one factor of the path that produced
+    # x: L and U of the LU factor of A, or of the multigrid cycle's coarse
+    # factor of Pᵀ A P (the smoother stores no factor); with relaxed
+    # supernodes off this is their nonzero count, read without
+    # materialising lu.L and lu.U, which would copy the whole factor
     fill: int
     path: str  # "lu" or "pmg" (multigrid-preconditioned GMRES)
     iterations: int  # GMRES Arnoldi steps; 0 on the LU path
@@ -103,12 +112,11 @@ def check_tol(tol):
                          "not %r" % tol)
 
 
-def _factor(A, **options):
-    """SuperLU factor of A, or None when it is exactly singular; any other
-    factor error passes through.  The options default to those of the LU
-    path."""
+def _factor(A):
+    """SuperLU factor of A with the LU path's options, or None when it is
+    exactly singular; any other factor error passes through."""
     try:
-        return splu(A, **(options or _LU_OPTIONS))
+        return splu(A, **_LU_OPTIONS)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
@@ -135,40 +143,101 @@ def _lu_solve(A, b):
 
 def _pmg_solve(A, b, P, tol):
     """x by GMRES with the two-level cycle of prolongation P, its relative
-    residual, the entries the cycle's three factors store and the
-    iterations; None when a factor is singular or x misses the contract."""
-    factors = [_factor((P.T @ A @ P).tocsc()),
-               _factor(sp.tril(A, format="csc"), **_SWEEP_OPTIONS),
-               _factor(sp.triu(A, format="csr").T, **_SWEEP_OPTIONS)]
-    if any(lu is None for lu in factors):
+    residual, the entries the coarse factor stores and the iterations;
+    None when the diagonal of A is not strictly positive, the coarse
+    factor is singular or x misses the contract."""
+    diagonal = A.diagonal()
+    if not np.all(diagonal > 0.0):
         return None
-    coarse, lower, upper = factors
+    dinv = 1.0 / diagonal
+    coarse = _factor((P.T @ A @ P).tocsc())
+    if coarse is None:
+        return None
+    smooth = _chebyshev(A, dinv, _largest_eigenvalue(A, dinv))
 
     def cycle(r):
-        z = lower.solve(r)  # forward Gauss-Seidel
+        z = smooth(r)
         z += P @ coarse.solve(P.T @ (r - A @ z))
-        # backward Gauss-Seidel
-        return z + upper.solve(r - A @ z, trans="T")
+        return z + smooth(r - A @ z)
 
     x, iterations = _gmres(A, b, cycle, tol / 2, MAX_GMRES_ITERATIONS)
     rel = _relative_residual(A, b, x)
     if not rel <= tol:
         return None
-    return x, rel, sum(lu.nnz for lu in factors), iterations
+    return x, rel, coarse.nnz, iterations
+
+
+def _largest_eigenvalue(A, dinv):
+    """λ̂: `_ESTIMATE_SAFETY` times the largest modulus of the Ritz values
+    of `_ARNOLDI_STEPS` Arnoldi steps on D⁻¹A from the fixed vector
+    cos(i).  The steps stop early where the Krylov space is invariant;
+    its Ritz values are then eigenvalues."""
+    n = A.shape[0]
+    steps = min(_ARNOLDI_STEPS, n)
+    V = np.empty((steps + 1, n))
+    H = np.zeros((steps + 1, steps))
+    V[0] = np.cos(np.arange(n))
+    V[0] /= np.linalg.norm(V[0])
+    for j in range(steps):
+        w = dinv * (A @ V[j])
+        w_norm = np.linalg.norm(w)
+        for i in range(j + 1):  # modified Gram-Schmidt
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        if H[j + 1, j] <= 1e-12 * w_norm:
+            steps = j + 1
+            break
+        V[j + 1] = w / H[j + 1, j]
+    ritz = np.linalg.eigvals(H[:steps, :steps])
+    return _ESTIMATE_SAFETY * np.max(np.abs(ritz))
+
+
+def _chebyshev(A, dinv, upper):
+    """The smoother r ↦ z: `_CHEBYSHEV_DEGREE` steps of Chebyshev iteration
+    from z = 0 for A z = r, preconditioned by D⁻¹ = diag(dinv), on the
+    interval [`_CHEBYSHEV_LOWER`·upper, upper] (Saad 2003, Algorithm
+    12.1).  The error r ↦ A⁻¹r - z is p(D⁻¹A) A⁻¹r with
+    p(λ) = T_m((θ - λ)/δ) / T_m(θ/δ), θ and δ the interval's centre and
+    half-width and m the degree."""
+    theta = (1.0 + _CHEBYSHEV_LOWER) / 2.0 * upper
+    delta = (1.0 - _CHEBYSHEV_LOWER) / 2.0 * upper
+    sigma = theta / delta
+
+    def smooth(r):
+        d = dinv * r / theta
+        z = d.copy()
+        rho = 1.0 / sigma
+        for _ in range(_CHEBYSHEV_DEGREE - 1):
+            r = r - A @ d
+            rho, rho_prev = 1.0 / (2.0 * sigma - rho), rho
+            d = rho * rho_prev * d + 2.0 * rho / delta * (dinv * r)
+            z += d
+        return z
+
+    return smooth
 
 
 def _gmres(A, b, precondition, tol, max_iterations):
     """One cycle of SciPy's GMRES from x = 0 on the right-preconditioned
     operator A M, of at most `max_iterations` Arnoldi steps: it stops once
     the residual norm of A x = b falls to tol·‖b‖.  x = M y and the
-    Arnoldi steps run."""
-    steps = []
+    Arnoldi steps run.  SciPy's GMRES ends with the true residual
+    b - A M y, so the operator keeps its last v and M v, and M is applied
+    once more only when GMRES returned without that product (b = 0)."""
+    steps, last = [], [None, None]
+
+    def matvec(v):
+        last[:] = v.copy(), precondition(v)
+        return A @ last[1]
+
     # an explicit dtype, or LinearOperator probes matvec: one more V-cycle
-    AM = LinearOperator(A.shape, matvec=lambda v: A @ precondition(v),
-                        dtype=float)
+    AM = LinearOperator(A.shape, matvec=matvec, dtype=float)
     y, _ = gmres(AM, b, rtol=tol, atol=0.0, restart=max_iterations,
                  maxiter=1, callback=steps.append, callback_type="pr_norm")
-    return precondition(y), len(steps)
+    if last[0] is None or not np.array_equal(last[0], y):
+        return precondition(y), len(steps)
+    return last[1], len(steps)
 
 
 def solve(system: System, tol: float = 1e-12) -> SolveReport:

@@ -406,3 +406,23 @@ def test_cli_import_leaves_out_scipy_optimize():
     path, loaded = proc.stdout.split()
     assert Path(path).resolve().parent == site / "shiftfem"
     assert loaded == "False"
+
+
+def test_convergence_csv_is_byte_identical_across_processes(tmp_path):
+    """Two fresh interpreters write the same CSV bytes for a study whose
+    J=16 level takes the multigrid GMRES path: no step of the solve draws
+    on state that differs between processes, such as global random state.
+    Acceptance criterion 10 repeats a study within one process only."""
+    site = Path(shiftfem.__file__).resolve().parents[1]
+    csvs = []
+    for run in ("first", "second"):
+        subprocess.run(
+            [sys.executable, "-m", "shiftfem.cli", "convergence", "--case",
+             "tp1-sphere", "--method", "nonconforming", "--refine", "8,16",
+             "--sequential", "--out", str(tmp_path / run)],
+            env=dict(os.environ, PYTHONPATH=str(site)), capture_output=True,
+            check=True)
+        csvs.append((tmp_path / run / "tp1-sphere-nonconforming-k2.csv")
+                    .read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 3

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import hilbert
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.sparse.linalg import LinearOperator, eigs, splu
+from scipy.special import eval_chebyt
 
 from shiftfem.analysis import run_single
 from shiftfem.assembly import System, assemble_new_method, assemble_polyhedral
@@ -239,19 +240,24 @@ def test_pmg_path_matches_lu_path(case_name, method, degree, param,
         assert abs(getattr(rep_pmg, err) - ref) <= 1e-10 * ref
 
 
-@pytest.mark.parametrize("method,low,high", [("new", 12, 20),
-                                             ("nonconforming", 18, 28)])
-def test_pmg_iterations_do_not_grow_with_h(method, low, high, monkeypatch):
+@pytest.mark.parametrize("method", ["new", "nonconforming"])
+def test_pmg_iterations_do_not_grow_with_h(method, monkeypatch):
     """Two-level p-multigrid converges independently of h: J=8 and J=16
-    differ by at most 3 iterations (measured 15/16 for new and 22/24 for
-    nonconforming).  J=16 is above the switch by default, and the cycle
-    stores a tenth of the LU factor's entries or less."""
-    j16 = solve(_case_system("tp1-sphere", method, 2, 16))
+    differ by at most 3 iterations (measured 10/11 for new and 15/16 for
+    nonconforming).  J=16 is above the switch by default.  The cycle
+    stores the coarse factor and nothing else, a tenth of the LU
+    factor's entries or less."""
+    low, high = {"new": (8, 14), "nonconforming": (12, 20)}[method]
+    system = _case_system("tp1-sphere", method, 2, 16)
+    j16 = solve(system)
     _force_path(monkeypatch, "pmg")
     j8 = solve(_case_system("tp1-sphere", method, 2, 8))
     assert (j8.path, j16.path) == ("pmg", "pmg")
     assert low <= j8.iterations <= high and low <= j16.iterations <= high
     assert abs(j16.iterations - j8.iterations) <= 3
+    P = system.P
+    assert j16.fill == splu((P.T @ system.A @ P).tocsc(),
+                            **linsolve._LU_OPTIONS).nnz
     assert j16.fill <= 0.15 * {"new": 2_316_528,
                                "nonconforming": 4_692_672}[method]
 
@@ -269,7 +275,7 @@ def test_pmg_zero_right_hand_side_is_zero(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_pmg_happy_breakdown_ends_the_cycle(monkeypatch):
-    """On A = 2I with P = I the Gauss-Seidel sweep inverts A, so the first
+    """On A = 2I with P = I the coarse correction inverts A, so the first
     Arnoldi vector spans an invariant space: SciPy's GMRES meets the
     contract after one step and returns the exact x, without a division
     by the zero next Arnoldi vector."""
@@ -306,74 +312,127 @@ def test_gmres_over_its_cap_falls_back_to_lu(monkeypatch):
     np.testing.assert_array_equal(rep.x, forced.x)
 
 
-def _splu_failing_in_the_sweeps(error):
-    """`splu` that raises `error` for a Gauss-Seidel sweep's factor, the
-    only one in the natural order, and factors everything else."""
+def _splu_failing_for_the_coarse_matrix(error, n):
+    """`splu` that raises `error` for the coarse matrix, the only one with
+    fewer than `n` equations, and factors everything else."""
 
     def fake(A, **kwargs):
-        if kwargs.get("permc_spec") == "NATURAL":
+        if A.shape[0] < n:
             raise error
         return splu(A, **kwargs)
 
     return fake
 
 
-def test_singular_sweep_factor_falls_back_to_lu(monkeypatch):
-    """A singular factor of the cycle sends the system to the LU path,
-    which gives exactly the x it gives when forced."""
+def test_singular_coarse_factor_falls_back_to_lu(monkeypatch):
+    """A singular coarse factor sends the system to the LU path, which
+    gives exactly the x it gives when forced."""
     system = _case_system("tp1-sphere", "new", 2, 4)
     _force_path(monkeypatch, "lu")
     forced = solve(system)
     _force_path(monkeypatch, "pmg")
-    monkeypatch.setattr(linsolve, "splu", _splu_failing_in_the_sweeps(
-        RuntimeError("Factor is exactly singular")))
+    monkeypatch.setattr(linsolve, "splu", _splu_failing_for_the_coarse_matrix(
+        RuntimeError("Factor is exactly singular"), len(system.b)))
     rep = solve(system)
     assert (rep.path, rep.iterations, rep.fill) == ("lu", 0, forced.fill)
     np.testing.assert_array_equal(rep.x, forced.x)
 
 
-def test_other_sweep_factor_errors_pass_through(monkeypatch):
-    """A factor error of the cycle other than singularity is not hidden
-    by the LU fallback."""
+def test_other_coarse_factor_errors_pass_through(monkeypatch):
+    """A coarse factor error other than singularity is not hidden by the
+    LU fallback."""
     error = RuntimeError("out of memory")
+    system = _case_system("tp1-sphere", "new", 2, 4)
     _force_path(monkeypatch, "pmg")
-    monkeypatch.setattr(linsolve, "splu", _splu_failing_in_the_sweeps(error))
+    monkeypatch.setattr(linsolve, "splu", _splu_failing_for_the_coarse_matrix(
+        error, len(system.b)))
     with pytest.raises(RuntimeError) as info:
-        solve(_case_system("tp1-sphere", "new", 2, 4))
+        solve(system)
     assert info.value is error
 
 
-class _RecordedFactor:
-    """A SuperLU factor that records the right-hand side and the result of
-    every solve."""
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_diagonal_not_strictly_positive_falls_back_to_lu(scale, monkeypatch):
+    """A diagonal entry that is zero or negative leaves the Chebyshev
+    smoother on D⁻¹A undefined: the system takes the LU path, which gives
+    exactly the x it gives when forced."""
+    system = _case_system("tp1-sphere", "new", 2, 4)
+    A = system.A.copy()
+    diagonal = A.diagonal()
+    diagonal[7] *= scale
+    A.setdiag(diagonal)
+    system = dataclasses.replace(system, A=A)
+    _force_path(monkeypatch, "lu")
+    forced = solve(system)
+    _force_path(monkeypatch, "pmg")
+    rep = solve(system)
+    assert (rep.path, rep.iterations, rep.fill) == ("lu", 0, forced.fill)
+    np.testing.assert_array_equal(rep.x, forced.x)
+
+
+def test_chebyshev_error_propagator_on_a_diagonal_matrix():
+    """On A = diag(λ) with D = I the smoother's error propagator is
+    diagonal, with entries T₃((θ - λ)/δ) / T₃(θ/δ) for the interval
+    [θ - δ, θ + δ] = [λ̂/10, λ̂]; λ runs over [0, λ̂] and past it."""
+    upper = 2.0
+    lam = np.concatenate([np.linspace(0.0, upper, 41), [2.1, 2.5]])
+    smooth = linsolve._chebyshev(sp.diags(lam, format="csr"),
+                                 np.ones(len(lam)), upper)
+    error = 1.0 - smooth(lam)  # (I - S A) applied to the ones vector
+    theta, delta = 0.55 * upper, 0.45 * upper
+    ref = eval_chebyt(3, (theta - lam) / delta) / eval_chebyt(3, theta / delta)
+    assert np.max(np.abs(error - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("case_name,method,degree,param", [
+    ("tp1-sphere", "new", 2, 4),
+    ("tp1-sphere", "new", 2, 8),
+    ("tp1-sphere", "new", 3, 4),
+    ("tp1-sphere", "new", 3, 8),
+    ("tp1-sphere", "nonconforming", 2, 8),
+    ("tp3-torus", "new", 2, 4),
+])
+def test_largest_eigenvalue_estimate_bounds_the_spectrum(case_name, method,
+                                                         degree, param):
+    """λ̂ lies within [1.0, 1.2] of ARPACK's largest |λ| of D⁻¹A (measured
+    1.088-1.100), so the smoother's interval covers the spectrum's top,
+    and the estimate is the same on a second call."""
+    A = _case_system(case_name, method, degree, param).A
+    dinv = 1.0 / A.diagonal()
+    estimate = linsolve._largest_eigenvalue(A, dinv)
+    op = LinearOperator(A.shape, matvec=lambda v: dinv * (A @ v), dtype=float)
+    top, = np.abs(eigs(op, k=1, which="LM", v0=np.ones(A.shape[0]),
+                       return_eigenvectors=False))
+    assert 1.0 <= estimate / top <= 1.2
+    assert linsolve._largest_eigenvalue(A, dinv) == estimate
+
+
+class _CountedFactor:
+    """A SuperLU factor that counts its solves."""
 
     def __init__(self, lu):
-        self.lu, self.nnz, self.solves = lu, lu.nnz, []
+        self.lu, self.nnz, self.solves = lu, lu.nnz, 0
 
-    def solve(self, r, trans="N"):
-        z = self.lu.solve(r, trans=trans)
-        self.solves.append((r.copy(), z))
-        return z
+    def solve(self, r):
+        self.solves += 1
+        return self.lu.solve(r)
 
 
-def test_backward_sweep_solves_with_the_upper_triangle(monkeypatch):
-    """The backward sweep factors the lower triangle triu(A)ᵀ and solves
-    with its transpose: every solve of the cycle equals the upper
-    triangular solve with triu(A) to 1e-14 relative."""
+def test_cycle_runs_once_per_arnoldi_step_and_once_for_x(monkeypatch):
+    """The V-cycle runs once per Arnoldi step and once more for the true
+    residual b - A M y that SciPy's GMRES ends with; x = M y reuses that
+    product instead of running the cycle again.  Counted by the solves
+    of the coarse factor, the only factor of the cycle."""
     system = _case_system("tp1-sphere", "nonconforming", 2, 8)
-    upper = sp.triu(system.A, format="csr")
     factored = []
 
-    def recording(A, **kwargs):
-        factored.append((A, _RecordedFactor(splu(A, **kwargs))))
-        return factored[-1][1]
+    def counting(A, **kwargs):
+        factored.append(_CountedFactor(splu(A, **kwargs)))
+        return factored[-1]
 
     _force_path(monkeypatch, "pmg")
-    monkeypatch.setattr(linsolve, "splu", recording)
-    assert solve(system).path == "pmg"
-    sweep, = [lu for A, lu in factored
-              if A.shape == upper.shape and (A != upper.T).nnz == 0]
-    assert sweep.solves
-    for r, z in sweep.solves:
-        ref = spsolve_triangular(upper, r, lower=False)
-        assert np.max(np.abs(z - ref)) <= 1e-14 * np.max(np.abs(ref))
+    monkeypatch.setattr(linsolve, "splu", counting)
+    rep = solve(system)
+    coarse, = factored
+    assert rep.path == "pmg" and rep.iterations > 1
+    assert coarse.solves == rep.iterations + 1
