@@ -18,17 +18,23 @@ The builders differ only in what they feed the pipeline:
   * the nonconforming element (`nonconforming.nc_assemble`): face/edge
     DOFs, T_test = R.
 
-The element kernels run once per mesh on one stacked `AffineMap` of all
-tets, and one scatter into the free DOFs goes through COO index arrays,
-following Cuvelier, Japhet & Scarella, "An efficient way to assemble
-finite element matrices in vector languages" (BIT Numer. Math. 2016), and
-scikit-fem (Gustafsson & McBain, JOSS 2020).
+The pattern of A is built once, before any element matrix: it is the
+pattern of E^T E, E being the tet -> free DOF incidence, and each of its
+entries knows its index in the data of A.  The element kernels then run on
+one chunk of `_CHUNK_TETS` tets at a time, with the chunk's own
+`AffineMap`, and the chunk's entries are added at their indices, found by
+CSR indexing into the chunk's rows of the pattern.  The kernels are
+vectorised over the tets of a chunk, following Cuvelier, Japhet &
+Scarella, "An efficient way to assemble finite element matrices in vector
+languages" (BIT Numer. Math. 2016), and scikit-fem (Gustafsson & McBain,
+JOSS 2020); no array holds an entry for every tet, so the memory peak is
+the matrix and its entry indices plus the arrays of one chunk.
 
 The same equation numbering gives the coarse space of the solver's
 p-multigrid cycle: P1 on the same mesh, for every element.  Its
 prolongation `System.P` gives each free DOF the value its functional takes
-on the P1 hats, read through the first tet that holds the DOF, over the
-vertices that some free DOF reads.
+on the P1 hats, read through the first tet that holds the DOF (its first
+entry in E^T), over the vertices that some free DOF reads.
 """
 from __future__ import annotations
 
@@ -81,47 +87,87 @@ def element_load(amap: AffineMap, degree: int, quad, f):
     return (quad.weights * fq) @ vals * np.asarray(amap.detB)[..., None]
 
 
+#: tets whose element matrices `assemble` forms at once: its transient
+#: arrays grow with the chunk, not with the mesh
+_CHUNK_TETS = 2 ** 10
+
+
 def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
              R, f, coarse_weights=None) -> System:
-    """Form T_test^T S T_trial and T_test^T b_loc on every tet, scatter
-    them once and lift the Dirichlet values.  With `coarse_weights`
-    (n_loc, 4), each local DOF's functional applied to the four P1 hats,
-    build the prolongation P too (see the module docstring)."""
+    """Form T_test^T S T_trial and T_test^T b_loc on every tet, lift the
+    Dirichlet values and add them into the pattern of the free DOFs, one
+    chunk of `_CHUNK_TETS` tets at a time.  With `coarse_weights` (n_loc,
+    4), each local DOF's functional applied to the four P1 hats, build the
+    prolongation P too (see the module docstring)."""
     quad = tet_quadrature(5)
-    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
-    S_all = element_stiffness(amap, degree, quad)
-    b_all = element_load(amap, degree, quad, f)
-    if R is not None:
-        S_all = R.T @ S_all @ R
-        b_all = b_all @ R
-    if basis is not None:
-        S_all[basis.tets] = S_all[basis.tets] @ basis.C
-
-    b_all -= (S_all @ dirichlet[cells][..., None])[..., 0]
     # equation ids, int32 where they fit; Gamma_h goes to the dropped row n
-    n, n_loc = np.count_nonzero(~gamma_mask), cells.shape[1]
+    n_tets, n_loc = cells.shape
+    n = np.count_nonzero(~gamma_mask)
     idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
     eq = np.where(gamma_mask, n, np.cumsum(~gamma_mask) - 1).astype(idx)[cells]
-    A = sp.csr_matrix((S_all.ravel(), (np.repeat(eq, n_loc, axis=1).ravel(),
-                                       np.tile(eq, n_loc).ravel())),
-                      shape=(n + 1, n + 1))
-    A.resize(n, n)
-    b = np.bincount(eq.ravel(), weights=b_all.ravel(), minlength=n + 1)[:n]
+    # the tet -> free DOF incidence E; E^T E is symmetric and has the
+    # pattern of A, sorted by the CSC -> CSR conversion of its transpose
+    free = eq < n
+    E = sp.csr_matrix((np.ones(np.count_nonzero(free), dtype=bool), eq[free],
+                       np.concatenate([[0], np.cumsum(free.sum(axis=1))])),
+                      shape=(n_tets, n))
+    Et = E.T.tocsr()  # the tets of each free DOF, ascending
+    where = (Et @ E).T.tocsr()
     P = None
     if coarse_weights is not None:
-        # each free DOF read through the first tet that holds it
-        first = np.unique(cells, return_index=True)[1]
-        first = first[eq.ravel()[first] < n]
-        tet, local = np.divmod(first, n_loc)
-        rows = np.repeat(eq.ravel()[first], 4)
-        vals = coarse_weights[local].ravel()
-        read = vals != 0.0
-        vertices, cols = np.unique(mesh.tets[tet].ravel()[read],
-                                   return_inverse=True)
-        P = sp.csr_matrix((vals[read], (rows[read], cols)),
-                          shape=(n, vertices.size))
-    return System(A=A, b=b, cells=cells, gamma_mask=gamma_mask,
+        P = _prolongation(mesh, eq, Et.indices[Et.indptr[:-1]],
+                          coarse_weights)
+    del E, Et, free
+    # each entry's index in the data, from 1: what the pattern lacks, the
+    # pairs with a Gamma_h DOF in the empty row and column n, reads 0
+    where.data = np.arange(1, where.nnz + 1, dtype=where.indices.dtype)
+    where.resize(n + 1, n + 1)
+    data, b = np.zeros(where.nnz + 1), np.zeros(n + 1)
+    if basis is not None:
+        c_row = np.full(n_tets, -1)
+        c_row[basis.tets] = np.arange(basis.tets.size)
+    for s in range(0, n_tets, _CHUNK_TETS):
+        chunk = slice(s, s + _CHUNK_TETS)
+        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[chunk]])
+        S = element_stiffness(amap, degree, quad)
+        b_loc = element_load(amap, degree, quad, f)
+        if R is not None:
+            S = R.T @ S @ R
+            b_loc = b_loc @ R
+        if basis is not None:
+            k = c_row[chunk]
+            on = np.flatnonzero(k >= 0)
+            S[on] = S[on] @ basis.C[k[on]]
+        b_loc -= (S @ dirichlet[cells[chunk]][..., None])[..., 0]
+        q = eq[chunk]
+        np.add.at(b, q, b_loc)
+        # the chunk's rows, cut out of the pattern, so that each look-up is
+        # a binary search in a block not much larger than the chunk
+        dofs, local = np.unique(q, return_inverse=True)
+        rows = np.repeat(local.reshape(q.shape), n_loc, axis=1)
+        pos = where[dofs][rows.ravel(), np.tile(q, n_loc).ravel()]
+        np.add.at(data, np.asarray(pos).ravel(), S.ravel())
+    A = sp.csr_matrix((data[1:], where.indices, where.indptr[:-1]),
+                      shape=(n, n))
+    return System(A=A, b=b[:n], cells=cells, gamma_mask=gamma_mask,
                   dirichlet=dirichlet, basis=basis, R=R, P=P)
+
+
+def _prolongation(mesh: Mesh, eq, first_tet, coarse_weights):
+    """P (n_eq, n_coarse): each free DOF read through `first_tet`, the
+    first tet that holds it, over the vertices that some free DOF reads."""
+    n = first_tet.size
+    local = np.argmax(eq[first_tet] == np.arange(n)[:, None], axis=1)
+    rows = np.repeat(np.arange(n, dtype=eq.dtype), 4)
+    vals = coarse_weights[local].ravel()
+    read = vals != 0.0
+    vertices = mesh.tets[first_tet].ravel()[read]
+    # the coarse vertices in ascending order
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    used[vertices] = True
+    coarse = np.cumsum(used) - 1
+    return sp.csr_matrix((vals[read], (rows[read], coarse[vertices])),
+                         shape=(n, np.count_nonzero(used)))
 
 
 def assemble_new_method(

@@ -1,5 +1,7 @@
-"""Meshes that only the tests need: the unit cube, a domain without a
-curved boundary."""
+"""What only the tests need: the unit cube, a domain without a curved
+boundary, and one way to measure a memory peak."""
+import tracemalloc
+
 import numpy as np
 
 from shiftfem.meshgen import Mesh, _fix_orientation, _kuhn_paths
@@ -13,3 +15,13 @@ def generate_box_tet_mesh(nx, ny, nz):
     paths = _kuhn_paths((nx, ny, nz))
     tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
     return Mesh(verts, _fix_orientation(verts, tets), name="box")
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocates, in bytes, as
+    tracemalloc counts it.  Tracing stops however fn ends."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,6 @@
 import dataclasses
 import importlib.util
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from shiftfem.elements import (
     shape_values,
     tet_quadrature,
 )
-from meshes import generate_box_tet_mesh
+from meshes import generate_box_tet_mesh, traced_peak
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -164,12 +163,8 @@ def test_error_norms_memory_does_not_grow_with_the_rule():
     coeffs = np.zeros((mesh.n_tets, 10))
     peaks = []
     for quad in (refined_quadrature(5, 1), refined_quadrature(5, 2)):
-        tracemalloc.start()
-        try:
-            error_norms(mesh, 2, coeffs, case.u, case.grad_u, quad)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(error_norms, mesh, 2, coeffs, case.u,
+                                 case.grad_u, quad)[1])
     assert peaks[1] <= 1.5 * peaks[0]
 
 
@@ -183,12 +178,8 @@ def test_error_norms_memory_does_not_grow_with_the_mesh():
     for J in (8, 16):
         mesh = case.mesh(J)
         coeffs = np.zeros((mesh.n_tets, 10))
-        tracemalloc.start()
-        try:
-            error_norms(mesh, 2, coeffs, case.u, case.grad_u)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(error_norms, mesh, 2, coeffs, case.u,
+                                 case.grad_u)[1])
     assert peaks[1] <= 1.5 * peaks[0]
 
 

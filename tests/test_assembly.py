@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -7,7 +5,7 @@ import sympy as sp
 from hypothesis import given
 from scipy.io import mmread, mmwrite
 
-from meshes import generate_box_tet_mesh
+from meshes import generate_box_tet_mesh, traced_peak
 from shiftfem import assembly, nonconforming
 from shiftfem.assembly import (
     assemble_new_method,
@@ -331,13 +329,42 @@ def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
     return A_free[:, free].tocsr(), b
 
 
-def _traced(fn, args):
-    """fn(*args) and the peak of the memory it allocates, in bytes."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _first_tet_prolongation(mesh, cells, gamma_mask, coarse_weights):
+    """The prolongation with each free DOF's first tet found by sorting
+    `cells` (`np.unique`): the oracle of the one read off the tet ->
+    free DOF incidence."""
+    n, n_loc = np.count_nonzero(~gamma_mask), cells.shape[1]
+    eq = np.where(gamma_mask, n, np.cumsum(~gamma_mask) - 1).astype(np.int32)
+    eq = eq[cells]
+    first = np.unique(cells, return_index=True)[1]
+    first = first[eq.ravel()[first] < n]
+    tet, local = np.divmod(first, n_loc)
+    rows = np.repeat(eq.ravel()[first], 4)
+    vals = coarse_weights[local].ravel()
+    read = vals != 0.0
+    vertices, cols = np.unique(mesh.tets[tet].ravel()[read],
+                               return_inverse=True)
+    return sps.csr_matrix((vals[read], (rows[read], cols)),
+                          shape=(n, vertices.size))
+
+
+def _assemble_args(monkeypatch, build, case, param, degree, g=None):
+    """The arguments with which `build` calls `assemble` on the case's
+    mesh, with Dirichlet data `g` (default: the case's)."""
+    mesh = case.mesh(param)
+    cls = classify_boundary(mesh, case.surface)
+    module = nonconforming if build is nc_assemble else assembly
+    args = []
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "assemble", lambda *a: args.extend(a))
+        build(mesh, cls, case.surface, degree, case.f,
+              case.g if g is None else g)
+    return args
+
+
+def _same_bytes(M, N):
+    return all(getattr(M, a).tobytes() == getattr(N, a).tobytes()
+               for a in ("indptr", "indices", "data"))
 
 
 @pytest.mark.parametrize("method", ["new", "nonconforming"])
@@ -346,22 +373,20 @@ def test_one_scatter_matches_full_matrix_oracle_in_less_memory(method,
     """On tp1 J=16 the scatter into the equations only gives the pattern of
     the full matrix's free block, its values to rounding and the lifted b
     (g != 0 for the new method), and peaks well below the full matrix
-    and its slices (0.69 and 0.56 of it when measured)."""
-    case = get_case("tp1-sphere")
-    mesh = case.mesh(16)
-    cls = classify_boundary(mesh, case.surface)
+    and its slices (0.33 and 0.41 of it when measured; 0.69 and 0.56
+    when all stiffness matrices were scattered at once through COO
+    arrays)."""
     if method == "new":
-        build, module, g = assemble_new_method, assembly, lambda p: 1.0 + p[..., 2]
+        args = _assemble_args(monkeypatch, assemble_new_method,
+                              get_case("tp1-sphere"), 16, 2,
+                              lambda p: 1.0 + p[..., 2])
     else:
-        build, module, g = nc_assemble, nonconforming, case.g
-    args = []
-    monkeypatch.setattr(module, "assemble", lambda *a: args.extend(a))
-    build(mesh, cls, case.surface, 2, case.f, g)
-    monkeypatch.undo()
+        args = _assemble_args(monkeypatch, nc_assemble,
+                              get_case("tp1-sphere"), 16, 2)
     assert np.any(args[4] != 0.0) == (method == "new")
 
-    system, peak = _traced(assembly.assemble, args)
-    (A_ref, b_ref), peak_ref = _traced(_full_matrix_assemble, args)
+    system, peak = traced_peak(assembly.assemble, *args)
+    (A_ref, b_ref), peak_ref = traced_peak(_full_matrix_assemble, *args)
     A = system.A
     for M in (A, A_ref):
         M.sort_indices()
@@ -371,15 +396,69 @@ def test_one_scatter_matches_full_matrix_oracle_in_less_memory(method,
     assert np.max(np.abs(A.data - A_ref.data)) <= 1e-15 * scale
     assert (np.max(np.abs(system.b - b_ref))
             <= 1e-14 * np.max(np.abs(b_ref)))
-    assert peak <= 0.85 * peak_ref, (peak, peak_ref)
+    assert peak <= 0.5 * peak_ref, (peak, peak_ref)
+
+
+def test_assembly_peak_is_a_small_multiple_of_the_matrix(monkeypatch):
+    """On tp1 new k=2 J=32 (32,768 tets, 15 MB of A) `assemble` peaks at
+    most 2.5 times the bytes of A (measured 1.8; 7.9 when the stiffness
+    matrices of all tets were stacked and scattered through COO arrays):
+    beside A it holds one chunk of tets and each entry's position."""
+    args = _assemble_args(monkeypatch, assemble_new_method,
+                          get_case("tp1-sphere"), 32, 2)
+    system, peak = traced_peak(assembly.assemble, *args)
+    A = system.A
+    matrix = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert peak <= 2.5 * matrix, (peak, matrix)
+
+
+BUILDERS = pytest.mark.parametrize("build,degree", [
+    (assemble_new_method, 2), (assemble_new_method, 3),
+    (assemble_polyhedral, 2), (nc_assemble, 2),
+], ids=["new-2", "new-3", "polyhedral-2", "nonconforming-2"])
+
+
+@pytest.mark.parametrize("case_name,param", [("tp1-sphere", 8),
+                                             ("tp3-torus", 4)])
+@BUILDERS
+def test_chunks_of_tets_match_one_chunk(case_name, param, build, degree,
+                                        monkeypatch):
+    """Chunks of 7 tets (a prime, so the last chunk is short and the tets
+    with a Gamma_h DOF fall into many chunks) give A and b within 1e-15 of
+    one chunk of all tets, and the same P to the bit."""
+    args = _assemble_args(monkeypatch, build, get_case(case_name), param,
+                          degree)
+    n_tets, on_gamma = args[0].n_tets, args[3][args[2]].any(axis=1)
+    assert n_tets % 7 and np.unique(np.flatnonzero(on_gamma) // 7).size > 1
+    monkeypatch.setattr(assembly, "_CHUNK_TETS", n_tets)
+    one = assembly.assemble(*args)
+    monkeypatch.setattr(assembly, "_CHUNK_TETS", 7)
+    many = assembly.assemble(*args)
+    np.testing.assert_array_equal(many.A.indptr, one.A.indptr)
+    np.testing.assert_array_equal(many.A.indices, one.A.indices)
+    scale = np.max(np.abs(one.A.data))
+    assert np.max(np.abs(many.A.data - one.A.data)) <= 1e-15 * scale
+    assert (np.max(np.abs(many.b - one.b))
+            <= 1e-15 * np.max(np.abs(one.b)))
+    assert _same_bytes(many.P, one.P)
 
 
 @pytest.mark.parametrize("case_name,param", [("tp1-sphere", 4),
                                              ("tp3-torus", 2)])
-@pytest.mark.parametrize("build,degree", [
-    (assemble_new_method, 2), (assemble_new_method, 3),
-    (assemble_polyhedral, 2), (nc_assemble, 2),
-], ids=["new-2", "new-3", "polyhedral-2", "nonconforming-2"])
+@BUILDERS
+def test_prolongation_matches_sorted_cells_oracle(case_name, param, build,
+                                                  degree, monkeypatch):
+    """P read off the incidence equals, to the bit, P with each free DOF's
+    first tet found by sorting the DOF table."""
+    args = _assemble_args(monkeypatch, build, get_case(case_name), param,
+                          degree)
+    P_ref = _first_tet_prolongation(args[0], args[2], args[3], args[8])
+    assert _same_bytes(assembly.assemble(*args).P, P_ref)
+
+
+@pytest.mark.parametrize("case_name,param", [("tp1-sphere", 4),
+                                             ("tp3-torus", 2)])
+@BUILDERS
 def test_prolongation_reproduces_constants(case_name, param, build, degree):
     """Every row of the prolongation sums to 1 (measured: exactly 1), so
     the P1 coarse space reproduces the constants, and no column of it is
