@@ -17,6 +17,7 @@ from .assembly import (
 from .cases import ExactCase
 from .elements import (
     AffineMap,
+    blocks,
     reference_nodes,
     refined_quadrature,
     shape_gradients,
@@ -45,11 +46,6 @@ class ErrorReport:
     solve_seconds: float
 
 
-#: quadrature points (tets × rule points) that `error_norms` evaluates at
-#: once: its arrays stay a few MB however large the mesh or the rule
-_CHUNK_POINTS = 2 ** 15
-
-
 def error_norms(mesh, degree, phi_coeffs, u, grad_u, quad=None):
     """Broken-H1 seminorm error, L2 error, and max nodal error of a
     piecewise-P_k function given by per-element Lagrange coefficients.
@@ -63,11 +59,12 @@ def error_norms(mesh, degree, phi_coeffs, u, grad_u, quad=None):
     offset is a constant factor, so the EOCs do not move; the rule stays
     because the benchmark's reference errors were made with it.
 
-    The tets go in chunks of `_CHUNK_POINTS` // n_q, so the memory peak
-    grows with neither the mesh nor the rule.  A chunk evaluates all its
-    points at once, with its own affine map, and sums the squared
-    gradient error as one matrix-vector product with the weights repeated
-    once per component."""
+    The tets go in blocks (`elements.blocks`) whose (n_q, 3) gradients per
+    tet hold at most `_BLOCK_ENTRIES` entries in all, so the memory peak
+    grows with neither the mesh nor the rule.  A block evaluates all its
+    points at once, with its own affine map, forms the gradient error in
+    place and sums its square as one matrix-vector product with the
+    weights repeated once per component."""
     if quad is None:
         quad = refined_quadrature(5, 1)
     n_q = quad.weights.size
@@ -77,16 +74,16 @@ def error_norms(mesh, degree, phi_coeffs, u, grad_u, quad=None):
     grads = grads.transpose(1, 0, 2).reshape(n_k, 3 * n_q)
     w3 = np.repeat(quad.weights, 3)
     nodes = reference_nodes(degree)
-    step = max(1, _CHUNK_POINTS // n_q)
     h1_sq = l2_sq = nodal = 0.0
-    for s in range(0, n, step):
-        c = phi_coeffs[s:s + step]
+    for block in blocks(n, 3 * n_q):
+        c = phi_coeffs[block]
         m = len(c)
-        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[s:s + step]])
+        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[block]],
+                                       range(n)[block])
         pts = amap.to_physical(quad.points)  # (m, n_q, 3)
-        guh = (c @ grads).reshape(m, n_q, 3) @ amap.Binv
-        d = guh - grad_u(pts)
-        h1_sq += (np.square(d).reshape(m, 3 * n_q) @ w3) @ amap.detB
+        d = (c @ grads).reshape(m, n_q, 3) @ amap.Binv
+        d -= grad_u(pts)
+        h1_sq += (np.square(d, out=d).reshape(m, 3 * n_q) @ w3) @ amap.detB
         l2_sq += (np.square(c @ vals - u(pts)) @ quad.weights) @ amap.detB
         # the coefficients are the nodal values of a Lagrange function
         nodal = max(nodal, np.max(np.abs(c - u(amap.to_physical(nodes)))))

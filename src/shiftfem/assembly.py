@@ -21,14 +21,17 @@ The builders differ only in what they feed the pipeline:
 The pattern of A is built once, before any element matrix: it is the
 pattern of E^T E, E being the tet -> free DOF incidence, and each of its
 entries knows its index in the data of A.  The element kernels then run on
-one chunk of `_CHUNK_TETS` tets at a time, with the chunk's own
-`AffineMap`, and the chunk's entries are added at their indices, found by
-CSR indexing into the chunk's rows of the pattern.  The kernels are
-vectorised over the tets of a chunk, following Cuvelier, Japhet &
-Scarella, "An efficient way to assemble finite element matrices in vector
-languages" (BIT Numer. Math. 2016), and scikit-fem (Gustafsson & McBain,
-JOSS 2020); no array holds an entry for every tet, so the memory peak is
-the matrix and its entry indices plus the arrays of one chunk.
+one block of tets at a time (`elements.blocks`, at most `_BLOCK_ENTRIES`
+entries in a block's stack of n_loc x n_loc element matrices), with the
+block's own `AffineMap`, and the block's entries are added at their
+indices, found by CSR indexing into the block's rows of the pattern.  The
+kernels are vectorised over the tets of a block, following Cuvelier,
+Japhet & Scarella, "An efficient way to assemble finite element matrices
+in vector languages" (BIT Numer. Math. 2016), and scikit-fem (Gustafsson &
+McBain, JOSS 2020); no array holds an entry for every tet, so the memory
+peak is the matrix and its entry indices plus the arrays of one block.
+The reference tables of the kernels are computed once per degree and
+rule, not once per block.
 
 The same equation numbering gives the coarse space of the solver's
 p-multigrid cycle: P1 on the same mesh, for every element.  Its
@@ -39,12 +42,13 @@ entry in E^T), over the vertices that some free DOF reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dofs import LagrangeNodeSet, build_lagrange_nodes
-from .elements import (AffineMap, barycentric, reference_nodes,
+from .elements import (AffineMap, barycentric, blocks, reference_nodes,
                        shape_gradients, shape_values, tet_quadrature)
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
@@ -69,36 +73,39 @@ class System:
     P: sp.csr_matrix | None = None  # the P1 prolongation; None: LU only
 
 
+@lru_cache(maxsize=8)
+def _reference_tables(degree: int, quad):
+    """The block-invariant tables of the element kernels: the reference
+    tensor K[d, e] = sum_q w_q dphi_q[:, d] dphi_q[:, e]^T, (3, 3, n_k,
+    n_k), and the shape values (n_q, n_k) at the rule's points."""
+    grads = shape_gradients(degree, quad.points)  # (n_q, n_k, 3)
+    K = np.einsum("q,qid,qje->deij", quad.weights, grads, grads)
+    return K, shape_values(degree, quad.points)
+
+
 def element_stiffness(amap: AffineMap, degree: int, quad):
     """Lagrange stiffness matrices of the tets of `amap`: (n_tets, n_k, n_k),
     or (n_k, n_k) for one tet.  The metric detB B^-1 B^-T of each tet is
-    contracted with the reference tensor
-    K[d, e] = sum_q w_q dphi_q[:, d] dphi_q[:, e]^T."""
-    grads = shape_gradients(degree, quad.points)  # (n_q, n_k, 3)
-    K = np.einsum("q,qid,qje->deij", quad.weights, grads, grads)
+    contracted with the reference tensor K of `_reference_tables`."""
+    K, _vals = _reference_tables(degree, quad)
     G = amap.Binv @ np.swapaxes(amap.Binv, -1, -2)
     return np.tensordot(np.asarray(amap.detB)[..., None, None] * G, K, axes=2)
 
 
 def element_load(amap: AffineMap, degree: int, quad, f):
     """Load vectors of the tets of `amap`: (n_tets, n_k), or (n_k,)."""
-    vals = shape_values(degree, quad.points)  # (n_q, n_k)
+    _K, vals = _reference_tables(degree, quad)  # vals (n_q, n_k)
     fq = f(amap.to_physical(quad.points))  # (n_tets, n_q), or a constant
     return (quad.weights * fq) @ vals * np.asarray(amap.detB)[..., None]
-
-
-#: tets whose element matrices `assemble` forms at once: its transient
-#: arrays grow with the chunk, not with the mesh
-_CHUNK_TETS = 2 ** 10
 
 
 def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
              R, f, coarse_weights=None) -> System:
     """Form T_test^T S T_trial and T_test^T b_loc on every tet, lift the
     Dirichlet values and add them into the pattern of the free DOFs, one
-    chunk of `_CHUNK_TETS` tets at a time.  With `coarse_weights` (n_loc,
-    4), each local DOF's functional applied to the four P1 hats, build the
-    prolongation P too (see the module docstring)."""
+    block of tets at a time (`elements.blocks`).  With `coarse_weights`
+    (n_loc, 4), each local DOF's functional applied to the four P1 hats,
+    build the prolongation P too (see the module docstring)."""
     quad = tet_quadrature(5)
     # equation ids, int32 where they fit; Gamma_h goes to the dropped row n
     n_tets, n_loc = cells.shape
@@ -126,23 +133,23 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     if basis is not None:
         c_row = np.full(n_tets, -1)
         c_row[basis.tets] = np.arange(basis.tets.size)
-    for s in range(0, n_tets, _CHUNK_TETS):
-        chunk = slice(s, s + _CHUNK_TETS)
-        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[chunk]])
+    for block in blocks(n_tets, n_loc * n_loc):
+        amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[block]],
+                                       range(n_tets)[block])
         S = element_stiffness(amap, degree, quad)
         b_loc = element_load(amap, degree, quad, f)
         if R is not None:
             S = R.T @ S @ R
             b_loc = b_loc @ R
         if basis is not None:
-            k = c_row[chunk]
+            k = c_row[block]
             on = np.flatnonzero(k >= 0)
             S[on] = S[on] @ basis.C[k[on]]
-        b_loc -= (S @ dirichlet[cells[chunk]][..., None])[..., 0]
-        q = eq[chunk]
+        b_loc -= (S @ dirichlet[cells[block]][..., None])[..., 0]
+        q = eq[block]
         np.add.at(b, q, b_loc)
-        # the chunk's rows, cut out of the pattern, so that each look-up is
-        # a binary search in a block not much larger than the chunk
+        # the block's rows, cut out of the pattern, so that each look-up is
+        # a binary search in a slice not much larger than the block
         dofs, local = np.unique(q, return_inverse=True)
         rows = np.repeat(local.reshape(q.shape), n_loc, axis=1)
         pos = where[dofs][rows.ravel(), np.tile(q, n_loc).ravel()]

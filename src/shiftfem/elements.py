@@ -5,7 +5,7 @@ The shape functions of degree k come from one formula over the
 barycentric multi-indices alpha of the nodes (node = alpha / k).
 `multi_indices` holds the package's one degree check (k = 2, 3): k=4 needs
 interior nodes, face nodes ordered by their sorted vertex ids and a
-degree-6 quadrature rule (ROADMAP item 7).
+degree-6 quadrature rule (ROADMAP item 6).
 
 Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 Barycentric coordinates: lam0 = 1-x-y-z, lam1 = x, lam2 = y, lam3 = z.
@@ -20,7 +20,10 @@ Local node ordering (frozen; the degree-of-freedom map relies on it):
     vertex: (1,2,3), (0,2,3), (0,1,3), (0,1,2)
 
 The affine map of an array of tets is one `AffineMap` whose fields carry a
-leading tet axis, so that kernels work on all elements at once.
+leading tet axis, so that kernels work on all elements at once.  The
+kernels that visit every tet (assembly, error norms) do so in `blocks`:
+one rule, `_BLOCK_ENTRIES`, bounds the largest per-tet array of a block,
+so that their memory grows with neither the mesh nor the degree.
 """
 from __future__ import annotations
 
@@ -134,16 +137,19 @@ class AffineMap:
     detB: float | np.ndarray
 
     @classmethod
-    def from_vertices(cls, verts):
-        """Map of one tet (4, 3) or of a stack of tets (n, 4, 3)."""
+    def from_vertices(cls, verts, ids=None):
+        """Map of one tet (4, 3) or of a stack of tets (n, 4, 3).  A
+        degenerate tet is named by its entry of `ids`, the mesh ids of the
+        stack (any sequence, a `range` too), else by its stack index."""
         verts = np.asarray(verts, dtype=float)
         v0 = verts[..., 0, :]
         edges = verts[..., 1:, :] - v0[..., None, :]
         adj, detB = edge_adjugate(edges)
         bad = np.flatnonzero(~(detB > 0.0))
         if bad.size:
+            tet = bad[0] if ids is None else np.ravel(ids)[bad[0]]
             raise ValueError("tetrahedron %d is degenerate or negatively "
-                             "oriented" % bad[0])
+                             "oriented" % tet)
         return cls(v0=v0, B=np.swapaxes(edges, -1, -2),
                    Binv=adj / detB[..., None, None], detB=detB)
 
@@ -160,8 +166,27 @@ class AffineMap:
         return (pts - self.v0[..., None, :]) @ np.swapaxes(self.Binv, -1, -2)
 
 
-@dataclass(frozen=True)
+#: float64 entries (256 KB) in a block's stack of its largest per-tet
+#: array: the n_loc x n_loc element matrices in assembly, the (n_q, 3)
+#: gradients in the error norms.  The largest value at which the peak RSS
+#: (ru_maxrss) of one tp3 new k=2 I=2,4,8 run stays flat: 72 MB from 2**13
+#: to 2**15, 73 MB at 2**16 and 75 MB at 2**17
+_BLOCK_ENTRIES = 2 ** 15
+
+
+def blocks(n: int, entries: int):
+    """range(n) cut into slices of at most `_BLOCK_ENTRIES` // `entries`
+    items (at least one), in order, for a kernel whose largest array holds
+    `entries` float64 entries per item."""
+    step = max(1, _BLOCK_ENTRIES // entries)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
+    """A rule on the reference tet.  It compares and hashes by identity, so
+    that tables computed from a rule can be cached per rule."""
+
     points: np.ndarray  # (n, 3) reference coordinates
     weights: np.ndarray  # (n,), sums to 1/6 (reference tet volume)
 

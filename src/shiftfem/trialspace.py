@@ -112,7 +112,8 @@ def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
     """
     tets = np.asarray(tets)
     n, (n_dofs, n_p) = tets.size, weights.shape
-    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tets.reshape(-1)]])
+    amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[tets.reshape(-1)]],
+                                   tets)
     ref = amap.to_reference(np.reshape(points, (n, n_p, 3)))
     rows = np.reshape(shifted, (n, n_dofs))
     t, p = np.nonzero(rows @ (weights != 0))

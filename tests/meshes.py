@@ -1,5 +1,7 @@
 """What only the tests need: the unit cube, a domain without a curved
-boundary, and one way to measure a memory peak."""
+boundary, a mesh with one tet turned inside out, and one way to measure a
+memory peak."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,14 @@ def generate_box_tet_mesh(nx, ny, nz):
     paths = _kuhn_paths((nx, ny, nz))
     tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
     return Mesh(verts, _fix_orientation(verts, tets), name="box")
+
+
+def flipped(mesh, tet):
+    """A copy of `mesh` whose tet `tet` is negatively oriented, its first
+    two vertices swapped; `mesh` itself is untouched."""
+    tets = mesh.tets.copy()
+    tets[tet, [0, 1]] = tets[tet, [1, 0]]
+    return dataclasses.replace(mesh, tets=tets)
 
 
 def traced_peak(fn, *args):

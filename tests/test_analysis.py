@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shiftfem import elements
 from shiftfem.analysis import (
     CSV_HEADER,
     eoc,
@@ -24,7 +25,7 @@ from shiftfem.elements import (
     shape_values,
     tet_quadrature,
 )
-from meshes import generate_box_tet_mesh, traced_peak
+from meshes import flipped, generate_box_tet_mesh, traced_peak
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -136,10 +137,11 @@ def per_point_error_norms(mesh, degree, phi_coeffs, u, grad_u, quad):
 @pytest.mark.parametrize("case_name,param", [("tp1-sphere", 4),
                                              ("tp3-torus", 2)])
 def test_blocked_error_norms_match_per_point_loop(case_name, param, degree):
-    """The tet chunks give the per-point loop's norms, on rules of 15 and
-    120 points, whose chunks hold every tet of these meshes, and of 960
-    points, whose chunks of 34 tets leave a shorter last one, and with
-    `u`/`grad_u` returning constants, as the case contract allows."""
+    """The tet blocks give the per-point loop's norms, on rules of 15
+    points, whose blocks hold every tet of these meshes, and of 120 and
+    960 points, whose blocks of 91 and 11 tets leave a shorter last one,
+    and with `u`/`grad_u` returning constants, as the case contract
+    allows."""
     case = get_case(case_name)
     _rep, mesh, system, sol = run_single(case, "new", degree, param)
     coeffs = element_phi_coefficients(system, sol.x)
@@ -154,9 +156,46 @@ def test_blocked_error_norms_match_per_point_loop(case_name, param, degree):
                 rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("case_name,param", [("tp1-sphere", 8),
+                                             ("tp3-torus", 4)])
+def test_blocks_of_tets_match_one_block(case_name, param, monkeypatch):
+    """Blocks of one tet give the norms of one block of all tets within
+    1e-14: only the grouping of the sums differs."""
+    case = get_case(case_name)
+    _rep, mesh, system, sol = run_single(case, "new", 2, param)
+    coeffs = element_phi_coefficients(system, sol.x)
+    per_tet = 3 * refined_quadrature(5, 1).weights.size
+    norms = []
+    for tets in (mesh.n_tets, 1):
+        monkeypatch.setattr(elements, "_BLOCK_ENTRIES", tets * per_tet)
+        norms.append(error_norms(mesh, 2, coeffs, case.u, case.grad_u))
+    np.testing.assert_allclose(norms[1], norms[0], rtol=1e-14, atol=0.0)
+
+
+def test_error_norms_peak_is_bounded():
+    """On tp1 J=16 (4,096 tets) the norms peak at most 2 MB, as tracemalloc
+    counts them (measured 1.2 MB; 4.1 MB when each block held 2**15
+    quadrature points whatever the arrays per point)."""
+    case = get_case("tp1-sphere")
+    mesh = case.mesh(16)
+    coeffs = np.zeros((mesh.n_tets, 10))
+    peak = traced_peak(error_norms, mesh, 2, coeffs, case.u, case.grad_u)[1]
+    assert peak <= 2e6, peak
+
+
+def test_degenerate_tet_is_named_by_its_mesh_id():
+    """A tet turned inside out is reported by its id in the mesh, not by
+    its index in the block of tets that found it."""
+    case = get_case("tp1-sphere")
+    mesh = flipped(case.mesh(16), 3000)
+    coeffs = np.zeros((mesh.n_tets, 10))
+    with pytest.raises(ValueError, match="tetrahedron 3000 is degenerate"):
+        error_norms(mesh, 2, coeffs, case.u, case.grad_u)
+
+
 def test_error_norms_memory_does_not_grow_with_the_rule():
     """Eight times the quadrature points cost at most 1.5x the peak
-    memory: the kernel holds one chunk of tets with a fixed number of
+    memory: the kernel holds one block of tets with a fixed number of
     quadrature points at a time, never the whole rule on every tet."""
     case = get_case("tp1-sphere")
     mesh = case.mesh(8)
@@ -170,8 +209,8 @@ def test_error_norms_memory_does_not_grow_with_the_rule():
 
 def test_error_norms_memory_does_not_grow_with_the_mesh():
     """Eight times the tets (J=8 to J=16, 4,096 tets) cost at most 1.5x
-    the peak memory: each chunk holds a fixed number of quadrature points
-    (measured 3.9 and 4.1 MB; 1.3 and 9.4 MB when each block held 16
+    the peak memory: each block holds a fixed number of quadrature points
+    (measured 1.2 and 1.2 MB; 1.3 and 9.4 MB when each block held 16
     points of every tet)."""
     case = get_case("tp1-sphere")
     peaks = []

@@ -5,8 +5,8 @@ import sympy as sp
 from hypothesis import given
 from scipy.io import mmread, mmwrite
 
-from meshes import generate_box_tet_mesh, traced_peak
-from shiftfem import assembly, nonconforming
+from meshes import flipped, generate_box_tet_mesh, traced_peak
+from shiftfem import assembly, elements, nonconforming
 from shiftfem.assembly import (
     assemble_new_method,
     assemble_polyhedral,
@@ -403,13 +403,36 @@ def test_assembly_peak_is_a_small_multiple_of_the_matrix(monkeypatch):
     """On tp1 new k=2 J=32 (32,768 tets, 15 MB of A) `assemble` peaks at
     most 2.5 times the bytes of A (measured 1.8; 7.9 when the stiffness
     matrices of all tets were stacked and scattered through COO arrays):
-    beside A it holds one chunk of tets and each entry's position."""
+    beside A it holds one block of tets and each entry's position."""
     args = _assemble_args(monkeypatch, assemble_new_method,
                           get_case("tp1-sphere"), 32, 2)
     system, peak = traced_peak(assembly.assemble, *args)
     A = system.A
     matrix = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     assert peak <= 2.5 * matrix, (peak, matrix)
+
+
+def test_k3_assembly_peak_is_below_twice_the_matrix(monkeypatch):
+    """On tp1 new k=3 J=16 (4,096 tets, 10.4 MB of A) `assemble` peaks at
+    most 2 times the bytes of A (measured 1.59; 2.99 when every block held
+    1,024 tets whatever the degree): a block holds a fixed number of
+    element matrix entries, so fewer tets of the larger k=3 matrices."""
+    args = _assemble_args(monkeypatch, assemble_new_method,
+                          get_case("tp1-sphere"), 16, 3)
+    system, peak = traced_peak(assembly.assemble, *args)
+    A = system.A
+    matrix = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert peak <= 2.0 * matrix, (peak, matrix)
+
+
+def test_degenerate_tet_is_named_by_its_mesh_id():
+    """A tet turned inside out is reported by its id in the mesh, not by
+    its index in the block of tets that found it."""
+    case = get_case("tp1-sphere")
+    mesh = flipped(case.mesh(16), 3000)
+    cls = classify_boundary(mesh, case.surface)
+    with pytest.raises(ValueError, match="tetrahedron 3000 is degenerate"):
+        assemble_polyhedral(mesh, cls, case.surface, 2, case.f, case.g)
 
 
 BUILDERS = pytest.mark.parametrize("build,degree", [
@@ -423,16 +446,17 @@ BUILDERS = pytest.mark.parametrize("build,degree", [
 @BUILDERS
 def test_chunks_of_tets_match_one_chunk(case_name, param, build, degree,
                                         monkeypatch):
-    """Chunks of 7 tets (a prime, so the last chunk is short and the tets
-    with a Gamma_h DOF fall into many chunks) give A and b within 1e-15 of
-    one chunk of all tets, and the same P to the bit."""
+    """Blocks of 7 tets (a prime, so the last block is short and the tets
+    with a Gamma_h DOF fall into many blocks) give A and b within 1e-15 of
+    one block of all tets, and the same P to the bit."""
     args = _assemble_args(monkeypatch, build, get_case(case_name), param,
                           degree)
     n_tets, on_gamma = args[0].n_tets, args[3][args[2]].any(axis=1)
     assert n_tets % 7 and np.unique(np.flatnonzero(on_gamma) // 7).size > 1
-    monkeypatch.setattr(assembly, "_CHUNK_TETS", n_tets)
+    matrix = args[2].shape[1] ** 2  # entries of one element matrix
+    monkeypatch.setattr(elements, "_BLOCK_ENTRIES", n_tets * matrix)
     one = assembly.assemble(*args)
-    monkeypatch.setattr(assembly, "_CHUNK_TETS", 7)
+    monkeypatch.setattr(elements, "_BLOCK_ENTRIES", 7 * matrix)
     many = assembly.assemble(*args)
     np.testing.assert_array_equal(many.A.indptr, one.A.indptr)
     np.testing.assert_array_equal(many.A.indices, one.A.indices)

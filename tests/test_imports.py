@@ -1,8 +1,10 @@
 """No module imports a name it never uses, over the package and the
-tests, and the package defines no function, class or method that neither
-the package nor the benchmark uses: the checks of two lint rules."""
+tests, and the package defines no function, class, method or module-level
+constant that neither the package nor the benchmark uses: the checks of
+two lint rules."""
 import ast
 import collections
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ PACKAGE = sorted((ROOT / "src" / "shiftfem").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
 
 
 def unused_imports(source):
@@ -37,9 +40,10 @@ def unused_imports(source):
 
 
 def dead_definitions(package, bench=None):
-    """The functions, classes and methods (dunders excepted) defined in the
-    `package` sources that are used nowhere outside their own definition,
-    as sorted (module, line, name) triples.  `package` and `bench` map
+    """The functions, classes and methods (dunders excepted) and the
+    module-level UPPER_CASE constants defined in the `package` sources
+    that are used nowhere outside their own definition, as sorted
+    (module, line, name) triples.  `package` and `bench` map
     module names to sources.
 
     A package module uses a name when it reads it as a bare name or an
@@ -62,13 +66,30 @@ def dead_definitions(package, bench=None):
                 used[node.value] += 1
     dead = []
     for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if (isinstance(node, DEFINITIONS)
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))
-                    and used[node.name] == _read_names(node)[node.name]):
-                dead.append((module, node.lineno, node.name))
+        for node, name in _definitions(tree):
+            if used[name] == _read_names(node)[name]:
+                dead.append((module, node.lineno, name))
     return sorted(dead)
+
+
+def _definitions(tree):
+    """The functions, classes and methods of `tree` (dunders excepted) and
+    the UPPER_CASE names its module body assigns, as (node, name) pairs."""
+    for node in ast.walk(tree):
+        if (isinstance(node, DEFINITIONS)
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))):
+            yield node, node.name
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and CONSTANT.match(target.id):
+                yield node, target.id
 
 
 def _read_names(tree):
@@ -107,14 +128,21 @@ def test_the_check_finds_an_unused_definition():
                      "    def volume(self):\n        return 0\n"
                      "    def patched(self):\n        return 0\n"
                      "def helper():\n    return Shape()\n"
-                     "def spare():\n    return helper()\n"),
-        "run": "from .geometry import helper\nhelper().volume()\n",
+                     "def spare():\n    return helper()\n"
+                     "SIDES = 4\n_LIMIT: int = 2 ** 10\n"
+                     "_STEP = _STEP_BASE = 2\nscale = 1\n"),
+        "run": ("from .geometry import helper, SIDES\n"
+                "helper().volume()\nprint(SIDES)\n"),
     }
     bench = {"trace": ("from shiftfem.geometry import spare\n"
-                       "PATCHES = [('patched', None)]\n"
+                       "PATCHES = [('patched', None), ('_STEP', 1)]\n"
                        "def area():\n    return 0\nprint(area())\n")}
-    # `area` reads only itself; the bench reads its own `area`, a bare name
-    assert dead_definitions(package, bench) == [("geometry", 4, "area")]
+    # `area` reads only itself; the bench reads its own `area`, a bare
+    # name; lower-case module names are not constants
+    assert dead_definitions(package, bench) == [
+        ("geometry", 4, "area"), ("geometry", 15, "_LIMIT"),
+        ("geometry", 16, "_STEP_BASE")]
     assert dead_definitions(package) == [
         ("geometry", 4, "area"), ("geometry", 8, "patched"),
-        ("geometry", 12, "spare")]
+        ("geometry", 12, "spare"), ("geometry", 15, "_LIMIT"),
+        ("geometry", 16, "_STEP"), ("geometry", 16, "_STEP_BASE")]

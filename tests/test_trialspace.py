@@ -4,6 +4,7 @@ import copy
 import numpy as np
 import pytest
 
+from meshes import flipped
 from shiftfem.assembly import assemble_new_method
 from shiftfem.cases import get_case
 from shiftfem.dofs import build_lagrange_nodes
@@ -199,6 +200,19 @@ def test_mesh_too_coarse_raises():
         build_modified_basis(mesh, nodes, table, bad)
     # the batched call names the first failing tet of the stack
     with pytest.raises(ValueError, match="on tet %d" % bad):
+        build_modified_basis(mesh, nodes, table, cls.o_tets)
+
+
+def test_degenerate_boundary_tet_is_named_by_its_mesh_id():
+    """A boundary tet turned inside out is reported by its id in the mesh,
+    not by its index in the stack of boundary tets."""
+    case = get_case("tp1-sphere")
+    mesh = flipped(case.mesh(16), 3509)
+    cls = classify_boundary(mesh, case.surface)
+    assert 3509 in cls.o_tets and cls.o_tets[0] != 3509
+    nodes = build_lagrange_nodes(mesh, 2)
+    table = build_shifted_node_table(mesh, cls, case.surface, nodes)
+    with pytest.raises(ValueError, match="tetrahedron 3509 is degenerate"):
         build_modified_basis(mesh, nodes, table, cls.o_tets)
 
 
