@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elements import EDGES, FACES, edge_adjugate
+from .elements import EDGES, FACES, blocks, edge_adjugate
 from .surfaces import Ellipsoid, Surface, Torus
 
 _EDGES = np.array(EDGES)
@@ -158,14 +158,19 @@ class Mesh:
 
 
 def _fix_orientation(vertices, tets):
-    """Swap two vertices of negatively oriented tets; reject degenerate ones."""
+    """Swap two vertices of negatively oriented tets; reject degenerate ones.
+    The determinants are taken in `blocks` of tets, so that the
+    temporaries stay bounded whatever the mesh size."""
     tets = np.array(tets, dtype=np.int64)
-    v = vertices[tets]
-    edges = v[:, 1:] - v[:, :1]
-    _, det = edge_adjugate(edges)
-    vol_scale = np.max(np.abs(edges), axis=(1, 2)) ** 3
-    # written so that a NaN determinant fails it too
-    ok = np.abs(det) > 1e-12 * np.maximum(vol_scale, 1e-300)
+    det = np.empty(tets.shape[0])
+    ok = np.empty(tets.shape[0], dtype=bool)
+    for blk in blocks(tets.shape[0], 12):  # v holds 4 x 3 entries per tet
+        v = vertices[tets[blk]]
+        edges = v[:, 1:] - v[:, :1]
+        _, det[blk] = edge_adjugate(edges)
+        vol_scale = np.max(np.abs(edges), axis=(1, 2)) ** 3
+        # written so that a NaN determinant fails it too
+        ok[blk] = np.abs(det[blk]) > 1e-12 * np.maximum(vol_scale, 1e-300)
     flat = np.flatnonzero(~ok)
     if flat.size:
         raise ValueError("degenerate tetrahedron %d produced by mesh mapping"
@@ -174,11 +179,23 @@ def _fix_orientation(vertices, tets):
     return tets
 
 
-def _kuhn_paths(shape):
-    """Lattice points (6 * n_cells, 4, 3) of the Kuhn tets of a grid of
-    `shape` cells, the cells in C order."""
-    base = np.indices(shape).reshape(3, -1).T
-    return (base[:, None, None, :] + _KUHN_PATHS).reshape(-1, 4, 3)
+def _kuhn_paths(cells):
+    """Lattice points (6 * n_cells, 4, 3) of the Kuhn tets of the unit
+    cells with the given origins (n_cells, 3), the cells in that order."""
+    return (cells[:, None, None, :] + _KUHN_PATHS).reshape(-1, 4, 3)
+
+
+def _grid_cells(shape):
+    """Origins (n_cells, 3) of the cells of a grid of `shape` cells, in C
+    order."""
+    return np.indices(shape).reshape(3, -1).T
+
+
+def _kuhn_simplex_cells(J):
+    """Origins of the cells (i, j, k) of the J^3 grid with i >= j >= k, in
+    C order: the only cells with a Kuhn tet inside K_J."""
+    cells = _grid_cells((J, J, J))
+    return cells[(cells[:, 0] >= cells[:, 1]) & (cells[:, 1] >= cells[:, 2])]
 
 
 # -- octant mesh (sphere / ellipsoid) ---------------------------------------
@@ -190,7 +207,10 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
 
     Construction: the Kuhn simplex K_J = {J >= x >= y >= z >= 0} is tiled
     by the J^3 Kuhn tets of the unit-cube triangulation that fall inside
-    it.  K_J is mapped affinely onto the corner simplex
+    it.  Only the cells (i, j, k) with i >= j >= k meet K_J, so only
+    their 6 Kuhn tets each are formed and filtered (Bey, Numer. Math.
+    2000), not those of all J^3 cells of the cube.  K_J is mapped
+    affinely onto the corner simplex
     conv{0, e1, e2, e3}; the lattice shells x = j become the planes
     u+v+w = j/J, which are then mapped radially onto concentric spheres of
     radius j/J and finally scaled by the semi-axes.  All outer-shell
@@ -201,7 +221,7 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
         raise ValueError("octant mesh needs an integer J >= 1, got J = %s" % J)
     semi_axes = Ellipsoid(semi_axes).semi_axes  # finite and > 0, or raise
 
-    paths = _kuhn_paths((J, J, J))
+    paths = _kuhn_paths(_kuhn_simplex_cells(J))
     inside = np.all((paths[..., 0] >= paths[..., 1])
                     & (paths[..., 1] >= paths[..., 2]), axis=1)
     paths = paths[inside].reshape(-1, 3)
@@ -272,7 +292,7 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
     i, j, k = np.indices(dims).reshape(3, -1)
     y, z = _square_to_quarter_disk(1.0 - j / nyz, 1.0 - k / nyz)
     verts = np.column_stack([i / nx, y, z])
-    paths = _kuhn_paths((nx, nyz, nyz))
+    paths = _kuhn_paths(_grid_cells((nx, nyz, nyz)))
     tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
 
     # reflect through y = 0 into the half disk, welding the y = 0 plane

@@ -30,7 +30,7 @@ from .elements import EDGES, FACES, REF_VERTICES, barycentric, shape_values
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
 from .trialspace import (ModifiedElementBasis, build_shifted_node_table,
-                         shifted_dof_matrices)
+                         shift_from_entities, shifted_dof_matrices)
 
 # Not called here: bench/tracing.py rebinds these names on this module.
 from .assembly import element_load, element_stiffness  # noqa: F401
@@ -83,14 +83,16 @@ def _shifted_edge_points(mesh, bc, surface):
 def _shifted_face_points(mesh, bc, surface):
     """(n_faces, 3): the point of every face functional, which is the
     nearest intersection of the surface with the perpendicular through the
-    centroid on a Gamma_h face and the centroid elsewhere."""
-    tris = mesh.vertices[mesh.topology.face_vertices]
+    centroid on a Gamma_h face and the centroid elsewhere.  A line that
+    misses the surface is reported by its face's vertex triple."""
+    triples = mesh.topology.face_vertices
+    tris = mesh.vertices[triples]
     pts = tris.mean(axis=1)
     f = bc.gamma_faces
     if f.size:
         h_t = np.max(np.linalg.norm(tris[f] - pts[f][:, None, :], axis=2), axis=1)
-        pts[f], _ = surface.nearest_line_intersection(
-            pts[f], mesh.face_normals(f), 4.0 * h_t)
+        pts[f] = shift_from_entities(surface, "face", triples[f], pts[f],
+                                     mesh.face_normals(f), 4.0 * h_t)
     return pts
 
 

@@ -18,6 +18,16 @@ def _dot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
+class LineQueryError(ValueError):
+    """A line of a batched `nearest_line_intersection` query that finds no
+    point on the surface; `index` is its position in the flattened batch
+    of `count` lines."""
+
+    def __init__(self, message, index, count):
+        super().__init__(message)
+        self.index, self.count = index, count
+
+
 class Surface:
     """Base class: an implicit surface F(p) = 0 with F < 0 inside.
 
@@ -38,9 +48,9 @@ class Surface:
         (...); they broadcast, and the result is the point (..., 3) and
         the parameter t (...).  Ties between the two sides are broken
         toward positive t, i.e. the outward side when `direction` points
-        out of the domain.  Raises, naming the first failing origin, if
-        some line has no intersection within |t| <= bracket or the root
-        found does not land on the surface.
+        out of the domain.  Raises a `LineQueryError`, naming the first
+        failing origin, if some line has no intersection within
+        |t| <= bracket or the root found does not land on the surface.
         """
         origin = np.asarray(origin, dtype=float)
         direction = np.asarray(direction, dtype=float)
@@ -59,17 +69,18 @@ class Surface:
         missing = ~inside.any(axis=1)
         if missing.any():
             i = int(np.argmax(missing))
-            raise ValueError(
+            raise LineQueryError(
                 "no surface intersection within bracket %.3g around point %s "
-                "(origin %d of %d)" % (br[i], o[i], i, len(o)))
+                "(origin %d of %d)" % (br[i], o[i], i, len(o)), i, len(o))
         p = o + t[:, None] * d
         residual = np.abs(self.value(p))
         off = residual > 1e-10 * self.scale
         if off.any():
             i = int(np.argmax(off))
-            raise ValueError(
+            raise LineQueryError(
                 "line intersection failed to land on the surface from point "
-                "%s (origin %d of %d): |F| = %.3g" % (o[i], i, len(o), residual[i]))
+                "%s (origin %d of %d): |F| = %.3g" % (o[i], i, len(o), residual[i]),
+                i, len(o))
         return p.reshape(shape), t.reshape(shape[:-1])[()]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .dofs import LagrangeNodeSet
 from .elements import AffineMap, shape_values
 from .meshgen import BoundaryClassification, Mesh, skin_directions
-from .surfaces import Surface
+from .surfaces import LineQueryError, Surface
 
 #: conditioning guard for the perturbed DOF matrix of every shifted basis
 COND_LIMIT = 1e8
@@ -39,21 +39,38 @@ class ShiftedNodeTable:
     points: np.ndarray  # (n_nodes, 3) evaluation point of every node
 
 
+def shift_from_entities(surface: Surface, kind, vertex_ids, origin,
+                        direction, bracket):
+    """The points of `surface.nearest_line_intersection` for lines cast
+    from mesh entities, the lines of each entity together in the batch.
+    A line that finds no point is reported by its entity: the Gamma_h
+    `kind` ("edge" or "face") with its row of `vertex_ids` (n_entities, m),
+    the entity's sorted vertex ids."""
+    try:
+        return surface.nearest_line_intersection(origin, direction, bracket)[0]
+    except LineQueryError as err:
+        ids = vertex_ids[err.index // (err.count // len(vertex_ids))]
+        raise ValueError("cannot shift Gamma_h %s %s onto the surface: %s"
+                         % (kind, tuple(ids.tolist()), err)) from err
+
+
 def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
                              surface: Surface, nodes: LagrangeNodeSet
                              ) -> ShiftedNodeTable:
     """Shift every node of a Gamma_h edge and of a Gamma_h face, with one
-    batched line query per entity dimension."""
+    batched line query per entity dimension.  A line that misses the
+    surface is reported by its Gamma_h edge or face."""
     top, layout = mesh.topology, nodes.layout
     points = nodes.coords.copy()
 
     edge_ids = layout.ids(1, cls.gamma_edges)  # (n_e, k-1)
     if edge_ids.size:
-        ends = mesh.vertices[top.edge_vertices[cls.gamma_edges]]
+        pairs = top.edge_vertices[cls.gamma_edges]
+        ends = mesh.vertices[pairs]
         length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
-        points[edge_ids], _t = surface.nearest_line_intersection(
-            nodes.coords[edge_ids], skin_directions(mesh, cls)[:, None, :],
-            4.0 * length[:, None])
+        points[edge_ids] = shift_from_entities(
+            surface, "edge", pairs, nodes.coords[edge_ids],
+            skin_directions(mesh, cls)[:, None, :], 4.0 * length[:, None])
 
     faces = cls.gamma_faces
     face_ids = layout.ids(2, faces)  # (n_f, (k-1)(k-2)/2)
@@ -64,10 +81,11 @@ def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
         dist = np.linalg.norm(d, axis=-1)
         d /= dist[..., None]
         # the sought intersection lies within O(h_T) of M
-        tris = mesh.vertices[top.face_vertices[faces]][:, None]
+        triples = top.face_vertices[faces]
+        tris = mesh.vertices[triples][:, None]
         h_t = np.max(np.linalg.norm(tris - M[..., None, :], axis=-1), axis=-1)
-        points[face_ids], _t = surface.nearest_line_intersection(
-            M, d, 4.0 * np.maximum(h_t, dist))
+        points[face_ids] = shift_from_entities(
+            surface, "face", triples, M, d, 4.0 * np.maximum(h_t, dist))
 
     shifts = np.concatenate([edge_ids.ravel(), face_ids.ravel()])
     return ShiftedNodeTable(shifts=shifts, points=points)
@@ -75,14 +93,15 @@ def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
 
 @dataclass
 class ModifiedElementBasis:
-    """Perturbed DOF matrices of one boundary element, or of a stack of
-    them, and their inverses; the Lagrange builder and the nonconforming
+    """The modified basis of one boundary element, or of a stack of them:
+    C = K⁻¹ for the perturbed DOF matrix K, and K's two diagnostics.  K
+    itself is not kept.  The Lagrange builder and the nonconforming
     builder both return it."""
 
     tets: np.ndarray  # tet id, or (n,) tet ids
-    K: np.ndarray  # (..., n_k, n_k): K[i, j] = shifted DOF i applied to basis function j
-    C: np.ndarray  # inverse of K: psi_j = sum_m C[m, j] phi_m
+    C: np.ndarray  # (..., n_k, n_k) inverse of K: psi_j = sum_m C[m, j] phi_m
     conditions: np.ndarray  # (...) 1-norm condition number of each K
+    deviations: np.ndarray  # (...) largest row sum of |K - I| of each K
 
     @property
     def condition(self):
@@ -92,14 +111,13 @@ class ModifiedElementBasis:
     @property
     def deviation_from_identity(self):
         """The largest row sum of |K - I| over the stack."""
-        rows = np.abs(self.K - np.eye(self.K.shape[-1])).sum(axis=-1)
-        return float(np.max(rows, initial=0.0))
+        return float(np.max(self.deviations, initial=0.0))
 
 
 def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
                          weights, T) -> ModifiedElementBasis:
     """Perturbed DOF matrices of one boundary tet or an id array of them,
-    in one batch, and their inverses behind the conditioning guard.
+    in one batch, inverted behind the conditioning guard.
 
     DOF i of an element is v -> sum_p weights[i, p] v(points[..., p, :]),
     and its basis is b_j = sum_m T[m, j] phi_m over the P_k Lagrange basis
@@ -108,7 +126,8 @@ def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
     rows.  The points are pulled back through each element's affine map,
     so that K is formed in reference coordinates and its conditioning is
     independent of the element size; P_k is evaluated only at the points
-    that feed a shifted DOF.
+    that feed a shifted DOF.  The result keeps C = K⁻¹, each K's 1-norm
+    condition number and its deviation from the identity, not K.
     """
     tets = np.asarray(tets)
     n, (n_dofs, n_p) = tets.size, weights.shape
@@ -119,7 +138,11 @@ def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
     t, p = np.nonzero(rows @ (weights != 0))
     phi = np.zeros(ref.shape[:2] + (T.shape[0],))
     phi[t, p] = shape_values(degree, ref[t, p])
-    K = np.where(rows[..., None], weights @ phi @ T, np.eye(n_dofs))
+    K = weights @ phi @ T
+    del phi
+    t, i = np.nonzero(~rows)  # the unshifted rows: identity rows
+    K[t, i] = 0.0
+    K[t, i, i] = 1.0
     K = K.reshape(tets.shape + (n_dofs, n_dofs))
     try:
         C = np.linalg.inv(K)
@@ -132,7 +155,11 @@ def shifted_dof_matrices(mesh: Mesh, tets, points, shifted, degree: int,
         raise ValueError(
             "mesh too coarse for shifted basis (DOF matrix condition %.3g "
             "on tet %d)" % (np.ravel(cond)[bad[0]], np.ravel(tets)[bad[0]]))
-    return ModifiedElementBasis(tets, K, C, cond)
+    # K becomes |K - I| in place: it is not needed any more
+    d = np.arange(n_dofs)
+    K[..., d, d] -= 1.0
+    deviations = np.abs(K, out=K).sum(axis=-1).max(axis=-1)
+    return ModifiedElementBasis(tets, C, cond, deviations)
 
 
 def build_modified_basis(

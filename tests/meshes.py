@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 
-from shiftfem.meshgen import Mesh, _fix_orientation, _kuhn_paths
+from shiftfem.meshgen import Mesh, _fix_orientation, _grid_cells, _kuhn_paths
 
 
 def generate_box_tet_mesh(nx, ny, nz):
@@ -14,7 +14,7 @@ def generate_box_tet_mesh(nx, ny, nz):
     each, all sharing the cell's main diagonal direction."""
     dims = (nx + 1, ny + 1, nz + 1)
     verts = np.indices(dims).reshape(3, -1).T / np.array([nx, ny, nz])
-    paths = _kuhn_paths((nx, ny, nz))
+    paths = _kuhn_paths(_grid_cells((nx, ny, nz)))
     tets = np.ravel_multi_index(tuple(np.moveaxis(paths, -1, 0)), dims)
     return Mesh(verts, _fix_orientation(verts, tets), name="box")
 

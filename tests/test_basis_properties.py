@@ -5,8 +5,9 @@ with the vertices off the boundary jittered.
 * The modified Lagrange basis reproduces P_k at the shifted nodes and is
   a partition of unity.
 * With every DOF row marked shifted but every point left in place, the
-  one DOF-matrix kernel returns K = I for the Lagrange elements (k = 2, 3)
-  and the nonconforming element: each element's DOF points, weights and
+  one DOF-matrix kernel returns C = I, and K's deviation from the
+  identity is 0 to rounding, for the Lagrange elements (k = 2, 3) and the
+  nonconforming element: each element's DOF points, weights and
   reference transform agree.
 * Before the Dirichlet elimination, every row of the stiffness matrix
   sums to zero, element by element and assembled, for the new method
@@ -130,8 +131,9 @@ def test_unshifted_points_give_identity_dof_matrices(element):
         table = ShiftedNodeTable(shifts=np.arange(nodes.n_nodes),
                                  points=nodes.coords)
         basis = build_modified_basis(mesh, nodes, table, tets)
-    assert basis.K.shape[0] == mesh.n_tets
-    assert np.max(np.abs(basis.K - np.eye(basis.K.shape[-1]))) <= 1e-13
+    assert basis.C.shape[0] == mesh.n_tets
+    assert np.max(np.abs(basis.C - np.eye(basis.C.shape[-1]))) <= 1e-13
+    assert np.max(basis.deviations) <= 1e-13
 
 
 @given(MESHES, st.sampled_from([("new", 2), ("new", 3), ("nonconforming", 2)]),

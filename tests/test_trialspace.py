@@ -1,5 +1,6 @@
 import collections
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shiftfem.elements import (
     tet_quadrature,
 )
 from shiftfem.meshgen import Mesh, classify_boundary, generate_octant_mesh
+from shiftfem.nonconforming import _shifted_face_points, nc_assemble
 from shiftfem.surfaces import Ellipsoid, Sphere
 from shiftfem.trialspace import (
     build_modified_basis,
@@ -141,8 +143,8 @@ def test_interior_element_has_identity_matrix():
     interior = [t for t in range(mesh.n_tets) if t not in set(cls.o_tets)]
     t = interior[0]
     basis = build_modified_basis(mesh, nodes, table, t)
-    np.testing.assert_array_equal(basis.K, np.eye(10))
     np.testing.assert_array_equal(basis.C, np.eye(10))
+    assert basis.deviations == 0.0 and basis.conditions == 1.0
 
 
 def test_partition_of_unity_of_modified_basis():
@@ -219,11 +221,43 @@ def test_degenerate_boundary_tet_is_named_by_its_mesh_id():
 @pytest.mark.parametrize("degree", [2, 3])
 def test_conditions_come_from_the_one_inverse(degree):
     """The stack is inverted once; its condition numbers are NumPy's
-    cond(K, 1) bit for bit, and C its inv(K)."""
+    cond(K, 1) bit for bit, and C its inv(K), for K rebuilt here from the
+    shape functions at the shifted points of each tet; the deviations are
+    the row sums of |K - I|."""
     mesh, cls, nodes, table = _setup(4, degree)
     basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
-    np.testing.assert_array_equal(basis.conditions, np.linalg.cond(basis.K, 1))
-    np.testing.assert_array_equal(basis.C, np.linalg.inv(basis.K))
+    cell = nodes.cell_nodes_table[cls.o_tets]
+    shifted = np.isin(cell, table.shifts)
+    refs = AffineMap.from_vertices(mesh.vertices[mesh.tets[cls.o_tets]]
+                                   ).to_reference(table.points[cell])
+    n, n_k = cell.shape
+    values = shape_values(degree, refs.reshape(-1, 3)).reshape(n, n_k, n_k)
+    K = np.where(shifted[..., None], values, np.eye(n_k))
+    np.testing.assert_array_equal(basis.conditions, np.linalg.cond(K, 1))
+    np.testing.assert_array_equal(basis.C, np.linalg.inv(K))
+    np.testing.assert_array_equal(
+        basis.deviations, np.abs(K - np.eye(n_k)).sum(axis=-1).max(axis=-1))
+
+
+def test_basis_keeps_little_beside_c():
+    """The stack keeps C and one condition and one deviation per tet, not
+    K: on tp3 I=8 (960 boundary tets) the basis holds at most 1.25 times
+    the bytes of C, as tracemalloc counts them (2.0 times while K was
+    kept)."""
+    case = get_case("tp3-torus")
+    mesh = case.mesh(8)
+    cls = classify_boundary(mesh, case.surface)
+    nodes = build_lagrange_nodes(mesh, 2)
+    table = build_shifted_node_table(mesh, cls, case.surface, nodes)
+    tets = cls.o_tets
+    tracemalloc.start()
+    try:
+        basis = build_modified_basis(mesh, nodes, table, tets)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert basis.tets is tets and len(tets) == 960
+    assert kept <= 1.25 * basis.C.nbytes, (kept, basis.C.nbytes)
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -255,3 +289,52 @@ def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
     assert np.array_equal(classify_boundary(mesh, surface).gamma_faces,
                           cls.gamma_faces)
     assert calls["value"] == 1
+
+
+class _CapMissingSphere(Sphere):
+    """The unit sphere, except that every line cast from above z = 0.5
+    misses it."""
+
+    def line_roots(self, origin, direction):
+        roots = super().line_roots(origin, direction)
+        roots[origin[:, 2] > 0.5] = np.nan
+        return roots
+
+
+@pytest.mark.parametrize("method, degree",
+                         [("new", 2), ("new", 3), ("nonconforming", 2)])
+def test_shift_failure_names_the_gamma_h_edge(method, degree):
+    """A line that misses the surface is reported by the sorted vertex ids
+    of its Gamma_h edge, the edge of the first failing line of the batch,
+    not only by its index in the flattened batch."""
+    case = get_case("tp1-sphere")
+    mesh = case.mesh(4)
+    cls = classify_boundary(mesh, case.surface)
+    surface = _CapMissingSphere(np.zeros(3), 1.0)
+    nodes = build_lagrange_nodes(mesh, degree)
+    origins = nodes.coords[nodes.layout.ids(1, cls.gamma_edges)]
+    failing = np.flatnonzero(origins[..., 2].ravel() > 0.5)[0]
+    edge = cls.gamma_edges[failing // (degree - 1)]
+    # at k=3 the first failing line is the second node of its edge
+    assert failing == {2: 7, 3: 15}[degree]
+    expected = "Gamma_h edge %s " % (tuple(mesh.topology.edge_vertices[edge].tolist()),)
+    with pytest.raises(ValueError, match="origin %d of " % failing) as info:
+        if method == "new":
+            build_shifted_node_table(mesh, cls, surface, nodes)
+        else:
+            nc_assemble(mesh, cls, surface, 2, case.f, case.g)
+    assert expected in str(info.value)
+
+
+def test_face_shift_failure_names_the_gamma_h_face():
+    """The nonconforming face functional's line is reported by the vertex
+    triple of its Gamma_h face."""
+    case = get_case("tp1-sphere")
+    mesh = case.mesh(4)
+    cls = classify_boundary(mesh, case.surface)
+    triples = mesh.topology.face_vertices[cls.gamma_faces]
+    failing = np.flatnonzero(mesh.vertices[triples].mean(axis=1)[:, 2] > 0.5)[0]
+    assert failing > 0
+    with pytest.raises(ValueError, match="origin %d of " % failing) as info:
+        _shifted_face_points(mesh, cls, _CapMissingSphere(np.zeros(3), 1.0))
+    assert "Gamma_h face %s " % (tuple(triples[failing].tolist()),) in str(info.value)
