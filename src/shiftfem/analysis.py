@@ -52,12 +52,15 @@ def error_norms(mesh, degree, phi_coeffs, u, grad_u, quad=None):
 
     The error integrands are not polynomial (and the squared L2 integrand
     alone has degree 2(k+2)), so the norms use a once-refined composite of
-    the 15-point rule (8 sub-tets, 120 points).  Against the twice-refined
-    rule (960 points) err_h1 agrees to 2e-5 relative, but err_l2 of the
-    new and nonconforming methods is off by 2.2e-3 to 3.8e-3 relative on
-    tp1 J=8, 16 and tp3 I=8 (the polyhedral one by at most 3.5e-6).  The
-    offset is a constant factor, so the EOCs do not move; the rule stays
-    because the benchmark's reference errors were made with it.
+    the 15-point rule (8 sub-tets, 120 points).  At k=2, against the
+    twice- and thrice-refined rules (960 and 7,680 points), err_h1 agrees
+    to 2e-5 relative, but err_l2 of the new and nonconforming methods is
+    off by 2.2e-3 to 3.8e-3 relative on tp1 J=8, 16 and tp3 I=4, 8 (the
+    polyhedral one by at most 3.5e-6).  At k=3, against the thrice-refined
+    rule, the new method's err_h1 is off by 5.0e-3 to 5.3e-3 and its
+    err_l2 by 9.1e-3 to 1.4e-2 on tp1 J=8, 16 and tp3 I=4.  The offset is
+    a nearly constant factor, so the EOCs move by less than 2e-3; the rule
+    stays because the benchmark's reference errors were made with it.
 
     The tets go in blocks (`elements.blocks`) whose (n_q, 3) gradients per
     tet hold at most `_BLOCK_ENTRIES` entries in all, so the memory peak

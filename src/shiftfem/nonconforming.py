@@ -15,8 +15,9 @@ every element.
 The boundary-shifted variant replaces, on boundary elements, mu_F of a
 Gamma_h face by evaluation at the nearest intersection of the surface
 with the perpendicular to F through its centroid, and the midpoint in
-nu_e of a Gamma_h edge by the skin-shifted point Q_e.  The Dirichlet
-value of a Gamma_h DOF is its shifted functional applied to g.
+nu_e of a Gamma_h edge by Q_e, where the one Gamma_h edge rule of
+`trialspace` moves it (no P2 node set is built).  The Dirichlet value of
+a Gamma_h DOF is its shifted functional applied to g.
 """
 from __future__ import annotations
 
@@ -25,12 +26,12 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import System, assemble
-from .dofs import DofLayout, build_lagrange_nodes
+from .dofs import DofLayout
 from .elements import EDGES, FACES, REF_VERTICES, barycentric, shape_values
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
-from .trialspace import (ModifiedElementBasis, build_shifted_node_table,
-                         shift_from_entities, shifted_dof_matrices)
+from .trialspace import (ModifiedElementBasis, shift_from_entities,
+                         shift_gamma_edge_points, shifted_dof_matrices)
 
 # Not called here: bench/tracing.py rebinds these names on this module.
 from .assembly import element_load, element_stiffness  # noqa: F401
@@ -72,12 +73,13 @@ def nc_layout(mesh: Mesh) -> DofLayout:
 
 
 def _shifted_edge_points(mesh, bc, surface):
-    """(n_edges, 3): the middle point of every edge functional, which is
-    the skin-shifted midpoint Q_e on a Gamma_h edge and the midpoint
-    elsewhere: the edge nodes of the P2 shift table."""
-    nodes = build_lagrange_nodes(mesh, 2)
-    points = build_shifted_node_table(mesh, bc, surface, nodes).points
-    return points[nodes.layout.ids(1, np.arange(mesh.topology.n_edges))[:, 0]]
+    """(n_edges, 3): the middle point of every edge functional, the edge
+    midpoint, moved to Q_e on a Gamma_h edge by the one Gamma_h edge rule
+    of `trialspace`, as the k=2 Lagrange edge node: no P2 node set."""
+    pts = mesh.vertices[mesh.topology.edge_vertices].mean(axis=1)
+    e = bc.gamma_edges
+    pts[e] = shift_gamma_edge_points(mesh, bc, surface, pts[e][:, None])[:, 0]
+    return pts
 
 
 def _shifted_face_points(mesh, bc, surface):

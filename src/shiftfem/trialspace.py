@@ -54,6 +54,19 @@ def shift_from_entities(surface: Surface, kind, vertex_ids, origin,
                          % (kind, tuple(ids.tolist()), err)) from err
 
 
+def shift_gamma_edge_points(mesh: Mesh, cls: BoundaryClassification,
+                            surface: Surface, origins):
+    """The Gamma_h edge rule in one batched line query: `origins`, m points
+    (n_e, m, 3) on each edge of `cls.gamma_edges`, move along the edge's
+    skin direction to the nearest point of the surface within 4|e|.  A
+    line that misses the surface is reported by its edge."""
+    pairs = mesh.topology.edge_vertices[cls.gamma_edges]
+    length = np.linalg.norm(np.diff(mesh.vertices[pairs], axis=1), axis=-1)
+    return shift_from_entities(surface, "edge", pairs, origins,
+                               skin_directions(mesh, cls)[:, None, :],
+                               4.0 * length)
+
+
 def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
                              surface: Surface, nodes: LagrangeNodeSet
                              ) -> ShiftedNodeTable:
@@ -64,13 +77,8 @@ def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
     points = nodes.coords.copy()
 
     edge_ids = layout.ids(1, cls.gamma_edges)  # (n_e, k-1)
-    if edge_ids.size:
-        pairs = top.edge_vertices[cls.gamma_edges]
-        ends = mesh.vertices[pairs]
-        length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
-        points[edge_ids] = shift_from_entities(
-            surface, "edge", pairs, nodes.coords[edge_ids],
-            skin_directions(mesh, cls)[:, None, :], 4.0 * length[:, None])
+    points[edge_ids] = shift_gamma_edge_points(mesh, cls, surface,
+                                               nodes.coords[edge_ids])
 
     faces = cls.gamma_faces
     face_ids = layout.ids(2, faces)  # (n_f, (k-1)(k-2)/2)

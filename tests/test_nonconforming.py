@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from meshes import generate_box_tet_mesh
+from meshes import generate_box_tet_mesh, traced_peak
+from shiftfem.cases import get_case
+from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.elements import AffineMap, EDGES, FACES, shape_values
 from shiftfem.meshgen import classify_boundary, generate_octant_mesh
 from shiftfem.assembly import element_phi_coefficients
@@ -18,6 +20,7 @@ from shiftfem.nonconforming import (
 )
 from shiftfem.linsolve import solve
 from shiftfem.surfaces import Ellipsoid, Sphere
+from shiftfem.trialspace import build_shifted_node_table
 
 SPHERE = Sphere(np.zeros(3), 1.0)
 ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
@@ -157,6 +160,41 @@ def test_patch_test_functional_jumps_vanish():
     for rec in (mu_records, nu_records):
         for values in rec.values():
             assert np.max(np.abs(np.array(values) - values[0])) <= 1e-11
+
+
+def _p2_table_edge_points(mesh, cls, surface):
+    """The oracle of `_shifted_edge_points`: the k=2 Lagrange edge nodes
+    of the whole P2 shift table, read one per edge."""
+    nodes = build_lagrange_nodes(mesh, 2)
+    points = build_shifted_node_table(mesh, cls, surface, nodes).points
+    return points[nodes.layout.ids(1, np.arange(mesh.topology.n_edges))[:, 0]]
+
+
+@pytest.mark.parametrize("name, param", [
+    ("tp1-sphere", 4), ("tp1-sphere", 8), ("tp1-sphere", 16),
+    ("tp2-ellipsoid", 4), ("tp3-torus", 4)])
+def test_shifted_edge_points_are_the_p2_edge_nodes(name, param):
+    """Q_e is where the Gamma_h edge rule moves the k=2 Lagrange edge
+    node, bit for bit, and every other edge keeps its midpoint; on the
+    torus the line roots come from a quartic's companion matrix."""
+    case = get_case(name)
+    mesh = case.mesh(param)
+    cls = classify_boundary(mesh, case.surface)
+    got = _shifted_edge_points(mesh, cls, case.surface)
+    want = _p2_table_edge_points(mesh, cls, case.surface)
+    assert got.tobytes() == want.tobytes()
+    assert got.shape == (mesh.topology.n_edges, 3)
+
+
+def test_shifted_edge_points_peak_is_bounded():
+    """On tp1 J=16 (5,576 edges, 408 on Gamma_h) the shifted edge points
+    peak at most 1 MB, as tracemalloc counts it: 0.51 MB measured, 1.67 MB
+    while a whole P2 node set and its shift table were built for them."""
+    mesh = generate_octant_mesh(16)
+    cls = classify_boundary(mesh, SPHERE)
+    points, peak = traced_peak(_shifted_edge_points, mesh, cls, SPHERE)
+    assert points.shape == (mesh.topology.n_edges, 3)
+    assert peak <= 2**20, peak
 
 
 def test_shifted_dof_matrix_perturbation_rate():

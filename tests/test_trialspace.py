@@ -260,15 +260,10 @@ def test_basis_keeps_little_beside_c():
     assert kept <= 1.25 * basis.C.nbytes, (kept, basis.C.nbytes)
 
 
-@pytest.mark.parametrize("degree", [2, 3])
-def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
-    """One batched line query per kind of shifted node, whatever the mesh
-    size: no scan along the lines.  Calls are counted on a copy of the
-    surface, as the benchmark's tracer counts them."""
-    case = get_case("tp3-torus")
-    mesh = case.mesh(4)
-    cls = classify_boundary(mesh, case.surface)
-    surface = copy.copy(case.surface)
+def _counted(surface):
+    """A copy of `surface` whose value and line-intersection queries are
+    counted, as the benchmark's tracer counts them, and the counter."""
+    surface = copy.copy(surface)
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -280,6 +275,17 @@ def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
     surface.value = counted("value", surface.value)
     surface.nearest_line_intersection = counted(
         "intersection", surface.nearest_line_intersection)
+    return surface, calls
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
+    """One batched line query per kind of shifted node, whatever the mesh
+    size: no scan along the lines."""
+    case = get_case("tp3-torus")
+    mesh = case.mesh(4)
+    cls = classify_boundary(mesh, case.surface)
+    surface, calls = _counted(case.surface)
     table = build_shifted_node_table(
         mesh, cls, surface, build_lagrange_nodes(mesh, degree))
     assert len(table.shifts) >= 100
@@ -289,6 +295,18 @@ def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
     assert np.array_equal(classify_boundary(mesh, surface).gamma_faces,
                           cls.gamma_faces)
     assert calls["value"] == 1
+
+
+def test_nc_assembly_queries_the_surface_twice():
+    """The nonconforming builder casts one batch of lines from the Gamma_h
+    edges and one from the Gamma_h faces."""
+    case = get_case("tp3-torus")
+    mesh = case.mesh(4)
+    cls = classify_boundary(mesh, case.surface)
+    surface, calls = _counted(case.surface)
+    nc_assemble(mesh, cls, surface, 2, case.f, case.g)
+    assert len(cls.gamma_edges) >= 100 and len(cls.gamma_faces) >= 100
+    assert calls["intersection"] == 2
 
 
 class _CapMissingSphere(Sphere):
