@@ -23,7 +23,7 @@ from .elements import (
     shape_gradients,
     shape_values,
 )
-from .linsolve import solve
+from .linsolve import DEFAULT_TOL, solve
 from .meshgen import classify_boundary
 from .nonconforming import nc_assemble
 
@@ -101,7 +101,7 @@ def eoc(e1, e2, h1, h2):
 
 
 def run_single(case: ExactCase, method: str, degree: int, param,
-               record_time=True, tol=1e-12):
+               record_time=True, tol=DEFAULT_TOL):
     """Mesh, assemble, solve, and measure one case/refinement combination.
     `solve_seconds` is the sparse solve alone, the factors and GMRES
     included; the multigrid prolongation is built during assembly and not
@@ -191,7 +191,7 @@ class ConvergenceTable:
 
 
 def run_convergence(case: ExactCase, method: str, degree: int, params,
-                    record_time=True, tol=1e-12) -> ConvergenceTable:
+                    record_time=True, tol=DEFAULT_TOL) -> ConvergenceTable:
     params = list(params)
     if len(params) < 1:
         raise ValueError("need at least one refinement parameter")

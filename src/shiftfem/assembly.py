@@ -100,10 +100,10 @@ def element_load(amap: AffineMap, degree: int, quad, f):
 
 
 def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
-             R, f, coarse_weights=None) -> System:
+             R, f, coarse_weights) -> System:
     """Form T_test^T S T_trial and T_test^T b_loc on every tet, lift the
     Dirichlet values and add them into the pattern of the free DOFs, one
-    block of tets at a time (`elements.blocks`).  With `coarse_weights`
+    block of tets at a time (`elements.blocks`).  From `coarse_weights`
     (n_loc, 4), each local DOF's functional applied to the four P1 hats,
     build the prolongation P too (see the module docstring)."""
     quad = tet_quadrature(5)
@@ -120,10 +120,7 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
                       shape=(n_tets, n))
     Et = E.T.tocsr()  # the tets of each free DOF, ascending
     where = (Et @ E).T.tocsr()
-    P = None
-    if coarse_weights is not None:
-        P = _prolongation(mesh, eq, Et.indices[Et.indptr[:-1]],
-                          coarse_weights)
+    P = _prolongation(mesh, eq, Et.indices[Et.indptr[:-1]], coarse_weights)
     del E, Et, free
     # each entry's index in the data, from 1: what the pattern lacks, the
     # pairs with a Gamma_h DOF in the empty row and column n, reads 0

@@ -31,7 +31,8 @@ import numpy as np
 from . import analysis
 from .assembly import element_phi_coefficients
 from .cases import case_registry, get_case
-from .linsolve import check_tol
+from .elements import DEGREES
+from .linsolve import DEFAULT_TOL, check_tol
 from .meshgen import classify_boundary, write_mesh_text, write_vtk
 
 _BOOLEANS = {"0": False, "false": False, "1": True, "true": True}
@@ -77,14 +78,14 @@ def _build_parser():
         "case": dict(choices=sorted(case_registry())),
         "method": dict(choices=("new", "polyhedral", "nonconforming"),
                        default="new"),
-        "k": dict(type=int, choices=(2, 3), default=2),
+        "k": dict(type=int, choices=DEGREES, default=2),
         "refine": dict(help="comma-separated refinement parameters "
                        "(J or I values)"),
         "out": dict(type=Path, default=".",
                     help="output directory (default %(default)s)"),
         "sequential": dict(action="store_true",
                            help="write 0 in the solve_seconds column"),
-        "tol": dict(type=float, default=1e-12, help="solver residual "
+        "tol": dict(type=float, default=DEFAULT_TOL, help="solver residual "
                     "tolerance (default %(default)s)"),
         "vtk": dict(action="store_true", help="export VTK files"),
         "dump_matrix": dict(action="store_true", help="write the system "

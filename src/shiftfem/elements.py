@@ -3,9 +3,9 @@ and the affine maps between reference and physical elements.
 
 The shape functions of degree k come from one formula over the
 barycentric multi-indices alpha of the nodes (node = alpha / k).
-`multi_indices` holds the package's one degree check (k = 2, 3): k=4 needs
-interior nodes, face nodes ordered by their sorted vertex ids and a
-degree-6 quadrature rule (ROADMAP item 6).
+`multi_indices` holds the package's one degree check, against `DEGREES`
+(k = 2, 3): k=4 needs interior nodes, face nodes ordered by their sorted
+vertex ids and a degree-6 quadrature rule (ROADMAP item 6).
 
 Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 Barycentric coordinates: lam0 = 1-x-y-z, lam1 = x, lam2 = y, lam3 = z.
@@ -34,6 +34,7 @@ import numpy as np
 
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+DEGREES = (2, 3)  # the supported Lagrange degrees k
 
 REF_VERTICES = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -58,8 +59,9 @@ def barycentric(points):
 def multi_indices(degree: int) -> np.ndarray:
     """Barycentric multi-indices alpha (|alpha| = degree) of the Lagrange
     nodes, (n_k, 4), in the frozen local order."""
-    if degree not in (2, 3):
-        raise ValueError("only degrees 2 and 3 are supported")
+    if degree not in DEGREES:
+        raise ValueError("only degrees %s are supported"
+                         % " and ".join(map(str, DEGREES)))
     k = degree
     entries = [{i: k} for i in range(4)]
     entries += [{a: k - m, b: m} for a, b in EDGES for m in range(1, k)]

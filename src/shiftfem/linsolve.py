@@ -79,6 +79,8 @@ PMG_MIN_EQUATIONS = 2000
 #: Arnoldi steps of the one GMRES cycle before the LU fallback runs: the
 #: systems take 9-18, and SciPy allocates cap + 1 Krylov vectors up front
 MAX_GMRES_ITERATIONS = 50
+#: the residual tolerance of `solve`, of the analysis runs and of `--tol`
+DEFAULT_TOL = 1e-12
 _LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", relax=1,
                    options=dict(SymmetricMode=True))
 #: the smoother: Chebyshev steps per smooth, the lower end of its interval
@@ -240,7 +242,7 @@ def _gmres(A, b, precondition, tol, max_iterations):
     return last[1], len(steps)
 
 
-def solve(system: System, tol: float = 1e-12) -> SolveReport:
+def solve(system: System, tol: float = DEFAULT_TOL) -> SolveReport:
     """A x = b to the residual contract ‖A x - b‖ <= tol·‖b‖, checked in
     float64 on x: by p-multigrid GMRES above `PMG_MIN_EQUATIONS` when the
     system carries a prolongation, and by sparse LU otherwise or when

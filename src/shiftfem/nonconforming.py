@@ -16,8 +16,9 @@ The boundary-shifted variant replaces, on boundary elements, mu_F of a
 Gamma_h face by evaluation at the nearest intersection of the surface
 with the perpendicular to F through its centroid, and the midpoint in
 nu_e of a Gamma_h edge by Q_e, where the one Gamma_h edge rule of
-`trialspace` moves it (no P2 node set is built).  The Dirichlet value of
-a Gamma_h DOF is its shifted functional applied to g.
+`trialspace` moves it (no P2 node set is built): both lines are cast by
+`trialspace.shift_from_entities`, with its one bracket.  The Dirichlet
+value of a Gamma_h DOF is its shifted functional applied to g.
 """
 from __future__ import annotations
 
@@ -88,13 +89,10 @@ def _shifted_face_points(mesh, bc, surface):
     centroid on a Gamma_h face and the centroid elsewhere.  A line that
     misses the surface is reported by its face's vertex triple."""
     triples = mesh.topology.face_vertices
-    tris = mesh.vertices[triples]
-    pts = tris.mean(axis=1)
+    pts = mesh.vertices[triples].mean(axis=1)
     f = bc.gamma_faces
-    if f.size:
-        h_t = np.max(np.linalg.norm(tris[f] - pts[f][:, None, :], axis=2), axis=1)
-        pts[f] = shift_from_entities(surface, "face", triples[f], pts[f],
-                                     mesh.face_normals(f), 4.0 * h_t)
+    pts[f] = shift_from_entities(mesh, surface, "face", triples[f], pts[f],
+                                 mesh.face_normals(f))
     return pts
 
 

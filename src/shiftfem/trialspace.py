@@ -5,12 +5,14 @@ shifted points.
 
 Shift rules per owning entity:
   * vertex: already on Gamma, kept in place;
-  * interior node of a Gamma_h edge e: moved to the nearest intersection Q
-    of Gamma with the line through the node along the skin direction of e
+  * interior node of a Gamma_h edge e: along the skin direction of e
     (orthogonal to e, bisecting the adjacent boundary-face normals);
   * interior node of a Gamma_h face (the centroid at degree 3, none at
-    degree 2): moved to the nearest intersection P of Gamma with the line
-    through the node and the vertex of the face's tet opposite to the face.
+    degree 2): away from the vertex of the face's tet opposite to the face.
+A node moves to the intersection of Gamma with its line nearest to it
+(Q on an edge, P on a face), within one bracket: 4 times its largest
+distance to a vertex of its entity, formed by `shift_from_entities`
+(`nonconforming` uses it too).
 
 The nodes of an entity are read off the layout of `dofs`; the shifted
 nodes are the DOFs of the Gamma_h edges and faces.
@@ -39,15 +41,19 @@ class ShiftedNodeTable:
     points: np.ndarray  # (n_nodes, 3) evaluation point of every node
 
 
-def shift_from_entities(surface: Surface, kind, vertex_ids, origin,
-                        direction, bracket):
+def shift_from_entities(mesh: Mesh, surface: Surface, kind, vertex_ids,
+                        origin, direction):
     """The points of `surface.nearest_line_intersection` for lines cast
-    from mesh entities, the lines of each entity together in the batch.
-    A line that finds no point is reported by its entity: the Gamma_h
-    `kind` ("edge" or "face") with its row of `vertex_ids` (n_entities, m),
-    the entity's sorted vertex ids."""
+    from the Gamma_h entities of `kind` ("edge" or "face"): `origin` is
+    (n_entities, ..., 3), and each line is searched within 4 times the
+    largest distance from its origin to a vertex of its entity, whose
+    sorted ids are its row of `vertex_ids` and name it if the line misses."""
+    verts = mesh.vertices[vertex_ids]
+    verts = np.expand_dims(verts, tuple(range(1, origin.ndim - 1)))
+    reach = np.linalg.norm(origin[..., None, :] - verts, axis=-1).max(axis=-1)
     try:
-        return surface.nearest_line_intersection(origin, direction, bracket)[0]
+        return surface.nearest_line_intersection(origin, direction,
+                                                 4.0 * reach)[0]
     except LineQueryError as err:
         ids = vertex_ids[err.index // (err.count // len(vertex_ids))]
         raise ValueError("cannot shift Gamma_h %s %s onto the surface: %s"
@@ -58,13 +64,10 @@ def shift_gamma_edge_points(mesh: Mesh, cls: BoundaryClassification,
                             surface: Surface, origins):
     """The Gamma_h edge rule in one batched line query: `origins`, m points
     (n_e, m, 3) on each edge of `cls.gamma_edges`, move along the edge's
-    skin direction to the nearest point of the surface within 4|e|.  A
-    line that misses the surface is reported by its edge."""
+    skin direction to the nearest point of the surface."""
     pairs = mesh.topology.edge_vertices[cls.gamma_edges]
-    length = np.linalg.norm(np.diff(mesh.vertices[pairs], axis=1), axis=-1)
-    return shift_from_entities(surface, "edge", pairs, origins,
-                               skin_directions(mesh, cls)[:, None, :],
-                               4.0 * length)
+    return shift_from_entities(mesh, surface, "edge", pairs, origins,
+                               skin_directions(mesh, cls)[:, None, :])
 
 
 def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
@@ -86,14 +89,9 @@ def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
         opp = mesh.vertices[mesh.tets[top.face_tet[faces], top.face_local[faces]]]
         M = nodes.coords[face_ids]
         d = M - opp[:, None]
-        dist = np.linalg.norm(d, axis=-1)
-        d /= dist[..., None]
-        # the sought intersection lies within O(h_T) of M
-        triples = top.face_vertices[faces]
-        tris = mesh.vertices[triples][:, None]
-        h_t = np.max(np.linalg.norm(tris - M[..., None, :], axis=-1), axis=-1)
+        d /= np.linalg.norm(d, axis=-1)[..., None]
         points[face_ids] = shift_from_entities(
-            surface, "face", triples, M, d, 4.0 * np.maximum(h_t, dist))
+            mesh, surface, "face", top.face_vertices[faces], M, d)
 
     shifts = np.concatenate([edge_ids.ravel(), face_ids.ravel()])
     return ShiftedNodeTable(shifts=shifts, points=points)

@@ -304,7 +304,7 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
 
 
 def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
-                          R, f, coarse_weights=None):
+                          R, f, coarse_weights):
     """`assemble` with its scatter written the long way: the full matrix
     over all DOFs, its free rows, then their free and Gamma_h columns, and
     the lift b -= A[free, Gamma_h] @ g.  The oracle of the one scatter;

@@ -1,7 +1,8 @@
 """No module imports a name it never uses, over the package, the tests
-and the benchmark (read, never edited), and the package defines no
-function, class, method or module-level constant that neither the
-package nor the benchmark uses: the checks of two lint rules."""
+and the benchmark (read, never edited); the package defines no function,
+class, method or module-level constant that neither the package nor the
+benchmark uses; and no package module but `trialspace` casts a line
+query: the checks of three lint rules."""
 import ast
 import collections
 import re
@@ -70,6 +71,26 @@ def dead_definitions(package, bench=None):
             if used[name] == _read_names(node)[name]:
                 dead.append((module, node.lineno, name))
     return sorted(dead)
+
+
+def line_query_readers(package):
+    """The modules of `package` (module name -> source), `trialspace`
+    excepted, that read `nearest_line_intersection`: as a name or an
+    attribute, by an import or as a string constant.
+    `trialspace.shift_from_entities` alone forms the search bracket of a
+    line query and names the entity of a line that misses."""
+    readers = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        names = set(_read_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant):
+                names.add(node.value)
+        if module != "trialspace" and "nearest_line_intersection" in names:
+            readers.append(module)
+    return sorted(readers)
 
 
 def _definitions(tree):
@@ -146,3 +167,21 @@ def test_the_check_finds_an_unused_definition():
         ("geometry", 4, "area"), ("geometry", 8, "patched"),
         ("geometry", 12, "spare"), ("geometry", 15, "_LIMIT"),
         ("geometry", 16, "_STEP"), ("geometry", 16, "_STEP_BASE")]
+
+
+def test_only_trialspace_casts_lines():
+    assert line_query_readers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_the_check_finds_a_line_query_outside_trialspace():
+    package = {
+        "surfaces": ("class Surface:\n"
+                     "    def nearest_line_intersection(self, o, d, b):\n"
+                     "        return o\n"),
+        "trialspace": "def shift(s):\n    return s.nearest_line_intersection\n",
+        "direct": "def f(s):\n    return s.nearest_line_intersection(0, 1, 2)\n",
+        "indirect": ("def f(s):\n"
+                     "    return getattr(s, 'nearest_line_intersection')\n"),
+        "named": "from .surfaces import nearest_line_intersection as q\n",
+    }
+    assert line_query_readers(package) == ["direct", "indirect", "named"]

@@ -16,11 +16,12 @@ from shiftfem.elements import (
     tet_quadrature,
 )
 from shiftfem.meshgen import Mesh, classify_boundary, generate_octant_mesh
-from shiftfem.nonconforming import _shifted_face_points, nc_assemble
+from shiftfem.nonconforming import nc_assemble
 from shiftfem.surfaces import Ellipsoid, Sphere
 from shiftfem.trialspace import (
     build_modified_basis,
     build_shifted_node_table,
+    shift_from_entities,
 )
 
 SPHERE = Sphere(np.zeros(3), 1.0)
@@ -344,15 +345,71 @@ def test_shift_failure_names_the_gamma_h_edge(method, degree):
     assert expected in str(info.value)
 
 
+class _SecondQueryCapMissingSphere(_CapMissingSphere):
+    """The unit sphere, except that on its second line query every line
+    cast from above z = 0.5 misses it: the Gamma_h edges of a builder
+    shift and its Gamma_h faces fail."""
+
+    queries = 0
+
+    def line_roots(self, origin, direction):
+        self.queries += 1
+        if self.queries == 2:
+            return super().line_roots(origin, direction)
+        return Sphere.line_roots(self, origin, direction)
+
+
 def test_face_shift_failure_names_the_gamma_h_face():
-    """The nonconforming face functional's line is reported by the vertex
-    triple of its Gamma_h face."""
+    """The line of a k=3 Lagrange face node, or of a nonconforming face
+    functional, is reported by the vertex triple of its Gamma_h face,
+    once the builder's Gamma_h edges have shifted."""
     case = get_case("tp1-sphere")
     mesh = case.mesh(4)
     cls = classify_boundary(mesh, case.surface)
     triples = mesh.topology.face_vertices[cls.gamma_faces]
-    failing = np.flatnonzero(mesh.vertices[triples].mean(axis=1)[:, 2] > 0.5)[0]
+    nodes = build_lagrange_nodes(mesh, 3)
+    origins = nodes.coords[nodes.layout.ids(2, cls.gamma_faces)][:, 0]
+    np.testing.assert_allclose(origins, mesh.vertices[triples].mean(axis=1),
+                               rtol=0.0, atol=1e-15)
+    failing = np.flatnonzero(origins[:, 2] > 0.5)[0]
     assert failing > 0
-    with pytest.raises(ValueError, match="origin %d of " % failing) as info:
-        _shifted_face_points(mesh, cls, _CapMissingSphere(np.zeros(3), 1.0))
-    assert "Gamma_h face %s " % (tuple(triples[failing].tolist()),) in str(info.value)
+    expected = "Gamma_h face %s " % (tuple(triples[failing].tolist()),)
+    for build in (lambda s: build_shifted_node_table(mesh, cls, s, nodes),
+                  lambda s: nc_assemble(mesh, cls, s, 2, case.f, case.g)):
+        surface = _SecondQueryCapMissingSphere(np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="origin %d of %d" %
+                           (failing, len(triples))) as info:
+            build(surface)
+        assert surface.queries == 2
+        assert expected in str(info.value)
+
+
+def _bracket_mesh(r):
+    """Vertices around the centre of the unit sphere: 0-2 at distance 2,
+    then (0, r, 0) and, nearer than 0.25, three more."""
+    return Mesh(np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, -2.0, 0.0],
+                          [0.0, r, 0.0], [0.0, -0.2, 0.0], [-0.2, -0.1, 0.0],
+                          [0.2, -0.1, 0.0]]), np.zeros((0, 4), dtype=int))
+
+
+@pytest.mark.parametrize("kind, vertex_ids, origin, failing", [
+    ("edge", [[0, 1], [3, 4]], np.zeros((2, 2, 3)), "origin 2 of 4"),
+    ("face", [[0, 1, 2], [3, 5, 6]], np.zeros((2, 3)), "origin 1 of 2"),
+], ids=["edge", "face"])
+def test_bracket_is_four_times_the_farthest_vertex(kind, vertex_ids, origin,
+                                                   failing):
+    """Each line is searched within 4 times the largest distance from its
+    origin to a vertex of its entity.  The lines from the centre of the
+    unit sphere along z meet it at t = -1 and 1; the second entity's
+    farthest vertex is (0, r, 0), its others nearer than 0.25.  With r just
+    above 0.25 every line lands on (0, 0, 1); just below, the second
+    entity's first line misses and the error names its vertex ids."""
+    vertex_ids, z = np.array(vertex_ids), np.array([0.0, 0.0, 1.0])
+    points = shift_from_entities(_bracket_mesh(0.25 * (1 + 1e-9)), SPHERE,
+                                 kind, vertex_ids, origin, z)
+    np.testing.assert_array_equal(points, np.broadcast_to(z, origin.shape))
+    with pytest.raises(ValueError, match=failing) as info:
+        shift_from_entities(_bracket_mesh(0.25 * (1 - 1e-9)), SPHERE, kind,
+                            vertex_ids, origin, z)
+    expected = "Gamma_h %s %s " % (kind, tuple(vertex_ids[1].tolist()))
+    assert expected in str(info.value)
