@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from shiftfem.linsolve import solve
 from shiftfem.meshgen import classify_boundary, generate_octant_mesh
 from shiftfem.nonconforming import nc_assemble
 from shiftfem.surfaces import Ellipsoid
+
+from meshes import traced_peak
 
 BUILDERS = {"new": assemble_new_method, "polyhedral": assemble_polyhedral,
             "nonconforming": nc_assemble}
@@ -436,3 +439,30 @@ def test_cycle_runs_once_per_arnoldi_step_and_once_for_x(monkeypatch):
     coarse, = factored
     assert rep.path == "pmg" and rep.iterations > 1
     assert coarse.solves == rep.iterations + 1
+
+
+@pytest.mark.parametrize("method", ["new", "nonconforming"])
+def test_coarse_matrix_forms_without_a_copy_of_a(method, monkeypatch):
+    """The coarse matrix handed to the factor is Pᵀ A P, equal to the dense
+    product to 1e-14 of its largest entry, and forming it peaks at most at
+    the bytes of A, as tracemalloc counts it from the start of `solve`
+    (measured 0.59 for new and 0.58 for nonconforming; 1.41 and 1.38 while
+    P.T @ A converted A to CSC).  tp1 J=8 with the pMG path forced."""
+    system = _case_system("tp1-sphere", method, 2, 8)
+    A, P = system.A, system.P
+    coarse = []
+
+    def recording(M, **kwargs):
+        if M.shape[0] < A.shape[0]:
+            coarse.append((M, tracemalloc.get_traced_memory()[1]))
+        return splu(M, **kwargs)
+
+    _force_path(monkeypatch, "pmg")
+    monkeypatch.setattr(linsolve, "splu", recording)
+    rep, _ = traced_peak(solve, system)
+    (matrix, peak), = coarse
+    assert rep.path == "pmg"
+    assert peak <= A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    dense = P.toarray().T @ A.toarray() @ P.toarray()
+    assert (np.max(np.abs(matrix.toarray() - dense))
+            <= 1e-14 * np.max(np.abs(dense)))
