@@ -36,8 +36,8 @@ rule, not once per block.
 The same equation numbering gives the coarse space of the solver's
 p-multigrid cycle: P1 on the same mesh, for every element.  Its
 prolongation `System.P` gives each free DOF the value its functional takes
-on the P1 hats, read through the first tet that holds the DOF (its first
-entry in E^T), over the vertices that some free DOF reads.
+on the P1 hats: the free rows of the layout's W (`dofs.DofLayout.hats`),
+over the vertices that some free DOF reads, in ascending order.
 """
 from __future__ import annotations
 
@@ -48,8 +48,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dofs import LagrangeNodeSet, build_lagrange_nodes
-from .elements import (AffineMap, barycentric, blocks, reference_nodes,
-                       shape_gradients, shape_values, tet_quadrature)
+from .elements import (AffineMap, blocks, multi_indices, shape_gradients,
+                       shape_values, tet_quadrature)
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
 from .trialspace import (
@@ -100,12 +100,12 @@ def element_load(amap: AffineMap, degree: int, quad, f):
 
 
 def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
-             R, f, coarse_weights) -> System:
+             R, f, hats) -> System:
     """Form T_test^T S T_trial and T_test^T b_loc on every tet, lift the
     Dirichlet values and add them into the pattern of the free DOFs, one
-    block of tets at a time (`elements.blocks`).  From `coarse_weights`
-    (n_loc, 4), each local DOF's functional applied to the four P1 hats,
-    build the prolongation P too (see the module docstring)."""
+    block of tets at a time (`elements.blocks`).  From `hats` (n_dofs,
+    n_vertices), each DOF's functional applied to the P1 hats, take the
+    prolongation P too (see the module docstring)."""
     quad = tet_quadrature(5)
     # equation ids, int32 where they fit; Gamma_h goes to the dropped row n
     n_tets, n_loc = cells.shape
@@ -118,10 +118,10 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     E = sp.csr_matrix((np.ones(np.count_nonzero(free), dtype=bool), eq[free],
                        np.concatenate([[0], np.cumsum(free.sum(axis=1))])),
                       shape=(n_tets, n))
-    Et = E.T.tocsr()  # the tets of each free DOF, ascending
-    where = (Et @ E).T.tocsr()
-    P = _prolongation(mesh, eq, Et.indices[Et.indptr[:-1]], coarse_weights)
-    del E, Et, free
+    where = (E.T.tocsr() @ E).T.tocsr()
+    del E, free
+    P = hats[~gamma_mask]
+    P = P[:, np.unique(P.indices)]
     # each entry's index in the data, from 1: what the pattern lacks, the
     # pairs with a Gamma_h DOF in the empty row and column n, reads 0
     where.data = np.arange(1, where.nnz + 1, dtype=where.indices.dtype)
@@ -155,23 +155,6 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
                       shape=(n, n))
     return System(A=A, b=b[:n], cells=cells, gamma_mask=gamma_mask,
                   dirichlet=dirichlet, basis=basis, R=R, P=P)
-
-
-def _prolongation(mesh: Mesh, eq, first_tet, coarse_weights):
-    """P (n_eq, n_coarse): each free DOF read through `first_tet`, the
-    first tet that holds it, over the vertices that some free DOF reads."""
-    n = first_tet.size
-    local = np.argmax(eq[first_tet] == np.arange(n)[:, None], axis=1)
-    rows = np.repeat(np.arange(n, dtype=eq.dtype), 4)
-    vals = coarse_weights[local].ravel()
-    read = vals != 0.0
-    vertices = mesh.tets[first_tet].ravel()[read]
-    # the coarse vertices in ascending order
-    used = np.zeros(mesh.n_vertices, dtype=bool)
-    used[vertices] = True
-    coarse = np.cumsum(used) - 1
-    return sp.csr_matrix((vals[read], (rows[read], coarse[vertices])),
-                         shape=(n, np.count_nonzero(used)))
 
 
 def assemble_new_method(
@@ -209,12 +192,11 @@ def _lagrange_system(mesh: Mesh, cls: BoundaryClassification,
                      nodes: LagrangeNodeSet, points, basis, f, g) -> System:
     """The system over the Lagrange nodes, with the Dirichlet value of each
     Gamma_h node read from `g` at its row of `points` (n_nodes, 3)."""
-    gamma_mask = nodes.layout.gamma_mask(cls)
+    k, gamma_mask = nodes.degree, nodes.layout.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
     dirichlet[gamma_mask] = g(points[gamma_mask])
-    return assemble(mesh, nodes.degree, nodes.cell_nodes_table, gamma_mask,
-                    dirichlet, basis, None, f,
-                    barycentric(reference_nodes(nodes.degree)))
+    return assemble(mesh, k, nodes.cell_nodes_table, gamma_mask, dirichlet,
+                    basis, None, f, nodes.layout.hats(multi_indices(k) / k))
 
 
 def element_phi_coefficients(system: System, x: np.ndarray):

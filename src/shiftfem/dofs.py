@@ -12,17 +12,19 @@ McBain, JOSS 2020) numbers every element this way.
 The Lagrange nodes of degree k have 1, k-1 and (k-1)(k-2)/2 DOFs per
 vertex, edge and face, counted off `elements.multi_indices`, which holds
 the one degree check; the nonconforming DOFs are (0, 1, 1), faces first.
-Each discretization numbers its equations through its layout's per-tet
-table and Gamma_h mask: the equations are the DOFs off Gamma_h, in
-ascending order.
+The equations are the DOFs off Gamma_h, in ascending order.  A DOF's
+functional on the P1 hats belongs to its entity, not to a tet that holds
+it (`DofLayout.hats`): the Lagrange nodes and the multigrid prolongation
+both read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .elements import EDGES, barycentric, multi_indices, reference_nodes
+from .elements import EDGES, FACES, multi_indices
 from .meshgen import BoundaryClassification, Mesh
 
 
@@ -59,6 +61,27 @@ class DofLayout:
                   self.ids(2, top.tet_faces))
         return np.hstack([blocks[d].reshape(len(tets), -1) for d in self.order])
 
+    def hats(self, weights):
+        """W (n_dofs, n_vertices), sparse: each DOF's functional on the P1
+        hats, from the `weights` (n_loc, 4) of the local DOFs of `cells`.
+        An entity's DOFs read its sorted vertices with the weights of its
+        kind's first local entity: vertex 0, edge (0, 1), face (1, 2, 3)."""
+        top = self.mesh.topology
+        entities = (np.arange(self.mesh.n_vertices)[:, None],
+                    top.edge_vertices, top.face_vertices)
+        data, indices, start = [], [], 0
+        for d in self.order:  # the blocks, in DOF id order
+            c, ends = self.counts[d], entities[d]
+            w = weights[start:start + c, list(((0,), EDGES[0], FACES[0])[d])]
+            start += c * (4, 6, 4)[d]
+            shape = (len(ends), c, d + 1)
+            data.append(np.broadcast_to(w, shape).ravel())
+            indices.append(np.broadcast_to(ends[:, None], shape).ravel())
+        reads = np.repeat(np.add(self.order, 1), self.sizes[list(self.order)])
+        return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                              np.concatenate([[0], np.cumsum(reads)])),
+                             shape=(self.sizes.sum(), self.mesh.n_vertices))
+
     def gamma_mask(self, cls: BoundaryClassification):
         """(n_dofs,) True for the DOFs of the Gamma_h entities."""
         mask = np.zeros(self.sizes.sum(), dtype=bool)
@@ -81,17 +104,12 @@ class LagrangeNodeSet:
 
 
 def build_lagrange_nodes(mesh: Mesh, degree: int) -> LagrangeNodeSet:
-    """The nodes of the continuous P_k space.  Each sits where the first
-    tet that holds it maps its reference node, in the orientation of the
-    per-tet table; a vertex that no tet holds has NaN coordinates."""
+    """The nodes of the continuous P_k space: each node's hat weights
+    (`DofLayout.hats`) applied to the vertex coordinates, so that a
+    vertex that no tet holds keeps its own coordinates."""
     k, alpha = degree, multi_indices(degree)
-    support = np.count_nonzero(alpha, axis=1)
-    counts = np.bincount(support, minlength=4)[1:4] // (4, 6, 4)
-    layout = DofLayout(mesh, tuple(counts.tolist()))
-    cells = layout.cells()
-    ids, first = np.unique(cells, return_index=True)
-    tet, local = np.divmod(first, cells.shape[1])
-    coords = np.full((layout.sizes.sum(), 3), np.nan)
-    coords[ids] = (barycentric(reference_nodes(k))[local, None]
-                   @ mesh.vertices[mesh.tets[tet]])[:, 0]
-    return LagrangeNodeSet(layout, k, coords, cells)
+    counts = np.bincount(np.count_nonzero(alpha, axis=1), minlength=4)[1:4]
+    layout = DofLayout(mesh, tuple((counts // (4, 6, 4)).tolist()))
+    cells = layout.cells()  # before W, which is built below its peak
+    return LagrangeNodeSet(layout, k, layout.hats(alpha / k) @ mesh.vertices,
+                           cells)

@@ -4,8 +4,9 @@ and the affine maps between reference and physical elements.
 The shape functions of degree k come from one formula over the
 barycentric multi-indices alpha of the nodes (node = alpha / k).
 `multi_indices` holds the package's one degree check, against `DEGREES`
-(k = 2, 3): k=4 needs interior nodes, face nodes ordered by their sorted
-vertex ids and a degree-6 quadrature rule (ROADMAP item 6).
+(k = 2, 3): k=4 needs interior nodes, a degree-6 quadrature rule and the
+per-tet table's face nodes ordered by sorted vertex ids, as
+`dofs.DofLayout.hats` orders them (ROADMAP item 9).
 
 Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 Barycentric coordinates: lam0 = 1-x-y-z, lam1 = x, lam2 = y, lam3 = z.

@@ -28,7 +28,7 @@ import numpy as np
 
 from .assembly import System, assemble
 from .dofs import DofLayout
-from .elements import EDGES, FACES, REF_VERTICES, barycentric, shape_values
+from .elements import EDGES, FACES, shape_values
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
 from .trialspace import (ModifiedElementBasis, shift_from_entities,
@@ -45,15 +45,14 @@ def nc_edge_functional(v_a, v_m, v_b):
     return 0.4 * v_m + 0.3 * (v_a + v_b)
 
 
-#: per tet: the 4 face centroids, then the 6 edges' A, then M, then B points
-_REF_POINTS = np.vstack([
-    REF_VERTICES[list(FACES)].mean(axis=1),
-    REF_VERTICES[[a for a, _ in EDGES]],
-    REF_VERTICES[list(EDGES)].mean(axis=1),
-    REF_VERTICES[[b for _, b in EDGES]],
-])
-#: DOF i is v -> sum_p _WEIGHTS[i, p] v(_REF_POINTS[p])
-_WEIGHTS = np.zeros((N_DOFS, len(_REF_POINTS)))
+#: per tet, as exact means of the barycentric unit rows: the 4 face
+#: centroids, then the 6 edges' A, then M, then B points
+_REF_BARY = np.vstack([np.eye(4)[list(FACES)].mean(axis=1),
+                       np.eye(4)[[a for a, _ in EDGES]],
+                       np.eye(4)[list(EDGES)].mean(axis=1),
+                       np.eye(4)[[b for _, b in EDGES]]])
+#: DOF i is v -> sum_p _WEIGHTS[i, p] v(_REF_BARY[p])
+_WEIGHTS = np.zeros((N_DOFS, len(_REF_BARY)))
 _WEIGHTS[:4, :4] = np.eye(4)
 _WEIGHTS[4:, 4:] = nc_edge_functional(*np.split(np.eye(18), 3))
 
@@ -61,7 +60,7 @@ _WEIGHTS[4:, 4:] = nc_edge_functional(*np.split(np.eye(18), 3))
 @lru_cache(maxsize=None)
 def nc_reference_matrix() -> np.ndarray:
     """R with b_j = sum_m R[m, j] * phi_m (phi = P2 Lagrange basis)."""
-    return np.linalg.inv(_WEIGHTS @ shape_values(2, _REF_POINTS))
+    return np.linalg.inv(_WEIGHTS @ shape_values(2, _REF_BARY[:, 1:]))
 
 
 def nc_layout(mesh: Mesh) -> DofLayout:
@@ -135,5 +134,4 @@ def nc_assemble(
     basis = build_nc_modified_basis(mesh, bc, bc.o_tets, edge_points,
                                     face_points)
     return assemble(mesh, 2, layout.cells(), gamma_mask, dirichlet, basis,
-                    nc_reference_matrix(), f,
-                    _WEIGHTS @ barycentric(_REF_POINTS))
+                    nc_reference_matrix(), f, layout.hats(_WEIGHTS @ _REF_BARY))

@@ -15,7 +15,8 @@ from shiftfem.assembly import (
 )
 from shiftfem.cases import get_case
 from shiftfem.dofs import build_lagrange_nodes
-from shiftfem.elements import AffineMap, REF_VERTICES, tet_quadrature
+from shiftfem.elements import (AffineMap, EDGES, FACES, REF_VERTICES,
+                               multi_indices, reference_nodes, tet_quadrature)
 from shiftfem.linsolve import solve
 from shiftfem.meshgen import (
     classify_boundary,
@@ -304,11 +305,11 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
 
 
 def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
-                          R, f, coarse_weights):
+                          R, f, hats):
     """`assemble` with its scatter written the long way: the full matrix
     over all DOFs, its free rows, then their free and Gamma_h columns, and
     the lift b -= A[free, Gamma_h] @ g.  The oracle of the one scatter;
-    it builds no prolongation, so it reads no coarse weights."""
+    it builds no prolongation, so it reads no hat weights."""
     quad = tet_quadrature(5)
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
     S_all = element_stiffness(amap, degree, quad)
@@ -329,10 +330,18 @@ def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
     return A_free[:, free].tocsr(), b
 
 
-def _first_tet_prolongation(mesh, cells, gamma_mask, coarse_weights):
-    """The prolongation with each free DOF's first tet found by sorting
-    `cells` (`np.unique`): the oracle of the one read off the tet ->
-    free DOF incidence."""
+def _local_weights(build, degree):
+    """(n_loc, 4): each local DOF's functional applied to the four P1
+    hats, the exact weights the builders give `DofLayout.hats`."""
+    if build is nc_assemble:
+        return nonconforming._WEIGHTS @ nonconforming._REF_BARY
+    return multi_indices(degree) / degree
+
+
+def _first_tet_prolongation(mesh, cells, gamma_mask, weights):
+    """The prolongation with each free DOF read through its first tet,
+    found by sorting `cells` (`np.unique`), with the local `weights` of
+    `_local_weights`: the oracle of the one read per entity."""
     n, n_loc = np.count_nonzero(~gamma_mask), cells.shape[1]
     eq = np.where(gamma_mask, n, np.cumsum(~gamma_mask) - 1).astype(np.int32)
     eq = eq[cells]
@@ -340,7 +349,7 @@ def _first_tet_prolongation(mesh, cells, gamma_mask, coarse_weights):
     first = first[eq.ravel()[first] < n]
     tet, local = np.divmod(first, n_loc)
     rows = np.repeat(eq.ravel()[first], 4)
-    vals = coarse_weights[local].ravel()
+    vals = weights[local].ravel()
     read = vals != 0.0
     vertices, cols = np.unique(mesh.tets[tet].ravel()[read],
                                return_inverse=True)
@@ -472,11 +481,13 @@ def test_chunks_of_tets_match_one_chunk(case_name, param, build, degree,
 @BUILDERS
 def test_prolongation_matches_sorted_cells_oracle(case_name, param, build,
                                                   degree, monkeypatch):
-    """P read off the incidence equals, to the bit, P with each free DOF's
-    first tet found by sorting the DOF table."""
+    """P read per entity off the layout's W equals, to the bit, P with each
+    free DOF read through its first tet in the DOF table: the exact local
+    weights give every tet that holds a DOF the same row."""
     args = _assemble_args(monkeypatch, build, get_case(case_name), param,
                           degree)
-    P_ref = _first_tet_prolongation(args[0], args[2], args[3], args[8])
+    P_ref = _first_tet_prolongation(args[0], args[2], args[3],
+                                    _local_weights(build, degree))
     assert _same_bytes(assembly.assemble(*args).P, P_ref)
 
 
@@ -486,7 +497,11 @@ def test_prolongation_matches_sorted_cells_oracle(case_name, param, build,
 def test_prolongation_reproduces_constants(case_name, param, build, degree):
     """Every row of the prolongation sums to 1 (measured: exactly 1), so
     the P1 coarse space reproduces the constants, and no column of it is
-    empty, which would make the coarse matrix Pᵀ A P singular."""
+    empty, which would make the coarse matrix Pᵀ A P singular.  It
+    reproduces an affine l too: P @ l(coarse vertices) is each free DOF's
+    functional of l, which is l at the node (Lagrange), at the face
+    centroid or at the edge midpoint (nonconforming), in every tet that
+    holds the DOF."""
     case = get_case(case_name)
     mesh = case.mesh(param)
     system = build(mesh, classify_boundary(mesh, case.surface), case.surface,
@@ -495,3 +510,23 @@ def test_prolongation_reproduces_constants(case_name, param, build, degree):
     assert P.shape[0] == system.A.shape[0]
     assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-14
     assert np.all(abs(P).sum(axis=0) > 0.0)
+
+    def ell(x):
+        return 0.25 + x @ [0.5, -0.75, 0.125]
+
+    gamma, cells = system.gamma_mask, system.cells
+    free = ~gamma[cells]
+    # the coarse vertices: those some free DOF's functional reads
+    read = free[..., None] & (_local_weights(build, degree) != 0.0)
+    tets = np.broadcast_to(mesh.tets[:, None], read.shape)
+    coarse = np.unique(tets[read])
+    if build is nc_assemble:  # faces first, then edges
+        ref = np.vstack([REF_VERTICES[list(FACES)].mean(axis=1),
+                         REF_VERTICES[list(EDGES)].mean(axis=1)])
+    else:
+        ref = reference_nodes(degree)
+    points = AffineMap.from_vertices(mesh.vertices[mesh.tets]).to_physical(ref)
+    eq = (np.cumsum(~gamma) - 1)[cells]
+    Pl = P @ ell(mesh.vertices[coarse])
+    np.testing.assert_allclose(Pl[eq[free]], ell(points[free]), rtol=0.0,
+                               atol=1e-14)

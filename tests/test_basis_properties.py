@@ -24,8 +24,7 @@ from shiftfem.assembly import assemble, element_stiffness
 from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.elements import (
     AffineMap,
-    barycentric,
-    reference_nodes,
+    multi_indices,
     shape_values,
     tet_quadrature,
 )
@@ -35,7 +34,7 @@ from shiftfem.meshgen import (
     generate_torus_sector_mesh,
 )
 from shiftfem.nonconforming import (
-    _REF_POINTS,
+    _REF_BARY,
     _WEIGHTS,
     _shifted_edge_points,
     _shifted_face_points,
@@ -155,14 +154,15 @@ def test_stiffness_rows_sum_to_zero_before_elimination(spec, method, seed):
         table = build_shifted_node_table(mesh, cls, surface, nodes)
         basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
         cells, R, T = nodes.cell_nodes_table, None, np.eye(basis.C.shape[-1])
-        coarse = barycentric(reference_nodes(degree))
+        hats = nodes.layout.hats(multi_indices(degree) / degree)
     else:
         basis = build_nc_modified_basis(
             mesh, cls, cls.o_tets, _shifted_edge_points(mesh, cls, surface),
             _shifted_face_points(mesh, cls, surface))
-        cells, R = nc_layout(mesh).cells(), nc_reference_matrix()
+        layout = nc_layout(mesh)
+        cells, R = layout.cells(), nc_reference_matrix()
         T = R
-        coarse = _WEIGHTS @ barycentric(_REF_POINTS)
+        hats = layout.hats(_WEIGHTS @ _REF_BARY)
 
     # element by element: T_test^T S T_test C on the boundary tets
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[basis.tets]])
@@ -173,6 +173,6 @@ def test_stiffness_rows_sum_to_zero_before_elimination(spec, method, seed):
     # assembled, with no DOF eliminated
     n = int(cells.max()) + 1
     A = assemble(mesh, degree, cells, np.zeros(n, dtype=bool), np.zeros(n),
-                 basis, R, lambda p: 0.0, coarse).A
+                 basis, R, lambda p: 0.0, hats).A
     assert A.shape == (n, n)
     assert np.max(np.abs(A @ np.ones(n))) <= 1e-12 * np.max(np.abs(A.data))

@@ -8,7 +8,7 @@ from shiftfem.elements import AffineMap, EDGES, FACES, shape_values
 from shiftfem.meshgen import classify_boundary, generate_octant_mesh
 from shiftfem.assembly import element_phi_coefficients
 from shiftfem.nonconforming import (
-    _REF_POINTS,
+    _REF_BARY,
     _WEIGHTS,
     _shifted_edge_points,
     _shifted_face_points,
@@ -33,7 +33,7 @@ def _zero(p):
 def _apply_reference_dofs(values_at):
     """The 10 DOFs of the function `values_at(point)` on the reference
     tet, from the element's reference points and weights."""
-    return _WEIGHTS @ np.array([values_at(p) for p in _REF_POINTS])
+    return _WEIGHTS @ np.array([values_at(p) for p in _REF_BARY[:, 1:]])
 
 
 def test_edge_functional_values():
