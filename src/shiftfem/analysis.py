@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import io
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,13 +133,23 @@ def run_single(case: ExactCase, method: str, degree: int, param,
 
 @dataclass
 class ConvergenceTable:
+    """One row per refinement; each row's EOCs are derived, by `eoc`, from
+    it and the row before (None for the first row)."""
+
     case: str
     method: str
     degree: int
     params: list
     reports: list  # ErrorReport per refinement
-    eoc_h1: list  # None for the first row
-    eoc_l2: list
+    eoc_h1: list = field(init=False)
+    eoc_l2: list = field(init=False)
+
+    def __post_init__(self):
+        pairs = list(zip(self.reports, self.reports[1:]))
+        self.eoc_h1 = [None] + [eoc(a.err_h1_broken, b.err_h1_broken, a.h, b.h)
+                                for a, b in pairs]
+        self.eoc_l2 = [None] + [eoc(a.err_l2, b.err_l2, a.h, b.h)
+                                for a, b in pairs]
 
     def to_csv(self):
         out = io.StringIO()
@@ -208,17 +218,5 @@ def run_convergence(case: ExactCase, method: str, degree: int, params,
         rep, *_ = run_single(case, method, degree, p, record_time=record_time,
                              tol=tol)
         reports.append(rep)
-
-    eoc_h1, eoc_l2 = [None], [None]
-    for prev, cur in zip(reports, reports[1:]):
-        eoc_h1.append(eoc(prev.err_h1_broken, cur.err_h1_broken, prev.h, cur.h))
-        eoc_l2.append(eoc(prev.err_l2, cur.err_l2, prev.h, cur.h))
-    return ConvergenceTable(
-        case=case.name,
-        method=method,
-        degree=degree,
-        params=params,
-        reports=reports,
-        eoc_h1=eoc_h1,
-        eoc_l2=eoc_l2,
-    )
+    return ConvergenceTable(case=case.name, method=method, degree=degree,
+                            params=params, reports=reports)

@@ -30,8 +30,8 @@ Japhet & Scarella, "An efficient way to assemble finite element matrices
 in vector languages" (BIT Numer. Math. 2016), and scikit-fem (Gustafsson &
 McBain, JOSS 2020); no array holds an entry for every tet, so the memory
 peak is the matrix and its entry indices plus the arrays of one block.
-The reference tables of the kernels are computed once per degree and
-rule, not once per block.
+The kernels' one quadrature rule is owned by their reference tables,
+which are computed once per degree, not once per block.
 
 The same equation numbering gives the coarse space of the solver's
 p-multigrid cycle: P1 on the same mesh, for every element.  Its
@@ -48,8 +48,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dofs import LagrangeNodeSet, build_lagrange_nodes
-from .elements import (AffineMap, blocks, multi_indices, shape_gradients,
-                       shape_values, tet_quadrature)
+from .elements import (AffineMap, blocks, shape_gradients, shape_values,
+                       tet_quadrature)
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
 from .trialspace import (
@@ -74,27 +74,28 @@ class System:
 
 
 @lru_cache(maxsize=8)
-def _reference_tables(degree: int, quad):
-    """The block-invariant tables of the element kernels: the reference
-    tensor K[d, e] = sum_q w_q dphi_q[:, d] dphi_q[:, e]^T, (3, 3, n_k,
-    n_k), and the shape values (n_q, n_k) at the rule's points."""
+def _reference_tables(degree: int):
+    """The block-invariant tables of the element kernels, and their one
+    rule: the tensor K[d, e] = sum_q w_q dphi_q[:, d] dphi_q[:, e]^T,
+    (3, 3, n_k, n_k), the shape values (n_q, n_k) and the rule itself."""
+    quad = tet_quadrature(5)
     grads = shape_gradients(degree, quad.points)  # (n_q, n_k, 3)
     K = np.einsum("q,qid,qje->deij", quad.weights, grads, grads)
-    return K, shape_values(degree, quad.points)
+    return K, shape_values(degree, quad.points), quad
 
 
-def element_stiffness(amap: AffineMap, degree: int, quad):
+def element_stiffness(amap: AffineMap, degree: int):
     """Lagrange stiffness matrices of the tets of `amap`: (n_tets, n_k, n_k),
     or (n_k, n_k) for one tet.  The metric detB B^-1 B^-T of each tet is
     contracted with the reference tensor K of `_reference_tables`."""
-    K, _vals = _reference_tables(degree, quad)
+    K, _vals, _quad = _reference_tables(degree)
     G = amap.Binv @ np.swapaxes(amap.Binv, -1, -2)
     return np.tensordot(np.asarray(amap.detB)[..., None, None] * G, K, axes=2)
 
 
-def element_load(amap: AffineMap, degree: int, quad, f):
+def element_load(amap: AffineMap, degree: int, f):
     """Load vectors of the tets of `amap`: (n_tets, n_k), or (n_k,)."""
-    _K, vals = _reference_tables(degree, quad)  # vals (n_q, n_k)
+    _K, vals, quad = _reference_tables(degree)  # vals (n_q, n_k)
     fq = f(amap.to_physical(quad.points))  # (n_tets, n_q), or a constant
     return (quad.weights * fq) @ vals * np.asarray(amap.detB)[..., None]
 
@@ -106,7 +107,6 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     block of tets at a time (`elements.blocks`).  From `hats` (n_dofs,
     n_vertices), each DOF's functional applied to the P1 hats, take the
     prolongation P too (see the module docstring)."""
-    quad = tet_quadrature(5)
     # equation ids, int32 where they fit; Gamma_h goes to the dropped row n
     n_tets, n_loc = cells.shape
     n = np.count_nonzero(~gamma_mask)
@@ -133,8 +133,8 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     for block in blocks(n_tets, n_loc * n_loc):
         amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[block]],
                                        range(n_tets)[block])
-        S = element_stiffness(amap, degree, quad)
-        b_loc = element_load(amap, degree, quad, f)
+        S = element_stiffness(amap, degree)
+        b_loc = element_load(amap, degree, f)
         if R is not None:
             S = R.T @ S @ R
             b_loc = b_loc @ R
@@ -192,11 +192,11 @@ def _lagrange_system(mesh: Mesh, cls: BoundaryClassification,
                      nodes: LagrangeNodeSet, points, basis, f, g) -> System:
     """The system over the Lagrange nodes, with the Dirichlet value of each
     Gamma_h node read from `g` at its row of `points` (n_nodes, 3)."""
-    k, gamma_mask = nodes.degree, nodes.layout.gamma_mask(cls)
+    gamma_mask = nodes.layout.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
     dirichlet[gamma_mask] = g(points[gamma_mask])
-    return assemble(mesh, k, nodes.cell_nodes_table, gamma_mask, dirichlet,
-                    basis, None, f, nodes.layout.hats(multi_indices(k) / k))
+    return assemble(mesh, nodes.degree, nodes.cell_nodes_table, gamma_mask,
+                    dirichlet, basis, None, f, nodes.hats)
 
 
 def element_phi_coefficients(system: System, x: np.ndarray):

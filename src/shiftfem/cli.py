@@ -193,8 +193,7 @@ def cmd_solve(run):
     run.out.mkdir(parents=True, exist_ok=True)
     table = analysis.ConvergenceTable(
         case=run.case, method=run.method, degree=run.k, params=params,
-        reports=[rep], eoc_h1=[None], eoc_l2=[None],
-    )
+        reports=[rep])
     csv_path = run.out / ("%s-%s-k%d.csv" % (run.case, run.method, run.k))
     csv_path.write_text(table.to_csv())
     print("wrote %s" % csv_path)

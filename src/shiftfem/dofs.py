@@ -93,10 +93,13 @@ class DofLayout:
 
 @dataclass
 class LagrangeNodeSet:
+    """The P_k nodes, with the W (`DofLayout.hats`) that places them."""
+
     layout: DofLayout
     degree: int
     coords: np.ndarray  # (n_nodes, 3)
     cell_nodes_table: np.ndarray  # (n_tets, n_k)
+    hats: sp.csr_matrix  # W (n_nodes, n_vertices)
 
     @property
     def n_nodes(self):
@@ -104,12 +107,12 @@ class LagrangeNodeSet:
 
 
 def build_lagrange_nodes(mesh: Mesh, degree: int) -> LagrangeNodeSet:
-    """The nodes of the continuous P_k space: each node's hat weights
-    (`DofLayout.hats`) applied to the vertex coordinates, so that a
-    vertex that no tet holds keeps its own coordinates."""
+    """The nodes of the continuous P_k space: their hat weights alpha/k,
+    W (`DofLayout.hats`, kept in the set), applied to the vertex
+    coordinates, so that a vertex that no tet holds keeps its own."""
     k, alpha = degree, multi_indices(degree)
     counts = np.bincount(np.count_nonzero(alpha, axis=1), minlength=4)[1:4]
     layout = DofLayout(mesh, tuple((counts // (4, 6, 4)).tolist()))
     cells = layout.cells()  # before W, which is built below its peak
-    return LagrangeNodeSet(layout, k, layout.hats(alpha / k) @ mesh.vertices,
-                           cells)
+    W = layout.hats(alpha / k)
+    return LagrangeNodeSet(layout, k, W @ mesh.vertices, cells, W)

@@ -187,8 +187,8 @@ def blocks(n: int, entries: int):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """A rule on the reference tet.  It compares and hashes by identity, so
-    that tables computed from a rule can be cached per rule."""
+    """A rule on the reference tet.  It compares and hashes by identity,
+    because its arrays do not compare by value."""
 
     points: np.ndarray  # (n, 3) reference coordinates
     weights: np.ndarray  # (n,), sums to 1/6 (reference tet volume)

@@ -9,6 +9,7 @@ import pytest
 from shiftfem import elements
 from shiftfem.analysis import (
     CSV_HEADER,
+    ConvergenceTable,
     eoc,
     error_norms,
     run_convergence,
@@ -238,6 +239,19 @@ def test_convergence_table_structure_and_csv():
     table = run_convergence(case, "new", 2, [4, 8], record_time=False)
     assert len(table.reports) == 2
     assert table.eoc_h1[0] is None and table.eoc_h1[1] is not None
+    # the EOCs are derived from the rows, whoever builds the table
+    rows = table.reports
+    one = ConvergenceTable("c", "new", 2, [4], rows[:1])
+    assert one.eoc_h1 == one.eoc_l2 == [None]
+    two = ConvergenceTable("c", "new", 2, [4, 8], rows)
+    assert two.eoc_h1 == [None, eoc(rows[0].err_h1_broken,
+                                    rows[1].err_h1_broken, rows[0].h,
+                                    rows[1].h)]
+    assert two.eoc_l2 == [None, eoc(rows[0].err_l2, rows[1].err_l2,
+                                    rows[0].h, rows[1].h)]
+    zero = [rows[0], dataclasses.replace(rows[1], err_l2=0.0)]
+    with pytest.raises(ValueError):
+        ConvergenceTable("c", "new", 2, [4, 8], zero)
     csv = table.to_csv()
     lines = csv.strip().splitlines()
     assert lines[0] == CSV_HEADER

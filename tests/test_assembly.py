@@ -16,7 +16,7 @@ from shiftfem.assembly import (
 from shiftfem.cases import get_case
 from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.elements import (AffineMap, EDGES, FACES, REF_VERTICES,
-                               multi_indices, reference_nodes, tet_quadrature)
+                               multi_indices, reference_nodes)
 from shiftfem.linsolve import solve
 from shiftfem.meshgen import (
     classify_boundary,
@@ -40,8 +40,7 @@ SPHERE = Sphere(np.zeros(3), 1.0)
 
 def test_single_tet_stiffness_kernel():
     amap = AffineMap.from_vertices(REF_VERTICES)
-    quad = tet_quadrature(5)
-    S = element_stiffness(amap, 2, quad)
+    S = element_stiffness(amap, 2)
     assert S.shape == (10, 10)
     np.testing.assert_allclose(S @ np.ones(10), 0.0, atol=1e-14)
     np.testing.assert_allclose(S, S.T, atol=1e-14)
@@ -61,7 +60,7 @@ def test_stiffness_against_symbolic_oracle():
     phis += [4 * lam[a] * lam[b] for a, b in EDGES]
 
     amap = AffineMap.from_vertices(REF_VERTICES)
-    S = element_stiffness(amap, 2, tet_quadrature(5))
+    S = element_stiffness(amap, 2)
 
     def exact_entry(i, j):
         integrand = sum(
@@ -85,27 +84,24 @@ def test_load_constant_sums_to_volume():
         [[0.0, 0, 0], [0.5, 0, 0], [0, 0.7, 0], [0, 0, 0.9]]
     )
     amap = AffineMap.from_vertices(verts)
-    quad = tet_quadrature(5)
     for k in (2, 3):
-        b = element_load(amap, k, quad, lambda p: 1.0)
+        b = element_load(amap, k, lambda p: 1.0)
         assert float(b.sum()) == pytest.approx(amap.detB / 6, rel=1e-13)
 
 
 @given(well_shaped_tets())
 def test_batched_kernels_equal_per_tet_calls(verts):
     """The kernels on a stack of tets equal a loop of single-tet calls."""
-    quad = tet_quadrature(5)
-
     def f(p):
         return 1.0 + p[..., 0] * p[..., 1] - np.sin(p[..., 2])
 
     amap = AffineMap.from_vertices(verts)
     for k in (2, 3):
-        S = element_stiffness(amap, k, quad)
-        b = element_load(amap, k, quad, f)
-        S_ref = np.array([element_stiffness(AffineMap.from_vertices(v), k, quad)
+        S = element_stiffness(amap, k)
+        b = element_load(amap, k, f)
+        S_ref = np.array([element_stiffness(AffineMap.from_vertices(v), k)
                           for v in verts])
-        b_ref = np.array([element_load(AffineMap.from_vertices(v), k, quad, f)
+        b_ref = np.array([element_load(AffineMap.from_vertices(v), k, f)
                           for v in verts])
         assert S.shape == S_ref.shape and b.shape == b_ref.shape
         assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
@@ -252,7 +248,6 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
     T_trial = T_test or T_test C) and then lifts the Dirichlet values."""
     mesh = generate_octant_mesh(3)
     cls = classify_boundary(mesh, SPHERE)
-    quad = tet_quadrature(5)
 
     def f(p):
         return 1.0 + p[..., 0] * p[..., 1]
@@ -293,8 +288,8 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
         amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
         trial = T @ C[t] if t in C else T
         cell = system.cells[t]
-        K[np.ix_(cell, cell)] += T.T @ element_stiffness(amap, degree, quad) @ trial
-        F[cell] += T.T @ element_load(amap, degree, quad, f)
+        K[np.ix_(cell, cell)] += T.T @ element_stiffness(amap, degree) @ trial
+        F[cell] += T.T @ element_load(amap, degree, f)
     free, gamma = ~system.gamma_mask, system.gamma_mask
     A_ref = K[np.ix_(free, free)]
     b_ref = F[free] - K[np.ix_(free, gamma)] @ g_dofs[gamma]
@@ -310,10 +305,9 @@ def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
     over all DOFs, its free rows, then their free and Gamma_h columns, and
     the lift b -= A[free, Gamma_h] @ g.  The oracle of the one scatter;
     it builds no prolongation, so it reads no hat weights."""
-    quad = tet_quadrature(5)
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
-    S_all = element_stiffness(amap, degree, quad)
-    b_all = element_load(amap, degree, quad, f)
+    S_all = element_stiffness(amap, degree)
+    b_all = element_load(amap, degree, f)
     if R is not None:
         S_all = R.T @ S_all @ R
         b_all = b_all @ R
@@ -483,12 +477,18 @@ def test_prolongation_matches_sorted_cells_oracle(case_name, param, build,
                                                   degree, monkeypatch):
     """P read per entity off the layout's W equals, to the bit, P with each
     free DOF read through its first tet in the DOF table: the exact local
-    weights give every tet that holds a DOF the same row."""
+    weights give every tet that holds a DOF the same row.  For the
+    Lagrange builders it is also, to the bit, the free rows of the W that
+    placed the nodes, over the columns they read."""
     args = _assemble_args(monkeypatch, build, get_case(case_name), param,
                           degree)
+    P = assembly.assemble(*args).P
     P_ref = _first_tet_prolongation(args[0], args[2], args[3],
                                     _local_weights(build, degree))
-    assert _same_bytes(assembly.assemble(*args).P, P_ref)
+    assert _same_bytes(P, P_ref)
+    if build is not nc_assemble:
+        W = build_lagrange_nodes(args[0], degree).hats[~args[3]]
+        assert _same_bytes(P, W[:, np.flatnonzero(W.getnnz(axis=0))])
 
 
 @pytest.mark.parametrize("case_name,param", [("tp1-sphere", 4),
