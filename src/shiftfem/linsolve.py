@@ -69,16 +69,16 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 from .assembly import System
 
 #: systems with more equations than this, and a coarse space, take the
-#: p-multigrid GMRES path.  Best of 5 solves, LU / pMG-GMRES, one thread:
-#: tp1 new J=8 (816 eq) 5.4-6.5 / 5.9-7.0 ms, nonconforming J=8 (1,784)
-#: 11.0-11.9 / 12.0-15.5 ms, new J=10 (1,540) 16.6 / 10.3 ms, tp3 I=6
-#: (1,650) 15.4 / 9.9 ms, new J=12 (2,600) 39 / 16 ms, new k=3 J=8
-#: (2,600) 33-39 / 20-26 ms, nonconforming J=10 (3,420) 28 / 21 ms and
-#: J=12 (5,836) 84 / 31 ms, tp3 I=8 (3,960) 61 / 20 ms, new J=16 (5,984)
-#: 186 / 34 ms, nonconforming J=16 (13,616) 438 / 72 ms.  The paths cross
-#: between 816 and 1,540 equations for the Lagrange systems and above
-#: 1,784 for the nonconforming ones.  The switch stays at 2,000, so that
-#: the J=8 systems, on which the LU path is tested, keep taking it.
+#: p-multigrid GMRES path.  Best of 5 solves with each path forced, LU /
+#: pMG-GMRES, one thread, GMRES to tol/2: tp3 I=4 (476 eq) 1.8 / 2.9 ms,
+#: tp1 nonconforming J=6 (776) 2.6 / 4.3 ms and J=8 (1,784) 7.9 / 7.1 ms,
+#: new J=8 (816) 4.6 / 3.9 ms, tp3 I=8 (3,960) 45 / 13 ms, nonconforming
+#: J=16 (13,616) 338 / 47 ms: the paths cross between 476 and 816
+#: equations for the Lagrange systems, 776 and 1,784 for the nonconforming
+#: ones.  The switch stays at 2,000 for accuracy: GMRES to tol/2 leaves
+#: tp3 new k=3 I=4 (1,650 eq) at err_h1 2.4e-12 (LU: 1.4e-14, its test's
+#: bound 1e-12), and to tol/10 raises sphere-p2's peak RSS by 2.8 MB.
+#: The J=8 systems, on which the LU path is tested, keep taking it.
 PMG_MIN_EQUATIONS = 2000
 #: Arnoldi steps of the one GMRES cycle before the LU fallback runs: the
 #: systems take 9-18, and SciPy allocates cap + 1 Krylov vectors up front

@@ -6,11 +6,11 @@ Per tet the 10 DOFs are:
   * nu_e(v) = 0.4*v(M_e) + 0.3*[v(A_e) + v(B_e)] for the 6 edges, with
     A_e, B_e the endpoints and M_e the midpoint (canonical edge order).
 
-The DOFs are written once, as data: 22 reference points and a 10x22
-weight matrix.  The canonical basis is obtained by inverting the 10x10
-matrix of these functionals applied to the P2 Lagrange basis; since all
-the evaluation points map affinely, the same coefficient matrix serves
-every element.
+The DOFs are written once, as data: a 10x14 weight matrix over the P2
+nodes and the face centroids, each point once and in local order.  The
+canonical basis is obtained by inverting the 10x10 matrix of these
+functionals applied to the P2 Lagrange basis; since all the evaluation
+points map affinely, the same coefficient matrix serves every element.
 
 The boundary-shifted variant replaces, on boundary elements, mu_F of a
 Gamma_h face by evaluation at the nearest intersection of the surface
@@ -28,7 +28,7 @@ import numpy as np
 
 from .assembly import System, assemble
 from .dofs import DofLayout
-from .elements import EDGES, FACES, shape_values
+from .elements import EDGES, FACES, multi_indices, shape_values
 from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
 from .trialspace import (ModifiedElementBasis, shift_from_entities,
@@ -37,24 +37,23 @@ from .trialspace import (ModifiedElementBasis, shift_from_entities,
 # Not called here: bench/tracing.py rebinds these names on this module.
 from .assembly import element_load, element_stiffness  # noqa: F401
 
-N_DOFS = 10
-
 
 def nc_edge_functional(v_a, v_m, v_b):
     """The weighted edge functional 0.4*v(midpoint) + 0.3*(endpoints)."""
     return 0.4 * v_m + 0.3 * (v_a + v_b)
 
 
-#: per tet, as exact means of the barycentric unit rows: the 4 face
-#: centroids, then the 6 edges' A, then M, then B points
-_REF_BARY = np.vstack([np.eye(4)[list(FACES)].mean(axis=1),
-                       np.eye(4)[[a for a, _ in EDGES]],
-                       np.eye(4)[list(EDGES)].mean(axis=1),
-                       np.eye(4)[[b for _, b in EDGES]]])
-#: DOF i is v -> sum_p _WEIGHTS[i, p] v(_REF_BARY[p])
-_WEIGHTS = np.zeros((N_DOFS, len(_REF_BARY)))
-_WEIGHTS[:4, :4] = np.eye(4)
-_WEIGHTS[4:, 4:] = nc_edge_functional(*np.split(np.eye(18), 3))
+#: per tet, each once and in local order: the P2 nodes (the 4 vertices,
+#: then the 6 edge midpoints), then the 4 face centroids
+_REF_BARY = np.vstack([multi_indices(2) / 2,
+                       np.eye(4)[list(FACES)].mean(axis=1)])
+#: DOF i is v -> sum_p _WEIGHTS[i, p] v(_REF_BARY[p]): a face reads its
+#: centroid, an edge its two vertices and its midpoint
+_WEIGHTS = np.zeros((10, len(_REF_BARY)))
+_WEIGHTS[:4, 10:] = np.eye(4)
+_WEIGHTS[4:, :10] = nc_edge_functional(np.eye(10)[[a for a, _ in EDGES]],
+                                       np.eye(10)[4:],
+                                       np.eye(10)[[b for _, b in EDGES]])
 
 
 @lru_cache(maxsize=None)
@@ -101,10 +100,9 @@ def build_nc_modified_basis(mesh: Mesh, bc: BoundaryClassification, tets,
     in one batch, from the shifted edge and face points of the mesh."""
     top = mesh.topology
     faces, edges = top.tet_faces[tets], top.tet_edges[tets]
-    ends = mesh.vertices[top.edge_vertices[edges]]  # (..., 6, 2, 3)
-    # in the order of _REF_POINTS, with the shifted face and middle points
-    points = np.concatenate([face_shifts[faces], ends[..., 0, :],
-                             edge_shifts[edges], ends[..., 1, :]], axis=-2)
+    # in the order of _REF_BARY, with the shifted middle and face points
+    points = np.concatenate([mesh.vertices[mesh.tets[tets]],
+                             edge_shifts[edges], face_shifts[faces]], axis=-2)
     shifted = np.concatenate([np.isin(faces, bc.gamma_faces),
                               np.isin(edges, bc.gamma_edges)], axis=-1)
     return shifted_dof_matrices(mesh, tets, points, shifted, 2, _WEIGHTS,
