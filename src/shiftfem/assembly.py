@@ -13,8 +13,8 @@ Every discretization goes through one pipeline:
 The builders differ only in what they feed the pipeline:
   * the boundary-shifted method: Lagrange nodes with Dirichlet values at
     the shifted points and C on the boundary tets (non-symmetric system);
-  * the polyhedral baseline: Dirichlet values imposed at the Gamma_h nodes
-    themselves, no C (symmetric system);
+  * the polyhedral baseline: the same path with nothing shifted, so g at
+    the Gamma_h nodes themselves and an empty C (symmetric system);
   * the nonconforming element (`nonconforming.nc_assemble`): face/edge
     DOFs, T_test = R.
 
@@ -54,6 +54,7 @@ from .meshgen import BoundaryClassification, Mesh
 from .surfaces import Surface
 from .trialspace import (
     ModifiedElementBasis,
+    ShiftedNodeTable,
     build_modified_basis,
     build_shifted_node_table,
 )
@@ -68,7 +69,7 @@ class System:
     cells: np.ndarray  # (n_tets, n_loc) global DOF ids of each tet
     gamma_mask: np.ndarray  # (n_dofs,) True for the DOFs on Gamma_h
     dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
-    basis: ModifiedElementBasis | None  # C of the boundary tets, stacked
+    basis: ModifiedElementBasis  # C of the boundary tets, stacked; may be empty
     R: np.ndarray | None  # test transform; None is the identity
     P: sp.csr_matrix | None = None  # the P1 prolongation; None: LU only
 
@@ -127,9 +128,8 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     where.data = np.arange(1, where.nnz + 1, dtype=where.indices.dtype)
     where.resize(n + 1, n + 1)
     data, b = np.zeros(where.nnz + 1), np.zeros(n + 1)
-    if basis is not None:
-        c_row = np.full(n_tets, -1)
-        c_row[basis.tets] = np.arange(basis.tets.size)
+    c_row = np.full(n_tets, -1)
+    c_row[basis.tets] = np.arange(basis.tets.size)
     for block in blocks(n_tets, n_loc * n_loc):
         amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[block]],
                                        range(n_tets)[block])
@@ -138,10 +138,9 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
         if R is not None:
             S = R.T @ S @ R
             b_loc = b_loc @ R
-        if basis is not None:
-            k = c_row[block]
-            on = np.flatnonzero(k >= 0)
-            S[on] = S[on] @ basis.C[k[on]]
+        k = c_row[block]
+        on = np.flatnonzero(k >= 0)
+        S[on] = S[on] @ basis.C[k[on]]
         b_loc -= (S @ dirichlet[cells[block]][..., None])[..., 0]
         q = eq[block]
         np.add.at(b, q, b_loc)
@@ -169,8 +168,7 @@ def assemble_new_method(
     cls.check_assumption()
     nodes = build_lagrange_nodes(mesh, degree)
     table = build_shifted_node_table(mesh, cls, surface, nodes)
-    basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
-    return _lagrange_system(mesh, cls, nodes, table.points, basis, f, g)
+    return _lagrange_system(mesh, cls, nodes, table, cls.o_tets, f, g)
 
 
 def assemble_polyhedral(
@@ -181,20 +179,24 @@ def assemble_polyhedral(
     f,
     g,
 ) -> System:
-    """Standard Galerkin baseline: Dirichlet data moved to Gamma_h, g
-    imposed at the Gamma_h nodes themselves.  `surface` is unused; the
-    signature is that of every builder."""
+    """Standard Galerkin baseline: the new method with nothing shifted, g
+    imposed at the Gamma_h nodes themselves and an empty boundary basis.
+    `surface` is unused; the signature is that of every builder."""
     nodes = build_lagrange_nodes(mesh, degree)
-    return _lagrange_system(mesh, cls, nodes, nodes.coords, None, f, g)
+    table = ShiftedNodeTable(np.empty(0, dtype=np.int64), nodes.coords)
+    return _lagrange_system(mesh, cls, nodes, table, cls.o_tets[:0], f, g)
 
 
 def _lagrange_system(mesh: Mesh, cls: BoundaryClassification,
-                     nodes: LagrangeNodeSet, points, basis, f, g) -> System:
-    """The system over the Lagrange nodes, with the Dirichlet value of each
-    Gamma_h node read from `g` at its row of `points` (n_nodes, 3)."""
+                     nodes: LagrangeNodeSet, table: ShiftedNodeTable, tets,
+                     f, g) -> System:
+    """The system over the Lagrange nodes: the modified basis of `tets`,
+    and the Dirichlet value of each Gamma_h node read from `g` at its
+    point in `table`."""
+    basis = build_modified_basis(mesh, nodes, table, tets)
     gamma_mask = nodes.layout.gamma_mask(cls)
     dirichlet = np.zeros(nodes.n_nodes)
-    dirichlet[gamma_mask] = g(points[gamma_mask])
+    dirichlet[gamma_mask] = g(table.points[gamma_mask])
     return assemble(mesh, nodes.degree, nodes.cell_nodes_table, gamma_mask,
                     dirichlet, basis, None, f, nodes.hats)
 
@@ -208,8 +210,7 @@ def element_phi_coefficients(system: System, x: np.ndarray):
     values[~system.gamma_mask] = x
     coef = values[system.cells]
     basis = system.basis
-    if basis is not None:
-        coef[basis.tets] = np.einsum("tij,tj->ti", basis.C, coef[basis.tets])
+    coef[basis.tets] = np.einsum("tij,tj->ti", basis.C, coef[basis.tets])
     if system.R is not None:
         coef = coef @ system.R.T
     return coef

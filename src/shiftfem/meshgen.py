@@ -8,7 +8,7 @@ Generators:
     of a solid torus
 
 All boundary vertices produced by the generators lie either exactly on the
-curved surface Gamma or on flat symmetry planes of the domain.
+curved surface Gamma or on a flat symmetry plane through the origin.
 
 Mesh entities are integer ids.  A mesh's `Topology` numbers its edges and
 faces by first appearance, scanning the tets in order and the local edges
@@ -120,8 +120,8 @@ class Mesh:
     vertices: np.ndarray  # (n_v, 3)
     tets: np.ndarray  # (n_t, 4) vertex indices, positively oriented
     name: str = "mesh"
-    #: flat symmetry planes of the domain as (point, unit normal) pairs
-    symmetry_planes: list = field(default_factory=list)
+    #: (n, 3) unit normals of the flat symmetry planes, all through the origin
+    symmetry_planes: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -242,12 +242,7 @@ def generate_octant_mesh(J, semi_axes=(1.0, 1.0, 1.0)):
     mapped *= semi_axes
 
     tets = _fix_orientation(mapped, tets.reshape(-1, 4))
-    planes = [
-        (np.zeros(3), np.array([1.0, 0.0, 0.0])),
-        (np.zeros(3), np.array([0.0, 1.0, 0.0])),
-        (np.zeros(3), np.array([0.0, 0.0, 1.0])),
-    ]
-    return Mesh(mapped, tets, name="octant", symmetry_planes=planes)
+    return Mesh(mapped, tets, name="octant", symmetry_planes=np.eye(3))
 
 
 # -- torus sector mesh -------------------------------------------------------
@@ -301,7 +296,7 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
     mirror_id = np.arange(n0)
     mirror_id[off_plane] = n0 + np.arange(np.count_nonzero(off_plane))
     verts = np.vstack([verts, verts[off_plane] * np.array([1.0, -1.0, 1.0])])
-    tets = np.vstack([tets, mirror_id[tets][:, [0, 1, 3, 2]]])
+    tets = np.vstack([tets, mirror_id[tets]])
 
     # torus map
     R, r = float(major_radius), float(minor_radius)
@@ -313,11 +308,9 @@ def generate_torus_sector_mesh(I, major_radius, minor_radius):
 
     tets = _fix_orientation(mapped, tets)
     sq2 = np.sqrt(0.5)
-    planes = [
-        (np.zeros(3), np.array([0.0, 0.0, 1.0])),  # z = 0
-        (np.zeros(3), np.array([0.0, 1.0, 0.0])),  # theta = 0
-        (np.zeros(3), np.array([sq2, -sq2, 0.0])),  # theta = pi/4
-    ]
+    planes = np.array([[0.0, 0.0, 1.0],  # z = 0
+                       [0.0, 1.0, 0.0],  # theta = 0
+                       [sq2, -sq2, 0.0]])  # theta = pi/4
     return Mesh(mapped, tets, name="torus-sector", symmetry_planes=planes)
 
 
@@ -365,11 +358,11 @@ def classify_boundary(mesh: Mesh, surface: Surface):
 
     A boundary face belongs to Gamma_h when all three of its vertices lie
     on the surface (|F(v)| <= ON_SURFACE_TOL * characteristic length); every
-    other boundary face is a symmetry face.  When the mesh declares
-    symmetry planes, each symmetry face must lie on one of them, or a
-    ValueError names the first that does not; a mesh without declared
-    planes (a box) accepts any off-surface boundary face.  Tets violating
-    the one-face-or-one-edge assumption are recorded in `violations`.
+    other boundary face is a symmetry face, which must lie on one of the
+    mesh's symmetry planes (unit normals of planes through the origin), or
+    a ValueError names the first that does not; a mesh without declared
+    planes (a box) accepts any.  Tets violating the one-face-or-one-edge
+    assumption are recorded in `violations`.
     """
     top = mesh.topology
     tol = ON_SURFACE_TOL * surface.scale
@@ -377,12 +370,11 @@ def classify_boundary(mesh: Mesh, surface: Surface):
     on_surface = np.abs(surface.value(mesh.vertices[tris])).max(axis=1) <= tol
     gamma_faces = top.boundary[on_surface]
 
-    if mesh.symmetry_planes and not on_surface.all():
+    planes = mesh.symmetry_planes
+    if len(planes) and not on_surface.all():
         pts = mesh.vertices[tris[~on_surface]]  # (n, 3, 3)
         tol_plane = 1e-9 * max(1.0, surface.scale)
-        on_plane = np.any(
-            [np.max(np.abs((pts - p0) @ n), axis=1) <= tol_plane
-             for p0, n in mesh.symmetry_planes], axis=0)
+        on_plane = (np.abs(pts @ planes.T).max(axis=1) <= tol_plane).any(axis=1)
         if not on_plane.all():
             raise ValueError(
                 "boundary face %s is neither on the surface nor on a "

@@ -63,11 +63,11 @@ def nc_reference_matrix() -> np.ndarray:
 
 
 def nc_layout(mesh: Mesh) -> DofLayout:
-    """One DOF per face and per edge, faces first: numbered edges first,
-    the LU factor of tp1 stores 205,890 entries instead of 181,624 at
-    J=8, and 5,123,116 instead of 4,692,672 at J=16.  The J=16 counts are
-    those of the LU path forced: its 13,616 equations are above the
-    switch of `linsolve`, so by default it takes the multigrid path."""
+    """One DOF per face and per edge, faces first: with its edge DOFs
+    permuted first, the LU factor of tp1 stores 205,890 entries, not
+    181,624, at J=8 and 5,088,980, not 4,692,672, at J=16 (the LU path
+    forced: its 13,616 equations are above the switch of `linsolve`, so
+    by default it takes the multigrid path)."""
     return DofLayout(mesh, (0, 1, 1), (2, 1, 0))
 
 

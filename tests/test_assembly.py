@@ -30,7 +30,8 @@ from shiftfem.nonconforming import (
     nc_reference_matrix,
 )
 from shiftfem.surfaces import Ellipsoid, Sphere
-from shiftfem.trialspace import build_modified_basis, build_shifted_node_table
+from shiftfem.trialspace import (ModifiedElementBasis, build_modified_basis,
+                                 build_shifted_node_table)
 
 from test_elements import well_shaped_tets
 
@@ -163,6 +164,24 @@ def test_baseline_system_is_symmetric():
     diff = (system.A - system.A.T).tocoo()
     scale = np.max(np.abs(system.A.data))
     assert (diff.nnz == 0) or np.max(np.abs(diff.data)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("case_name,param,degree", [
+    ("tp1-sphere", 4, 2), ("tp1-sphere", 4, 3), ("tp3-torus", 2, 2)])
+def test_baseline_basis_is_empty(case_name, param, degree):
+    """The polyhedral baseline is the new method with nothing shifted: its
+    system carries a modified basis like every other, over no tets, whose
+    condition and deviation from the identity read 0."""
+    case = get_case(case_name)
+    mesh = case.mesh(param)
+    cls = classify_boundary(mesh, case.surface)
+    basis = assemble_polyhedral(mesh, cls, case.surface, degree, case.f,
+                                case.g).basis
+    assert isinstance(basis, ModifiedElementBasis)
+    assert basis.tets.size == 0 and cls.o_tets.size > 0
+    n_k = multi_indices(degree).shape[0]
+    assert basis.C.shape == (0, n_k, n_k)
+    assert basis.condition == basis.deviation_from_identity == 0.0
 
 
 def test_new_method_system_is_not_symmetric():
@@ -311,8 +330,7 @@ def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
     if R is not None:
         S_all = R.T @ S_all @ R
         b_all = b_all @ R
-    if basis is not None:
-        S_all[basis.tets] = S_all[basis.tets] @ basis.C
+    S_all[basis.tets] = S_all[basis.tets] @ basis.C
     n, n_loc = gamma_mask.size, cells.shape[1]
     rows = np.repeat(cells, n_loc, axis=1).ravel()
     cols = np.tile(cells, n_loc).ravel()

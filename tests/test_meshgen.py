@@ -296,6 +296,30 @@ def test_classification_stable_under_vertex_permutation():
     assert set(cls.r_tets) == set(cls2.r_tets)
 
 
+@pytest.mark.parametrize("generate,surface", [
+    (lambda: generate_octant_mesh(4), SPHERE),
+    (lambda: generate_octant_mesh(4, (0.6, 0.8, 1.0)), ELLIPSOID),
+    (lambda: generate_torus_sector_mesh(2, 5.0 / 6.0, 1.0 / 6.0), TORUS),
+    (lambda: generate_torus_sector_mesh(4, 5.0 / 6.0, 1.0 / 6.0), TORUS),
+], ids=["octant-4", "ellipsoid-4", "torus-2", "torus-4"])
+def test_symmetry_planes_are_unit_normals_through_the_origin(generate,
+                                                             surface):
+    """Each generator declares its symmetry planes as an (n, 3) array of
+    unit normals, and each boundary face off Gamma has all three vertices
+    within 1e-12 of one of these planes through the origin."""
+    mesh = generate()
+    planes = mesh.symmetry_planes
+    assert isinstance(planes, np.ndarray) and planes.shape == (3, 3)
+    np.testing.assert_allclose(np.linalg.norm(planes, axis=1), 1.0,
+                               rtol=0, atol=1e-15)
+    cls = classify_boundary(mesh, surface)
+    off = np.setdiff1d(mesh.topology.boundary, cls.gamma_faces)
+    assert off.size > 0
+    pts = mesh.vertices[mesh.topology.face_vertices[off]]  # (n, 3, 3)
+    dist = np.abs(np.einsum("fvd,pd->fvp", pts, planes)).max(axis=1)
+    assert np.all(dist.min(axis=1) <= 1e-12)
+
+
 def test_face_off_every_declared_plane_is_named():
     """An octant mesh that does not declare its z = 0 plane: the faces on
     that plane are on neither the surface nor a declared plane."""
