@@ -31,7 +31,9 @@ from .meshgen import BoundaryClassification, Mesh
 @dataclass
 class DofLayout:
     """`counts` DOFs per vertex, edge and face of `mesh`, numbered in one
-    block per entity dimension, the blocks in the order of `order`."""
+    block per entity dimension, the blocks in the order of `order`, which
+    is also each tet's local DOF order in `cells`: the element's local
+    DOFs must come in it (see `nonconforming.nc_layout`)."""
 
     mesh: Mesh
     counts: tuple  # DOFs per vertex, edge, face

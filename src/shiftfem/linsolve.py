@@ -26,12 +26,10 @@ by one GMRES cycle of at most `MAX_GMRES_ITERATIONS` steps, preconditioned
 on the right with a two-level p-multigrid V-cycle (Rønquist & Patera,
 J. Sci. Comput. 1987; Helenbrook, Mavriplis & Atkins, AIAA 2003):
   * the coarse matrix Pᵀ A P (969 unknowns on tp1 J=16) is formed as
-    Pᵀ(AP) through a CSR copy of Pᵀ, made once per solve: SciPy would
-    evaluate P.T @ A by converting A to CSC, a temporary copy of A,
-    while both CSR products leave only AP, about 0.3 times the bytes of
-    A at k=2.  It is factored with the LU path's options, and the coarse
-    correction z += P (Pᵀ A P)⁻¹ Pᵀ (r - A z), restricted by the same
-    CSR Pᵀ, runs between a pre- and a post-smooth;
+    Pᵀ(AP) through a CSR copy of Pᵀ, made once per solve (P.T @ A would
+    convert A to CSC, a copy of A; AP holds about 0.3 times its bytes at
+    k=2), and factored with the LU path's options.  The coarse correction
+    z += P (Pᵀ A P)⁻¹ Pᵀ (r - A z) runs between a pre- and a post-smooth;
   * each smooth is three steps of Chebyshev iteration on D⁻¹A, D = diag A
     (Saad, *Iterative Methods for Sparse Linear Systems*, 2003, §12.1;
     as a multigrid smoother: Adams, Brezina, Hu & Tuminaro, J. Comput.
@@ -46,14 +44,15 @@ The cycle is one fixed linear operator, and it stores only the coarse
 factor.  A diagonal that is not strictly positive leaves D⁻¹A undefined,
 or its spectrum off the smoother's positive interval, and sends the
 system to the LU path.
-SciPy's `gmres` is given the operator A M and no preconditioner of its
-own.  That is right preconditioning (Saad 2003, ch. 9): its inner
-stopping test reads the residual of A x = b, not a preconditioned one,
-and x = M y.  GMRES stops at tol/2 relative: 5e-13 at the default
-tolerance, above its attainable accuracy of about 1.3e-13 and below the
-1e-12 contract, which is then checked in float64 on x as on the LU path.
-The sphere and torus systems take 9-18 Arnoldi steps independently of
-h, and x lies within 1e-12 relative of the LU path's.
+GMRES runs the same Arnoldi loop on A M from b and least squares on
+their Hessenberg matrix H (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+1986): x = M V y, where y minimises ‖βe₁ - H y‖, β = ‖b‖, the residual
+norm of A x = b.  That is right preconditioning (Saad 2003, ch. 9).
+GMRES stops at tol/2 relative: 5e-13 at the default tolerance, above its
+attainable accuracy of about 1.3e-13 and below the 1e-12 contract, which
+is then checked in float64 on x as on the LU path.  The sphere and torus
+systems take 9-18 Arnoldi steps independently of h, and x lies within
+1e-12 relative of the LU path's.
 When GMRES has not met the contract within `MAX_GMRES_ITERATIONS`, the
 coarse factor is singular or the diagonal is not strictly positive, the
 LU path runs instead.  Which path runs depends on the input alone, never
@@ -64,7 +63,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .assembly import System
 
@@ -81,7 +80,7 @@ from .assembly import System
 #: The J=8 systems, on which the LU path is tested, keep taking it.
 PMG_MIN_EQUATIONS = 2000
 #: Arnoldi steps of the one GMRES cycle before the LU fallback runs: the
-#: systems take 9-18, and SciPy allocates cap + 1 Krylov vectors up front
+#: systems take 9-18, and the basis holds only the vectors they write
 MAX_GMRES_ITERATIONS = 50
 #: the residual tolerance of `solve`, of the analysis runs and of `--tol`
 DEFAULT_TOL = 1e-12
@@ -102,11 +101,9 @@ class SolveReport:
     relative_residual: float
     seconds: float  # the factorization, estimate, solves and GMRES only
     # entries SuperLU stores for the one factor of the path that produced
-    # x: L and U of the LU factor of A, or of the multigrid cycle's coarse
-    # factor of Pᵀ A P, formed as Pᵀ(AP) with a CSR Pᵀ because P.T @ A
-    # converts A to CSC (the smoother stores no factor); with relaxed
-    # supernodes off this is their nonzero count, read without
-    # materialising lu.L and lu.U, which would copy the whole factor
+    # x: L and U of the LU factor of A, or of the cycle's coarse factor of
+    # Pᵀ A P (the smoother stores none); with relaxed supernodes off, their
+    # nonzero count, read without copying the factor into lu.L and lu.U
     fill: int
     path: str  # "lu" or "pmg" (multigrid-preconditioned GMRES)
     iterations: int  # GMRES Arnoldi steps; 0 on the LU path
@@ -175,30 +172,33 @@ def _pmg_solve(A, b, P, tol):
     return x, rel, coarse.nnz, iterations
 
 
-def _largest_eigenvalue(A, dinv):
-    """λ̂: `_ESTIMATE_SAFETY` times the largest modulus of the Ritz values
-    of `_ARNOLDI_STEPS` Arnoldi steps on D⁻¹A from the fixed vector
-    cos(i).  The steps stop early where the Krylov space is invariant;
-    its Ritz values are then eigenvalues."""
-    n = A.shape[0]
-    steps = min(_ARNOLDI_STEPS, n)
-    V = np.empty((steps + 1, n))
+def _arnoldi(op, v, steps, done=lambda H: False):
+    """At most `steps`, and at most len(v), Arnoldi steps of `op` from v by
+    modified Gram-Schmidt: the unit vectors written, V[0] = v/‖v‖ first,
+    and H (m+1, m) with op(V[j]) = Σ_i H[i, j] V[i] for the m steps run;
+    they stop early on an invariant Krylov space or once `done(H)` holds."""
+    V = [v / np.linalg.norm(v)]
     H = np.zeros((steps + 1, steps))
-    V[0] = np.cos(np.arange(n))
-    V[0] /= np.linalg.norm(V[0])
-    for j in range(steps):
-        w = dinv * (A @ V[j])
+    for j in range(min(steps, len(v))):
+        w = op(V[j])
         w_norm = np.linalg.norm(w)
-        for i in range(j + 1):  # modified Gram-Schmidt
+        for i in range(j + 1):
             H[i, j] = V[i] @ w
             w -= H[i, j] * V[i]
         H[j + 1, j] = np.linalg.norm(w)
-        if H[j + 1, j] <= 1e-12 * w_norm:
-            steps = j + 1
+        if H[j + 1, j] <= 1e-12 * w_norm or done(H[:j + 2, :j + 1]):
             break
-        V[j + 1] = w / H[j + 1, j]
-    ritz = np.linalg.eigvals(H[:steps, :steps])
-    return _ESTIMATE_SAFETY * np.max(np.abs(ritz))
+        V.append(w / H[j + 1, j])
+    return V, H[:j + 2, :j + 1]
+
+
+def _largest_eigenvalue(A, dinv):
+    """λ̂: `_ESTIMATE_SAFETY` times the largest modulus of the Ritz values
+    of `_ARNOLDI_STEPS` Arnoldi steps on D⁻¹A from the fixed vector
+    cos(i); on an invariant Krylov space they are eigenvalues."""
+    _, H = _arnoldi(lambda v: dinv * (A @ v), np.cos(np.arange(len(dinv))),
+                    _ARNOLDI_STEPS)
+    return _ESTIMATE_SAFETY * np.max(np.abs(np.linalg.eigvals(H[:-1])))
 
 
 def _chebyshev(A, dinv, upper):
@@ -227,25 +227,22 @@ def _chebyshev(A, dinv, upper):
 
 
 def _gmres(A, b, precondition, tol, max_iterations):
-    """One cycle of SciPy's GMRES from x = 0 on the right-preconditioned
-    operator A M, of at most `max_iterations` Arnoldi steps: it stops once
-    the residual norm of A x = b falls to tol·‖b‖.  x = M y and the
-    Arnoldi steps run.  SciPy's GMRES ends with the true residual
-    b - A M y, so the operator keeps its last v and M v, and M is applied
-    once more only when GMRES returned without that product (b = 0)."""
-    steps, last = [], [None, None]
+    """One GMRES cycle from x = 0 on A M, of at most `max_iterations`
+    Arnoldi steps, which stop once min‖βe₁ - H y‖, β = ‖b‖, is at most
+    tol·β: x = M V y, one V-cycle more than the steps, and the steps run."""
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b), 0
 
-    def matvec(v):
-        last[:] = v.copy(), precondition(v)
-        return A @ last[1]
+    def least_squares(H):
+        rhs = np.r_[beta, np.zeros(len(H) - 1)]  # βe₁
+        y = np.linalg.lstsq(H, rhs)[0]
+        return y, np.linalg.norm(rhs - H @ y)
 
-    # an explicit dtype, or LinearOperator probes matvec: one more V-cycle
-    AM = LinearOperator(A.shape, matvec=matvec, dtype=float)
-    y, _ = gmres(AM, b, rtol=tol, atol=0.0, restart=max_iterations,
-                 maxiter=1, callback=steps.append, callback_type="pr_norm")
-    if last[0] is None or not np.array_equal(last[0], y):
-        return precondition(y), len(steps)
-    return last[1], len(steps)
+    V, H = _arnoldi(lambda v: A @ precondition(v), b, max_iterations,
+                    lambda H: least_squares(H)[1] <= tol * beta)
+    y, _ = least_squares(H)
+    return precondition(sum(yi * vi for yi, vi in zip(y, V))), len(y)
 
 
 def solve(system: System, tol: float = DEFAULT_TOL) -> SolveReport:

@@ -63,11 +63,12 @@ def nc_reference_matrix() -> np.ndarray:
 
 
 def nc_layout(mesh: Mesh) -> DofLayout:
-    """One DOF per face and per edge, faces first: with its edge DOFs
-    permuted first, the LU factor of tp1 stores 205,890 entries, not
-    181,624, at J=8 and 5,088,980, not 4,692,672, at J=16 (the LU path
-    forced: its 13,616 equations are above the switch of `linsolve`, so
-    by default it takes the multigrid path)."""
+    """One DOF per face and per edge, faces first, which is also each
+    tet's local order: the rows of `_WEIGHTS` and the `shifted` columns of
+    `build_nc_modified_basis` follow it.  With the edge DOFs numbered
+    first, the LU factor of tp1 J=8 would store 205,890 entries, not the
+    181,624 that `test_fill_stays_at_its_measured_count` pins (J=16, LU
+    forced: 5,088,980, not 4,692,672)."""
     return DofLayout(mesh, (0, 1, 1), (2, 1, 0))
 
 
