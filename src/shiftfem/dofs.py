@@ -3,15 +3,20 @@
 A `DofLayout` gives each vertex, edge and face of a mesh a fixed number
 of DOFs and numbers them in one block per entity dimension, the blocks in
 a chosen order and each block in the entity ids of `meshgen.Topology`.
+The block order numbers the global DOFs only.  The per-tet table keeps
+the element's own local order, that of `elements.multi_indices`: the
+vertices, the edges in `EDGES` order, then the faces in `FACES` order.
 An edge's DOFs run from its smaller to its larger global vertex id, and
 the per-tet table flips them where the tet's local edge runs the other
 way, which makes continuity automatic.  Boundary classification decides
 per entity whether its DOFs lie on Gamma_h.  scikit-fem (Gustafsson &
-McBain, JOSS 2020) numbers every element this way.
+McBain, JOSS 2020) and the UFC dofmaps of FEniCS keep the local and the
+global order apart in the same way.
 
 The Lagrange nodes of degree k have 1, k-1 and (k-1)(k-2)/2 DOFs per
 vertex, edge and face, counted off `elements.multi_indices`, which holds
-the one degree check; the nonconforming DOFs are (0, 1, 1), faces first.
+the one degree check; the nonconforming DOFs are (0, 1, 1), the face
+block numbered first.
 The equations are the DOFs off Gamma_h, in ascending order.  A DOF's
 functional on the P1 hats belongs to its entity, not to a tet that holds
 it (`DofLayout.hats`): the Lagrange nodes and the multigrid prolongation
@@ -31,9 +36,9 @@ from .meshgen import BoundaryClassification, Mesh
 @dataclass
 class DofLayout:
     """`counts` DOFs per vertex, edge and face of `mesh`, numbered in one
-    block per entity dimension, the blocks in the order of `order`, which
-    is also each tet's local DOF order in `cells`: the element's local
-    DOFs must come in it (see `nonconforming.nc_layout`)."""
+    block per entity dimension, the blocks in the order of `order`.  The
+    order sets the global ids (`ids`, `hats`) only: `cells` gives each
+    tet's DOFs in the element's local order, whatever `order` is."""
 
     mesh: Mesh
     counts: tuple  # DOFs per vertex, edge, face
@@ -53,15 +58,23 @@ class DofLayout:
         return start + c * np.asarray(entities)[..., None] + np.arange(c)
 
     def cells(self):
-        """(n_tets, n_loc) DOF ids of each tet, in the block order."""
+        """(n_tets, n_loc) DOF ids of each tet, in the element's local
+        order, whatever `order` is: the vertices, the edges in `EDGES`
+        order, then the faces in `FACES` order, `counts` DOFs each."""
         tets, top = self.mesh.tets, self.mesh.topology
-        a, b = np.array(EDGES).T
-        edge = self.ids(1, top.tet_edges)
-        blocks = (self.ids(0, tets),
-                  np.where((tets[:, a] > tets[:, b])[..., None],
-                           edge[..., ::-1], edge),
-                  self.ids(2, top.tet_faces))
-        return np.hstack([blocks[d].reshape(len(tets), -1) for d in self.order])
+        out = np.empty((len(tets), np.dot(self.counts, (4, 6, 4))), np.int64)
+        col = 0
+        for d, entities in enumerate((tets, top.tet_edges, top.tet_faces)):
+            # one local entity at a time: only its ids live beside the table
+            for i in range(entities.shape[1]):
+                ids = self.ids(d, entities[:, i])
+                if d == 1:  # from the smaller global vertex id
+                    a, b = EDGES[i]
+                    flip = tets[:, a] > tets[:, b]
+                    ids[flip] = ids[flip, ::-1]
+                out[:, col:col + ids.shape[1]] = ids
+                col += ids.shape[1]
+        return out
 
     def hats(self, weights):
         """W (n_dofs, n_vertices), sparse: each DOF's functional on the P1
@@ -71,11 +84,12 @@ class DofLayout:
         top = self.mesh.topology
         entities = (np.arange(self.mesh.n_vertices)[:, None],
                     top.edge_vertices, top.face_vertices)
-        data, indices, start = [], [], 0
+        c0, c1, _ = self.counts
+        starts = (0, 4 * c0, 4 * c0 + 6 * c1)  # each kind's local offset
+        data, indices = [], []
         for d in self.order:  # the blocks, in DOF id order
-            c, ends = self.counts[d], entities[d]
+            c, ends, start = self.counts[d], entities[d], starts[d]
             w = weights[start:start + c, list(((0,), EDGES[0], FACES[0])[d])]
-            start += c * (4, 6, 4)[d]
             shape = (len(ends), c, d + 1)
             data.append(np.broadcast_to(w, shape).ravel())
             indices.append(np.broadcast_to(ends[:, None], shape).ravel())

@@ -6,7 +6,7 @@ barycentric multi-indices alpha of the nodes (node = alpha / k).
 `multi_indices` holds the package's one degree check, against `DEGREES`
 (k = 2, 3): k=4 needs interior nodes, a degree-6 quadrature rule and the
 per-tet table's face nodes ordered by sorted vertex ids, as
-`dofs.DofLayout.hats` orders them (ROADMAP item 9).
+`dofs.DofLayout.hats` orders them.
 
 Reference tetrahedron: vertices (0,0,0), (1,0,0), (0,1,0), (0,0,1).
 Barycentric coordinates: lam0 = 1-x-y-z, lam1 = x, lam2 = y, lam3 = z.
@@ -19,6 +19,10 @@ Local node ordering (frozen; the degree-of-freedom map relies on it):
     node nearer the first vertex of the pair first
   * degree 3 only: one centroid node per face, faces ordered by opposite
     vertex: (1,2,3), (0,2,3), (0,1,3), (0,1,2)
+The nonconforming DOFs take the same positions: its edge functionals in
+`EDGES` order, then its face functionals in `FACES` order.  Whatever the
+global block order of a `dofs.DofLayout`, its per-tet table comes in
+this order.
 
 The affine map of an array of tets is one `AffineMap` whose fields carry a
 leading tet axis, so that kernels work on all elements at once.  The

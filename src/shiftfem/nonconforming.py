@@ -1,10 +1,11 @@
 """Quadratic nonconforming element with face-centroid and weighted-edge
 degrees of freedom, and its boundary-shifted variant.
 
-Per tet the 10 DOFs are:
-  * mu_F(v) = v(centroid of F) for the 4 faces (canonical face order);
+Per tet the 10 DOFs are, in the local order of `elements` (edges, then
+faces):
   * nu_e(v) = 0.4*v(M_e) + 0.3*[v(A_e) + v(B_e)] for the 6 edges, with
-    A_e, B_e the endpoints and M_e the midpoint (canonical edge order).
+    A_e, B_e the endpoints and M_e the midpoint (canonical edge order);
+  * mu_F(v) = v(centroid of F) for the 4 faces (canonical face order).
 
 The DOFs are written once, as data: a 10x14 weight matrix over the P2
 nodes and the face centroids, each point once and in local order.  The
@@ -47,13 +48,13 @@ def nc_edge_functional(v_a, v_m, v_b):
 #: then the 6 edge midpoints), then the 4 face centroids
 _REF_BARY = np.vstack([multi_indices(2) / 2,
                        np.eye(4)[list(FACES)].mean(axis=1)])
-#: DOF i is v -> sum_p _WEIGHTS[i, p] v(_REF_BARY[p]): a face reads its
-#: centroid, an edge its two vertices and its midpoint
+#: DOF i is v -> sum_p _WEIGHTS[i, p] v(_REF_BARY[p]): an edge reads its
+#: two vertices and its midpoint, a face its centroid
 _WEIGHTS = np.zeros((10, len(_REF_BARY)))
-_WEIGHTS[:4, 10:] = np.eye(4)
-_WEIGHTS[4:, :10] = nc_edge_functional(np.eye(10)[[a for a, _ in EDGES]],
+_WEIGHTS[:6, :10] = nc_edge_functional(np.eye(10)[[a for a, _ in EDGES]],
                                        np.eye(10)[4:],
                                        np.eye(10)[[b for _, b in EDGES]])
+_WEIGHTS[6:, 10:] = np.eye(4)
 
 
 @lru_cache(maxsize=None)
@@ -63,12 +64,12 @@ def nc_reference_matrix() -> np.ndarray:
 
 
 def nc_layout(mesh: Mesh) -> DofLayout:
-    """One DOF per face and per edge, faces first, which is also each
-    tet's local order: the rows of `_WEIGHTS` and the `shifted` columns of
-    `build_nc_modified_basis` follow it.  With the edge DOFs numbered
-    first, the LU factor of tp1 J=8 would store 205,890 entries, not the
-    181,624 that `test_fill_stays_at_its_measured_count` pins (J=16, LU
-    forced: 5,088,980, not 4,692,672)."""
+    """One DOF per edge and per face, the face DOFs numbered first.  The
+    block order is global only: each tet's local order stays the
+    element's, edges then faces.  With the edge DOFs numbered first, the
+    LU factor of tp1 J=8 would store 205,890 entries, not the 181,624
+    that `test_fill_stays_at_its_measured_count` pins (J=16, LU forced:
+    5,088,980, not 4,692,672)."""
     return DofLayout(mesh, (0, 1, 1), (2, 1, 0))
 
 
@@ -100,12 +101,13 @@ def build_nc_modified_basis(mesh: Mesh, bc: BoundaryClassification, tets,
     """Perturbed DOF matrices of one boundary tet or an id array of them,
     in one batch, from the shifted edge and face points of the mesh."""
     top = mesh.topology
-    faces, edges = top.tet_faces[tets], top.tet_edges[tets]
+    edges, faces = top.tet_edges[tets], top.tet_faces[tets]
     # in the order of _REF_BARY, with the shifted middle and face points
     points = np.concatenate([mesh.vertices[mesh.tets[tets]],
                              edge_shifts[edges], face_shifts[faces]], axis=-2)
-    shifted = np.concatenate([np.isin(faces, bc.gamma_faces),
-                              np.isin(edges, bc.gamma_edges)], axis=-1)
+    # the DOFs in the order of the rows of _WEIGHTS: edges, then faces
+    shifted = np.concatenate([np.isin(edges, bc.gamma_edges),
+                              np.isin(faces, bc.gamma_faces)], axis=-1)
     return shifted_dof_matrices(mesh, tets, points, shifted, 2, _WEIGHTS,
                                 nc_reference_matrix())
 

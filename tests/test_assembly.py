@@ -14,7 +14,7 @@ from shiftfem.assembly import (
     element_stiffness,
 )
 from shiftfem.cases import get_case
-from shiftfem.dofs import build_lagrange_nodes
+from shiftfem.dofs import DofLayout, build_lagrange_nodes
 from shiftfem.elements import (AffineMap, EDGES, FACES, REF_VERTICES,
                                multi_indices, reference_nodes)
 from shiftfem.linsolve import solve
@@ -383,6 +383,60 @@ def _assemble_args(monkeypatch, build, case, param, degree, g=None):
     return args
 
 
+def _renumbering(old, new):
+    """(n_dofs,): the id in layout `new` of each DOF id of layout `old`,
+    the same entity's DOF under the other block order."""
+    top = old.mesh.topology
+    to = np.empty(old.sizes.sum(), dtype=np.int64)
+    for d, n in enumerate((old.mesh.n_vertices, top.n_edges, top.n_faces)):
+        to[old.ids(d, np.arange(n))] = new.ids(d, np.arange(n))
+    return to
+
+
+@pytest.mark.parametrize("method,order", [
+    ("nonconforming", (1, 2, 0)), ("new-3", (2, 1, 0)), ("new-3", (1, 0, 2))],
+    ids=["nonconforming-edges-first", "new-3-faces-first",
+         "new-3-edges-first"])
+def test_block_order_only_renumbers_the_system(method, order, monkeypatch):
+    """A layout with its blocks in another order gives the same system
+    renumbered: its DOF table is the old one's ids renumbered column for
+    column, its Gamma_h mask the old one's, and A and b are Π A Πᵀ and
+    Π b to 1e-14.  The block order numbers the global DOFs only; each
+    tet's local order stays the element's.  While the DOF table came in
+    the block order, the edges-first nonconforming layout on tp1 J=8 gave
+    a matrix off by 0.97 max|A| here, with no error."""
+    case = get_case("tp1-sphere")
+    if method == "nonconforming":
+        mesh = case.mesh(8)
+        cls = classify_boundary(mesh, case.surface)
+        ref_layout = nonconforming.nc_layout(mesh)
+        ref = nc_assemble(mesh, cls, case.surface, 2, case.f, case.g)
+        layout = DofLayout(mesh, ref_layout.counts, order)
+        monkeypatch.setattr(nonconforming, "nc_layout", lambda mesh: layout)
+        got = nc_assemble(mesh, cls, case.surface, 2, case.f, case.g)
+        to = _renumbering(ref_layout, layout)
+    else:
+        args = _assemble_args(monkeypatch, assemble_new_method, case, 4, 3)
+        ref = assembly.assemble(*args)
+        mesh = args[0]
+        ref_layout = build_lagrange_nodes(mesh, 3).layout
+        layout = DofLayout(mesh, ref_layout.counts, order)
+        to = _renumbering(ref_layout, layout)
+        dirichlet = np.empty_like(args[4])
+        dirichlet[to] = args[4]
+        got = assembly.assemble(
+            mesh, 3, layout.cells(),
+            layout.gamma_mask(classify_boundary(mesh, case.surface)),
+            dirichlet, *args[5:8], layout.hats(multi_indices(3) / 3))
+    np.testing.assert_array_equal(got.cells, to[ref.cells])
+    np.testing.assert_array_equal(got.gamma_mask[to], ref.gamma_mask)
+    eq = np.argsort(to[~ref.gamma_mask])  # the old equation of each new one
+    A, b = ref.A[eq][:, eq], ref.b[eq]
+    scale = np.max(np.abs(ref.A.data))
+    assert np.max(np.abs((got.A - A).data), initial=0.0) <= 1e-14 * scale
+    assert np.max(np.abs(got.b - b)) <= 1e-14 * np.max(np.abs(b))
+
+
 def _same_bytes(M, N):
     return all(getattr(M, a).tobytes() == getattr(N, a).tobytes()
                for a in ("indptr", "indices", "data"))
@@ -538,9 +592,9 @@ def test_prolongation_reproduces_constants(case_name, param, build, degree):
     read = free[..., None] & (_local_weights(build, degree) != 0.0)
     tets = np.broadcast_to(mesh.tets[:, None], read.shape)
     coarse = np.unique(tets[read])
-    if build is nc_assemble:  # faces first, then edges
-        ref = np.vstack([REF_VERTICES[list(FACES)].mean(axis=1),
-                         REF_VERTICES[list(EDGES)].mean(axis=1)])
+    if build is nc_assemble:  # edges first, then faces
+        ref = np.vstack([REF_VERTICES[list(EDGES)].mean(axis=1),
+                         REF_VERTICES[list(FACES)].mean(axis=1)])
     else:
         ref = reference_nodes(degree)
     points = AffineMap.from_vertices(mesh.vertices[mesh.tets]).to_physical(ref)

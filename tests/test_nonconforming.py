@@ -97,15 +97,16 @@ def test_dof_census():
     assert np.count_nonzero(~gamma_mask) == n_free_faces + n_free_edges
 
 
-def test_dof_table_is_faces_then_edges():
-    """Face ids, then n_faces + edge ids, in the frozen local order; the
-    mask marks exactly the Gamma_h faces and edges."""
+def test_dof_table_is_edges_then_faces():
+    """Each tet's row is its n_faces + edge ids, then its face ids, in the
+    element's local order, while the global ids number the faces first;
+    the mask, in global order, marks exactly the Gamma_h faces and edges."""
     mesh = generate_octant_mesh(3)
     cls = classify_boundary(mesh, SPHERE)
     top = mesh.topology
     layout = nc_layout(mesh)
     np.testing.assert_array_equal(
-        layout.cells(), np.hstack([top.tet_faces, top.n_faces + top.tet_edges]))
+        layout.cells(), np.hstack([top.n_faces + top.tet_edges, top.tet_faces]))
     np.testing.assert_array_equal(layout.gamma_mask(cls), np.concatenate([
         np.isin(np.arange(top.n_faces), cls.gamma_faces),
         np.isin(np.arange(top.n_edges), cls.gamma_edges)]))
