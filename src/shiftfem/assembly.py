@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .dofs import LagrangeNodeSet, build_lagrange_nodes
 from .elements import (AffineMap, blocks, shape_gradients, shape_values,
@@ -64,14 +64,15 @@ from .trialspace import (
 class System:
     """Square system over the DOFs off Gamma_h, with what recovery needs."""
 
-    A: sp.csr_matrix
+    A: scipy.sparse.csr_matrix
     b: np.ndarray
     cells: np.ndarray  # (n_tets, n_loc) global DOF ids of each tet
     gamma_mask: np.ndarray  # (n_dofs,) True for the DOFs on Gamma_h
     dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
     basis: ModifiedElementBasis  # C of the boundary tets, stacked; may be empty
     R: np.ndarray | None  # test transform; None is the identity
-    P: sp.csr_matrix | None = None  # the P1 prolongation; None: LU only
+    # the P1 prolongation; None: LU only
+    P: scipy.sparse.csr_matrix | None = None
 
 
 @lru_cache(maxsize=8)
@@ -116,9 +117,10 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     # the tet -> free DOF incidence E; E^T E is symmetric and has the
     # pattern of A, sorted by the CSC -> CSR conversion of its transpose
     free = eq < n
-    E = sp.csr_matrix((np.ones(np.count_nonzero(free), dtype=bool), eq[free],
-                       np.concatenate([[0], np.cumsum(free.sum(axis=1))])),
-                      shape=(n_tets, n))
+    E = scipy.sparse.csr_matrix(
+        (np.ones(np.count_nonzero(free), dtype=bool), eq[free],
+         np.concatenate([[0], np.cumsum(free.sum(axis=1))])),
+        shape=(n_tets, n))
     where = (E.T.tocsr() @ E).T.tocsr()
     del E, free
     P = hats[~gamma_mask]
@@ -150,8 +152,8 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
         rows = np.repeat(local.reshape(q.shape), n_loc, axis=1)
         pos = where[dofs][rows.ravel(), np.tile(q, n_loc).ravel()]
         np.add.at(data, np.asarray(pos).ravel(), S.ravel())
-    A = sp.csr_matrix((data[1:], where.indices, where.indptr[:-1]),
-                      shape=(n, n))
+    A = scipy.sparse.csr_matrix((data[1:], where.indices, where.indptr[:-1]),
+                                shape=(n, n))
     return System(A=A, b=b[:n], cells=cells, gamma_mask=gamma_mask,
                   dirichlet=dirichlet, basis=basis, R=R, P=P)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .elements import EDGES, FACES, multi_indices
 from .meshgen import BoundaryClassification, Mesh
@@ -94,9 +94,10 @@ class DofLayout:
             data.append(np.broadcast_to(w, shape).ravel())
             indices.append(np.broadcast_to(ends[:, None], shape).ravel())
         reads = np.repeat(np.add(self.order, 1), self.sizes[list(self.order)])
-        return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
-                              np.concatenate([[0], np.cumsum(reads)])),
-                             shape=(self.sizes.sum(), self.mesh.n_vertices))
+        return scipy.sparse.csr_matrix(
+            (np.concatenate(data), np.concatenate(indices),
+             np.concatenate([[0], np.cumsum(reads)])),
+            shape=(self.sizes.sum(), self.mesh.n_vertices))
 
     def gamma_mask(self, cls: BoundaryClassification):
         """(n_dofs,) True for the DOFs of the Gamma_h entities."""
@@ -115,7 +116,7 @@ class LagrangeNodeSet:
     degree: int
     coords: np.ndarray  # (n_nodes, 3)
     cell_nodes_table: np.ndarray  # (n_tets, n_k)
-    hats: sp.csr_matrix  # W (n_nodes, n_vertices)
+    hats: scipy.sparse.csr_matrix  # W (n_nodes, n_vertices)
 
     @property
     def n_nodes(self):

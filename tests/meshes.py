@@ -1,11 +1,16 @@
 """What only the tests need: the unit cube, a domain without a curved
-boundary, a mesh with one tet turned inside out, and one way to measure a
-memory peak."""
+boundary, a mesh with one tet turned inside out, one way to measure a
+memory peak and one to run code in a fresh interpreter."""
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import shiftfem
 from shiftfem.meshgen import Mesh, _fix_orientation, _grid_cells, _kuhn_paths
 
 
@@ -35,3 +40,13 @@ def traced_peak(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def fresh_python(code):
+    """The stdout of `code` run in a fresh interpreter that imports this
+    `shiftfem` package."""
+    site = Path(shiftfem.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(site)), capture_output=True,
+        text=True, check=True).stdout

@@ -15,6 +15,8 @@ from shiftfem.cases import get_case
 from shiftfem.cli import CHECK_MODULES, main
 from shiftfem.meshgen import classify_boundary
 
+from meshes import fresh_python
+
 TESTS = Path(__file__).resolve().parent
 
 
@@ -395,17 +397,42 @@ def test_conditioning_guard_fails_the_run(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    """Starting the command line does not pay for scipy.optimize."""
-    site = Path(shiftfem.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, shiftfem.cli; "
-         "print(shiftfem.cli.__file__); print('scipy.optimize' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(site)), capture_output=True,
-        text=True, check=True)
-    path, loaded = proc.stdout.split()
-    assert Path(path).resolve().parent == site / "shiftfem"
-    assert loaded == "False"
+#: SciPy modules that importing the package and meshing do not load
+LAZY_SCIPY = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+              "scipy.optimize", "scipy.io")
+
+
+def test_cli_import_and_meshing_leave_out_scipy():
+    """Starting the command line and meshing and classifying every case
+    load none of SciPy's sparse stack, `scipy.optimize` or `scipy.io`; the
+    first solve loads `scipy.sparse`."""
+    out = fresh_python(
+        "import sys, shiftfem.cli\n"
+        "from shiftfem.analysis import run_single\n"
+        "from shiftfem.cases import case_registry, get_case\n"
+        "from shiftfem.meshgen import classify_boundary\n"
+        "print(shiftfem.cli.__file__)\n"
+        "for case in case_registry().values():\n"
+        "    classify_boundary(case.mesh(2), case.surface)\n"
+        "print(','.join(m for m in %r if m in sys.modules) or '-')\n"
+        "run_single(get_case('tp1-sphere'), 'new', 2, 2)\n"
+        "print('scipy.sparse' in sys.modules)\n" % (LAZY_SCIPY,))
+    path, loaded, solved = out.split()
+    assert Path(path).resolve() == Path(shiftfem.cli.__file__).resolve()
+    assert loaded == "-"
+    assert solved == "True"
+
+
+def test_mesh_command_leaves_out_scipy_sparse(tmp_path):
+    """`shiftfem mesh` writes its files without loading `scipy.sparse`."""
+    out = fresh_python(
+        "import sys\nfrom shiftfem.cli import main\n"
+        "main(['mesh', '--case', 'tp1-sphere', '--refine', '2', "
+        "'--out', %r])\nprint('scipy.sparse' in sys.modules)\n"
+        % str(tmp_path))
+    assert out.splitlines()[-1] == "False"
+    for suffix in (".vtk", ".txt"):
+        assert (tmp_path / ("tp1-sphere-2" + suffix)).stat().st_size > 0
 
 
 def test_convergence_csv_is_byte_identical_across_processes(tmp_path):

@@ -1,8 +1,9 @@
 """No module imports a name it never uses, over the package, the tests
 and the benchmark (read, never edited); the package defines no function,
 class, method or module-level constant that neither the package nor the
-benchmark uses; and no package module but `trialspace` casts a line
-query: the checks of three lint rules."""
+benchmark uses; no package module but `trialspace` casts a line query;
+and no package module imports a SciPy submodule when it is itself
+imported: the checks of four lint rules."""
 import ast
 import collections
 import re
@@ -91,6 +92,27 @@ def line_query_readers(package):
         if module != "trialspace" and "nearest_line_intersection" in names:
             readers.append(module)
     return sorted(readers)
+
+
+def eager_scipy_imports(source):
+    """The (line, name) of each SciPy submodule, or name from one, that
+    `source` imports outside a function body, so when it is itself
+    imported.  A bare `import scipy` loads no submodule: SciPy loads each
+    on first attribute access."""
+    found = []
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("scipy.")]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] == "scipy":
+                found += [(node.lineno, node.module + "." + alias.name)
+                          for alias in node.names]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found)
 
 
 def _definitions(tree):
@@ -185,3 +207,22 @@ def test_the_check_finds_a_line_query_outside_trialspace():
         "named": "from .surfaces import nearest_line_intersection as q\n",
     }
     assert line_query_readers(package) == ["direct", "indirect", "named"]
+
+
+def test_package_defers_scipy_submodules():
+    imports = {p.stem: eager_scipy_imports(p.read_text()) for p in PACKAGE}
+    assert {module: found for module, found in imports.items() if found} == {}
+
+
+def test_the_check_finds_an_eager_scipy_import():
+    source = ("import scipy\nimport scipy as sc\nimport scipyx\n"
+              "import scipy.sparse as sp\nfrom scipy import linalg\n"
+              "from scipy.sparse.linalg import splu\nfrom . import scipy_io\n"
+              "try:\n    import numpy, scipy.io\nexcept ImportError:\n"
+              "    pass\nclass Solver:\n    from scipy import special\n"
+              "def f():\n    import scipy.optimize\n"
+              "    from scipy.io import mmwrite\n")
+    assert eager_scipy_imports(source) == [
+        (4, "scipy.sparse"), (5, "scipy.linalg"),
+        (6, "scipy.sparse.linalg.splu"), (9, "scipy.io"),
+        (13, "scipy.special")]

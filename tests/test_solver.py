@@ -18,7 +18,7 @@ from shiftfem.meshgen import classify_boundary, generate_octant_mesh
 from shiftfem.nonconforming import nc_assemble
 from shiftfem.surfaces import Ellipsoid
 
-from meshes import traced_peak
+from meshes import fresh_python, traced_peak
 
 BUILDERS = {"new": assemble_new_method, "polyhedral": assemble_polyhedral,
             "nonconforming": nc_assemble}
@@ -87,6 +87,27 @@ def test_other_factor_errors_pass_through(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         solve(_wrap(np.eye(2), [1.0, 1.0]))
     assert info.value is error
+
+
+def test_first_solve_reads_the_clock_after_loading_the_sparse_solver():
+    """In a fresh interpreter, where the package loads SciPy's sparse
+    solvers on first use, every clock read of the first `solve` comes
+    after `scipy.sparse.linalg` is loaded: its `seconds` and the first
+    row's solve_seconds hold no import."""
+    reads = fresh_python(
+        "import sys, time\n"
+        "from shiftfem import linsolve\n"
+        "from shiftfem.analysis import run_single\n"
+        "from shiftfem.cases import get_case\n"
+        "clock, reads = time.perf_counter, []\n"
+        "def perf_counter():\n"
+        "    if sys._getframe(1).f_code is linsolve.solve.__code__:\n"
+        "        reads.append('scipy.sparse.linalg' in sys.modules)\n"
+        "    return clock()\n"
+        "time.perf_counter = perf_counter\n"
+        "run_single(get_case('tp1-sphere'), 'new', 2, 8)\n"
+        "print(reads)\n")
+    assert reads.strip() == "[True, True]"
 
 
 def test_new_method_system_matches_dense_lu_oracle():
