@@ -3,10 +3,10 @@
 Every discretization goes through one pipeline:
   * a DOF layout's per-tet global DOF ids and its Gamma_h mask;
   * a per-element transform in reference coordinates: the test functions
-    are T_test = I (Lagrange) or R (nonconforming canonical basis) applied
-    to the P_k Lagrange basis, and the trial functions are T_test on
-    interior tets and T_test C on boundary tets, C = K~^-1 being the
-    coefficients of the boundary-shifted basis;
+    are the P_k Lagrange basis times the (n_loc, n_loc) array T_test
+    (`System.T`: I, or R for the nonconforming canonical basis), the trial
+    functions T_test on interior tets and T_test C on boundary tets, with
+    C = K~^-1 the coefficients of the boundary-shifted basis;
   * a Dirichlet lift on every tet, b_T -= S_T @ g[cells_T], so that the
     system is square over the free DOFs.
 
@@ -70,7 +70,7 @@ class System:
     gamma_mask: np.ndarray  # (n_dofs,) True for the DOFs on Gamma_h
     dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
     basis: ModifiedElementBasis  # C of the boundary tets, stacked; may be empty
-    R: np.ndarray | None  # test transform; None is the identity
+    T: np.ndarray  # (n_loc, n_loc) test transform: I, or the nonconforming R
     # the P1 prolongation; None: LU only
     P: scipy.sparse.csr_matrix | None = None
 
@@ -86,42 +86,44 @@ def _reference_tables(degree: int):
     return K, shape_values(degree, quad.points), quad
 
 
-def element_stiffness(amap: AffineMap, degree: int):
-    """Lagrange stiffness matrices of the tets of `amap`: (n_tets, n_k, n_k),
-    or (n_k, n_k) for one tet.  The metric detB B^-1 B^-T of each tet is
-    contracted with the reference tensor K of `_reference_tables`."""
-    K, _vals, _quad = _reference_tables(degree)
+def element_stiffness(amap: AffineMap, degree: int, T):
+    """Stiffness matrices T^T S T of the tets of `amap`, S in the P_k
+    Lagrange basis and T (n_k, n_k): (n_tets, n_k, n_k), or (n_k, n_k) for
+    one tet.  T is contracted into the reference tensor K once per call,
+    and each tet's metric detB B^-1 B^-T with the result."""
+    K = T.T @ _reference_tables(degree)[0] @ T
     G = amap.Binv @ np.swapaxes(amap.Binv, -1, -2)
     return np.tensordot(np.asarray(amap.detB)[..., None, None] * G, K, axes=2)
 
 
-def element_load(amap: AffineMap, degree: int, f):
-    """Load vectors of the tets of `amap`: (n_tets, n_k), or (n_k,)."""
+def element_load(amap: AffineMap, degree: int, f, T):
+    """Load vectors b T of the tets of `amap`, b in the P_k Lagrange basis
+    and T (n_k, n_k): (n_tets, n_k), or (n_k,) for one tet."""
     _K, vals, quad = _reference_tables(degree)  # vals (n_q, n_k)
     fq = f(amap.to_physical(quad.points))  # (n_tets, n_q), or a constant
-    return (quad.weights * fq) @ vals * np.asarray(amap.detB)[..., None]
+    return (quad.weights * fq) @ (vals @ T) * np.asarray(amap.detB)[..., None]
 
 
 def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
-             R, f, hats) -> System:
-    """Form T_test^T S T_trial and T_test^T b_loc on every tet, lift the
-    Dirichlet values and add them into the pattern of the free DOFs, one
-    block of tets at a time (`elements.blocks`).  From `hats` (n_dofs,
-    n_vertices), each DOF's functional applied to the P1 hats, take the
-    prolongation P too (see the module docstring)."""
+             T, f, hats) -> System:
+    """Form T^T S T C and T^T b_loc on every tet (C on the boundary tets
+    only), lift the Dirichlet values and add them into the pattern of the
+    free DOFs, one block of tets at a time (`elements.blocks`).  From
+    `hats` (n_dofs, n_vertices), each DOF's functional applied to the P1
+    hats, take the prolongation P too (see the module docstring)."""
     # equation ids, int32 where they fit; Gamma_h goes to the dropped row n
     n_tets, n_loc = cells.shape
     n = np.count_nonzero(~gamma_mask)
     idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
     eq = np.where(gamma_mask, n, np.cumsum(~gamma_mask) - 1).astype(idx)[cells]
-    # the tet -> free DOF incidence E; E^T E is symmetric and has the
-    # pattern of A, sorted by the CSC -> CSR conversion of its transpose
+    # the tet -> free DOF incidence E; E^T E has the pattern of A
     free = eq < n
     E = scipy.sparse.csr_matrix(
         (np.ones(np.count_nonzero(free), dtype=bool), eq[free],
          np.concatenate([[0], np.cumsum(free.sum(axis=1))])),
         shape=(n_tets, n))
-    where = (E.T.tocsr() @ E).T.tocsr()
+    where = E.T.tocsr() @ E
+    where.sort_indices()
     del E, free
     P = hats[~gamma_mask]
     P = P[:, np.unique(P.indices)]
@@ -135,11 +137,8 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     for block in blocks(n_tets, n_loc * n_loc):
         amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[block]],
                                        range(n_tets)[block])
-        S = element_stiffness(amap, degree)
-        b_loc = element_load(amap, degree, f)
-        if R is not None:
-            S = R.T @ S @ R
-            b_loc = b_loc @ R
+        S = element_stiffness(amap, degree, T)
+        b_loc = element_load(amap, degree, f, T)
         k = c_row[block]
         on = np.flatnonzero(k >= 0)
         S[on] = S[on] @ basis.C[k[on]]
@@ -155,7 +154,7 @@ def assemble(mesh: Mesh, degree: int, cells, gamma_mask, dirichlet, basis,
     A = scipy.sparse.csr_matrix((data[1:], where.indices, where.indptr[:-1]),
                                 shape=(n, n))
     return System(A=A, b=b[:n], cells=cells, gamma_mask=gamma_mask,
-                  dirichlet=dirichlet, basis=basis, R=R, P=P)
+                  dirichlet=dirichlet, basis=basis, T=T, P=P)
 
 
 def assemble_new_method(
@@ -200,19 +199,17 @@ def _lagrange_system(mesh: Mesh, cls: BoundaryClassification,
     dirichlet = np.zeros(nodes.n_nodes)
     dirichlet[gamma_mask] = g(table.points[gamma_mask])
     return assemble(mesh, nodes.degree, nodes.cell_nodes_table, gamma_mask,
-                    dirichlet, basis, None, f, nodes.hats)
+                    dirichlet, basis, np.eye(basis.C.shape[-1]), f, nodes.hats)
 
 
 def element_phi_coefficients(system: System, x: np.ndarray):
     """Per-element coefficients of the solution in the standard P_k
     Lagrange basis: (n_tets, n_k).  The DOF values of each tet (free
     solution entries and Dirichlet values) are mapped through its trial
-    transform T_test C (or T_test)."""
+    transform T C (or T)."""
     values = system.dirichlet.copy()
     values[~system.gamma_mask] = x
     coef = values[system.cells]
     basis = system.basis
     coef[basis.tets] = np.einsum("tij,tj->ti", basis.C, coef[basis.tets])
-    if system.R is not None:
-        coef = coef @ system.R.T
-    return coef
+    return coef @ system.T.T

@@ -10,8 +10,8 @@ faces):
 The DOFs are written once, as data: a 10x14 weight matrix over the P2
 nodes and the face centroids, each point once and in local order.  The
 canonical basis is obtained by inverting the 10x10 matrix of these
-functionals applied to the P2 Lagrange basis; since all the evaluation
-points map affinely, the same coefficient matrix serves every element.
+functionals applied to the P2 Lagrange basis; the evaluation points map
+affinely, so this one matrix R is every element's test transform T.
 
 The boundary-shifted variant replaces, on boundary elements, mu_F of a
 Gamma_h face by evaluation at the nearest intersection of the surface

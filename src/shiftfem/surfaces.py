@@ -1,6 +1,6 @@
 """Implicit smooth surfaces bounding the computational domains.
 
-Each surface is given by a level-set function F with Gamma = {F = 0} and
+Each surface is a level set Gamma = {F = 0} centred at the origin, with
 F < 0 inside the domain.  The geometric queries needed by the shifted
 trial space are: level-set evaluation, and the intersection of a line
 with Gamma nearest to a given point.
@@ -86,30 +86,25 @@ class Surface:
 
 @dataclass
 class Ellipsoid(Surface):
-    """Axis-aligned ellipsoid F = |(p - center) / semi_axes|^2 - 1."""
+    """Axis-aligned ellipsoid about the origin, F = |p / semi_axes|^2 - 1."""
 
     semi_axes: np.ndarray
-    center: np.ndarray = 0.0
 
     def __post_init__(self):
         self.semi_axes = np.asarray(self.semi_axes, dtype=float)
         if not np.all((0.0 < self.semi_axes) & (self.semi_axes < np.inf)):
             raise ValueError("ellipsoid needs finite semi-axes > 0, got "
                              "semi_axes = %s" % self.semi_axes)
-        self.center = np.broadcast_to(self.center, (3,)).astype(float)
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError("ellipsoid needs a finite center, got "
-                             "center = %s" % self.center)
         self.scale = float(np.min(self.semi_axes))
 
     def value(self, p):
-        q = (np.asarray(p, dtype=float) - self.center) / self.semi_axes
+        q = np.asarray(p, dtype=float) / self.semi_axes
         return _dot(q, q) - 1.0
 
     def line_roots(self, origin, direction):
         """Both t with |o + t d| = 1 for the origin and direction scaled to
         the unit sphere (t is unchanged), ascending, NaN where it misses."""
-        o = (origin - self.center) / self.semi_axes
+        o = origin / self.semi_axes
         d = direction / self.semi_axes
         a, b, c = _dot(d, d), 2.0 * _dot(o, d), _dot(o, o) - 1.0
         disc = b * b - 4.0 * a * c
@@ -118,11 +113,15 @@ class Ellipsoid(Surface):
 
 
 class Sphere(Ellipsoid):
-    """The sphere |p - center| = radius: an ellipsoid with equal semi-axes."""
+    """The sphere |p| = radius: an ellipsoid with equal semi-axes.  Its
+    `center` must be the origin, where the meshes' symmetry planes meet."""
 
     def __init__(self, center, radius):
+        if np.any(np.asarray(center, dtype=float) != 0.0):
+            raise ValueError("sphere needs its center at the origin, got "
+                             "center = %s" % np.asarray(center))
         self.radius = float(radius)
-        super().__init__(np.full(3, self.radius), center)
+        super().__init__(np.full(3, self.radius))
 
 
 @dataclass

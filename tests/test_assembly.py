@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 import sympy as sp
-from hypothesis import given
+from hypothesis import given, strategies as st
 from scipy.io import mmread, mmwrite
 
 from meshes import flipped, generate_box_tet_mesh, traced_peak
@@ -11,6 +11,7 @@ from shiftfem.assembly import (
     assemble_new_method,
     assemble_polyhedral,
     element_load,
+    element_phi_coefficients,
     element_stiffness,
 )
 from shiftfem.cases import get_case
@@ -39,9 +40,14 @@ ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
 SPHERE = Sphere(np.zeros(3), 1.0)
 
 
+def _identity(degree):
+    """The test transform of the Lagrange element of `degree`."""
+    return np.eye(multi_indices(degree).shape[0])
+
+
 def test_single_tet_stiffness_kernel():
     amap = AffineMap.from_vertices(REF_VERTICES)
-    S = element_stiffness(amap, 2)
+    S = element_stiffness(amap, 2, _identity(2))
     assert S.shape == (10, 10)
     np.testing.assert_allclose(S @ np.ones(10), 0.0, atol=1e-14)
     np.testing.assert_allclose(S, S.T, atol=1e-14)
@@ -61,7 +67,7 @@ def test_stiffness_against_symbolic_oracle():
     phis += [4 * lam[a] * lam[b] for a, b in EDGES]
 
     amap = AffineMap.from_vertices(REF_VERTICES)
-    S = element_stiffness(amap, 2)
+    S = element_stiffness(amap, 2, _identity(2))
 
     def exact_entry(i, j):
         integrand = sum(
@@ -86,7 +92,7 @@ def test_load_constant_sums_to_volume():
     )
     amap = AffineMap.from_vertices(verts)
     for k in (2, 3):
-        b = element_load(amap, k, lambda p: 1.0)
+        b = element_load(amap, k, lambda p: 1.0, _identity(k))
         assert float(b.sum()) == pytest.approx(amap.detB / 6, rel=1e-13)
 
 
@@ -98,13 +104,36 @@ def test_batched_kernels_equal_per_tet_calls(verts):
 
     amap = AffineMap.from_vertices(verts)
     for k in (2, 3):
-        S = element_stiffness(amap, k)
-        b = element_load(amap, k, f)
-        S_ref = np.array([element_stiffness(AffineMap.from_vertices(v), k)
+        I = _identity(k)
+        S = element_stiffness(amap, k, I)
+        b = element_load(amap, k, f, I)
+        S_ref = np.array([element_stiffness(AffineMap.from_vertices(v), k, I)
                           for v in verts])
-        b_ref = np.array([element_load(AffineMap.from_vertices(v), k, f)
+        b_ref = np.array([element_load(AffineMap.from_vertices(v), k, f, I)
                           for v in verts])
         assert S.shape == S_ref.shape and b.shape == b_ref.shape
+        assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
+        assert np.max(np.abs(b - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
+
+
+@given(well_shaped_tets(), st.integers(0, 2**32 - 1))
+def test_kernels_contract_the_transform(verts, seed):
+    """With a test transform T = I + 0.1 N (N seeded standard normal,
+    cond(T) <= 10) the kernels equal the Lagrange ones transformed per
+    tet: T^T S T and b T, to 1e-13 relative, at k = 2 and 3."""
+    def f(p):
+        return 1.0 + p[..., 0] * p[..., 1] - np.sin(p[..., 2])
+
+    amap = AffineMap.from_vertices(verts)
+    rng = np.random.default_rng(seed)
+    for k in (2, 3):
+        I = _identity(k)
+        T = I + 0.1 * rng.standard_normal(I.shape)
+        assert np.linalg.cond(T) <= 10.0
+        S = element_stiffness(amap, k, T)
+        b = element_load(amap, k, f, T)
+        S_ref = T.T @ element_stiffness(amap, k, I) @ T
+        b_ref = element_load(amap, k, f, I) @ T
         assert np.max(np.abs(S - S_ref)) <= 1e-13 * np.max(np.abs(S_ref))
         assert np.max(np.abs(b - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
 
@@ -303,12 +332,14 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
     n_dofs = system.gamma_mask.size
     K = np.zeros((n_dofs, n_dofs))
     F = np.zeros(n_dofs)
+    I = _identity(degree)
     for t in range(mesh.n_tets):
         amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[t]])
         trial = T @ C[t] if t in C else T
         cell = system.cells[t]
-        K[np.ix_(cell, cell)] += T.T @ element_stiffness(amap, degree) @ trial
-        F[cell] += T.T @ element_load(amap, degree, f)
+        S = element_stiffness(amap, degree, I)
+        K[np.ix_(cell, cell)] += T.T @ S @ trial
+        F[cell] += T.T @ element_load(amap, degree, f, I)
     free, gamma = ~system.gamma_mask, system.gamma_mask
     A_ref = K[np.ix_(free, free)]
     b_ref = F[free] - K[np.ix_(free, gamma)] @ g_dofs[gamma]
@@ -319,17 +350,16 @@ def test_pipeline_matches_dense_reference_assembly(method, degree):
 
 
 def _full_matrix_assemble(mesh, degree, cells, gamma_mask, dirichlet, basis,
-                          R, f, hats):
+                          T, f, hats):
     """`assemble` with its scatter written the long way: the full matrix
     over all DOFs, its free rows, then their free and Gamma_h columns, and
-    the lift b -= A[free, Gamma_h] @ g.  The oracle of the one scatter;
-    it builds no prolongation, so it reads no hat weights."""
+    the lift b -= A[free, Gamma_h] @ g.  The transform T is applied to the
+    Lagrange kernels per tet, not contracted into them.  The oracle of the
+    one scatter; it builds no prolongation, so it reads no hat weights."""
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets])
-    S_all = element_stiffness(amap, degree)
-    b_all = element_load(amap, degree, f)
-    if R is not None:
-        S_all = R.T @ S_all @ R
-        b_all = b_all @ R
+    I = _identity(degree)
+    S_all = T.T @ element_stiffness(amap, degree, I) @ T
+    b_all = element_load(amap, degree, f, I) @ T
     S_all[basis.tets] = S_all[basis.tets] @ basis.C
     n, n_loc = gamma_mask.size, cells.shape[1]
     rows = np.repeat(cells, n_loc, axis=1).ravel()
@@ -514,6 +544,45 @@ BUILDERS = pytest.mark.parametrize("build,degree", [
     (assemble_new_method, 2), (assemble_new_method, 3),
     (assemble_polyhedral, 2), (nc_assemble, 2),
 ], ids=["new-2", "new-3", "polyhedral-2", "nonconforming-2"])
+
+
+@BUILDERS
+def test_system_carries_its_test_transform(build, degree):
+    """Every system carries its element's test transform: the identity
+    for the Lagrange builders and R for the nonconforming one.  On tp1
+    J=4 the recovered coefficients equal T C d per tet, d being the tet's
+    DOF values and C the identity off the boundary tets."""
+    case = get_case("tp1-sphere")
+    mesh = case.mesh(4)
+    system = build(mesh, classify_boundary(mesh, case.surface), case.surface,
+                   degree, case.f, case.g)
+    T = nc_reference_matrix() if build is nc_assemble else _identity(degree)
+    np.testing.assert_array_equal(system.T, T)
+
+    x = np.random.default_rng(0).standard_normal(system.A.shape[0])
+    values = system.dirichlet.copy()
+    values[~system.gamma_mask] = x
+    C = dict(zip(system.basis.tets.tolist(), system.basis.C))
+    ref = np.array([T @ C.get(t, np.eye(len(T))) @ values[cell]
+                    for t, cell in enumerate(system.cells)])
+    coef = element_phi_coefficients(system, x)
+    assert np.max(np.abs(coef - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case_name,param,build,degree", [
+    ("tp1-sphere", 16, assemble_new_method, 2),
+    ("tp1-sphere", 8, assemble_new_method, 3),
+    ("tp1-sphere", 16, nc_assemble, 2),
+    ("tp3-torus", 8, assemble_new_method, 2),
+], ids=["tp1-new-2", "tp1-new-3", "tp1-nonconforming-2", "tp3-new-2"])
+def test_pattern_is_in_canonical_format(case_name, param, build, degree):
+    """A comes out with sorted column indices and no duplicates: the
+    product E^T E that gives its pattern is sorted in place."""
+    case = get_case(case_name)
+    mesh = case.mesh(param)
+    system = build(mesh, classify_boundary(mesh, case.surface), case.surface,
+                   degree, case.f, case.g)
+    assert system.A.has_canonical_format
 
 
 @pytest.mark.parametrize("case_name,param", [("tp1-sphere", 8),

@@ -148,26 +148,26 @@ def test_stiffness_rows_sum_to_zero_before_elimination(spec, method, seed):
         nodes = build_lagrange_nodes(mesh, degree)
         table = build_shifted_node_table(mesh, cls, surface, nodes)
         basis = build_modified_basis(mesh, nodes, table, cls.o_tets)
-        cells, R, T = nodes.cell_nodes_table, None, np.eye(basis.C.shape[-1])
+        cells, T = nodes.cell_nodes_table, np.eye(basis.C.shape[-1])
         hats = nodes.hats
     else:
         basis = build_nc_modified_basis(
             mesh, cls, cls.o_tets, _shifted_edge_points(mesh, cls, surface),
             _shifted_face_points(mesh, cls, surface))
         layout = nc_layout(mesh)
-        cells, R = layout.cells(), nc_reference_matrix()
-        T = R
+        cells, T = layout.cells(), nc_reference_matrix()
         hats = layout.hats(_WEIGHTS @ _REF_BARY)
 
     # element by element: T_test^T S T_test C on the boundary tets
     amap = AffineMap.from_vertices(mesh.vertices[mesh.tets[basis.tets]])
-    S = T.T @ element_stiffness(amap, degree) @ T @ basis.C
+    I = np.eye(T.shape[0])
+    S = T.T @ element_stiffness(amap, degree, I) @ T @ basis.C
     rows = S.sum(axis=-1)
     assert np.max(np.abs(rows), initial=0.0) <= 1e-12 * np.max(np.abs(S))
 
     # assembled, with no DOF eliminated
     n = int(cells.max()) + 1
     A = assemble(mesh, degree, cells, np.zeros(n, dtype=bool), np.zeros(n),
-                 basis, R, lambda p: 0.0, hats).A
+                 basis, T, lambda p: 0.0, hats).A
     assert A.shape == (n, n)
     assert np.max(np.abs(A @ np.ones(n))) <= 1e-12 * np.max(np.abs(A.data))

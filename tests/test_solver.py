@@ -41,7 +41,7 @@ def _force_path(monkeypatch, path):
 def _wrap(A, b):
     return System(
         A=sp.csr_matrix(A), b=np.asarray(b, dtype=float), cells=None,
-        gamma_mask=None, dirichlet=None, basis=None, R=None,
+        gamma_mask=None, dirichlet=None, basis=None, T=None,
     )
 
 

@@ -9,7 +9,7 @@ from shiftfem.surfaces import Ellipsoid, Sphere, Torus
 SPHERE = Sphere(np.zeros(3), 1.0)
 ELLIPSOID = Ellipsoid(np.array([0.6, 0.8, 1.0]))
 TORUS = Torus(5.0 / 6.0, 1.0 / 6.0)
-OFF_CENTRE_SPHERE = Sphere(np.array([0.3, -0.2, 0.1]), 0.7)
+SMALL_SPHERE = Sphere(np.zeros(3), 0.7)
 
 
 def sample_surface_points(surface, n, rng):
@@ -26,7 +26,7 @@ def surface_points(surface, th, ph):
         return np.column_stack(
             [r * np.sin(ph) * np.cos(th), r * np.sin(ph) * np.sin(th),
              r * np.cos(ph)]
-        ) + surface.center
+        )
     if isinstance(surface, Ellipsoid):
         a, b, c = surface.semi_axes
         return np.column_stack(
@@ -128,8 +128,7 @@ def test_torus_intersection_matches_bisection_oracle():
     _check_against_bisection_oracle(TORUS, 5)
 
 
-@pytest.mark.parametrize("surface", [SPHERE, ELLIPSOID,
-                                     Sphere(np.array([0.3, -0.2, 0.1]), 0.7)])
+@pytest.mark.parametrize("surface", [SPHERE, ELLIPSOID, SMALL_SPHERE])
 def test_quadric_intersection_matches_bisection_oracle(surface):
     """The shared quadratic solve, fed with the scaled origin and direction."""
     _check_against_bisection_oracle(surface, 6)
@@ -178,8 +177,8 @@ def near_surface_lines(draw, surface, max_lines=8):
 
 
 @pytest.mark.parametrize(
-    "surface", [SPHERE, ELLIPSOID, OFF_CENTRE_SPHERE, TORUS],
-    ids=["sphere", "ellipsoid", "off-centre-sphere", "torus"])
+    "surface", [SPHERE, ELLIPSOID, SMALL_SPHERE, TORUS],
+    ids=["sphere", "ellipsoid", "small-sphere", "torus"])
 @given(data=st.data())
 def test_line_intersections_land_and_are_nearest(surface, data):
     """Line intersections land on F = 0 and are the nearest root, and the
@@ -203,7 +202,7 @@ def test_line_intersections_land_and_are_nearest(surface, data):
 def test_value_takes_point_arrays():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1.0, 1.0, (4, 5, 3))
-    for surface in (SPHERE, ELLIPSOID, OFF_CENTRE_SPHERE, TORUS):
+    for surface in (SPHERE, ELLIPSOID, SMALL_SPHERE, TORUS):
         vals = surface.value(pts)
         assert vals.shape == (4, 5)
         assert np.array_equal(
@@ -264,14 +263,16 @@ def test_ellipsoid_needs_finite_positive_semi_axes(make):
         make()
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Ellipsoid([0.6, 0.8, 1.0], center=[np.nan, 0.0, 0.0]),
-    lambda: Sphere([0.0, np.inf, 0.0], 1.0),
-], ids=["nan", "inf"])
-def test_ellipsoid_needs_finite_center(make):
-    """A center that is not finite would make `value` NaN everywhere."""
-    with pytest.raises(ValueError, match=r"finite center, got center = \["):
-        make()
+@pytest.mark.parametrize("center", [
+    [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.3, -0.2, 0.1],
+], ids=["nan", "inf", "off-origin"])
+def test_sphere_needs_its_center_at_the_origin(center):
+    """Every surface is centred at the origin, where the mesh generators'
+    symmetry planes meet; `Sphere` keeps its center argument only to
+    reject any other, a NaN one included."""
+    with pytest.raises(ValueError, match=r"center at the origin, got "
+                       r"center = \["):
+        Sphere(center, 1.0)
 
 
 def test_torus_roots_are_polished_to_round_off():
