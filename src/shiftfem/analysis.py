@@ -103,9 +103,9 @@ def eoc(e1, e2, h1, h2):
 def run_single(case: ExactCase, method: str, degree: int, param,
                record_time=True, tol=DEFAULT_TOL):
     """Mesh, assemble, solve, and measure one case/refinement combination.
-    `solve_seconds` is the sparse solve alone, the factors and GMRES
-    included; the multigrid prolongation is built during assembly and not
-    counted (0 without `record_time`)."""
+    `solve_seconds` is the sparse solve alone, the multigrid hierarchy
+    and GMRES included; the P1 prolongation is built during assembly and
+    not counted (0 without `record_time`)."""
     # built at call time, so that a rebound builder is the one called
     builders = {
         "new": assemble_new_method,

@@ -1,7 +1,62 @@
-"""Deterministic solution of the assembled sparse systems, by sparse LU or,
-above a fixed size, by p-multigrid-preconditioned GMRES.
+"""Deterministic solution of the assembled sparse systems: by multigrid-
+preconditioned GMRES when the system carries a coarse space, by sparse LU
+when it does not or when GMRES misses the contract.
 
-Sparse LU, at or below the switch and as the fallback.
+Multigrid GMRES, for every system with a prolongation `System.P`.
+`assembly` gives each system the prolongation P from P1 on the same mesh.
+The solver builds a hierarchy of levels below the fine one, each holding
+its matrix A, the prolongation P to it from the next coarser level, a
+CSR copy of Pᵀ, the product A·P and a Chebyshev smoother:
+  * the first coarse space is P1, through `System.P` (p-multigrid:
+    Rønquist & Patera, J. Sci. Comput. 1987; Helenbrook, Mavriplis &
+    Atkins, AIAA 2003);
+  * below it, smoothed aggregation (Vaněk, Mandel & Brezina, Computing
+    56, 1996): the unknowns strongly connected in (A + Aᵀ)/2,
+    |a_ij| >= `_STRENGTH`·√|a_ii a_jj|, are grouped greedily in index order
+    in two passes, and the piecewise-constant prolongation T of the groups
+    is smoothed once, P = (I - ω D⁻¹A) T with ω = 4/(3λ̂);
+  * each coarse matrix is Pᵀ(AP), through the CSR Pᵀ (P.T @ A would
+    convert A to CSC, a copy of A).  A·P is kept: the cycle reads it;
+  * the hierarchy ends at the first level with at most `COARSEST`
+    unknowns, or that aggregation no longer coarsens, whose inverse is
+    formed densely by NumPy.  A system that small is its own coarsest
+    level.  On tp1 new k=2 J=16 the levels are 5,984 → 969 → 125.
+One V-cycle is one fixed linear operator: at each level a pre-smooth z,
+its residual r₁ = r - A z, the coarse correction e from the next level on
+Pᵀ r₁, z += P e, and a post-smooth of r₁ - (AP) e, which saves one product
+with A.  Each smooth is three steps of Chebyshev iteration on D⁻¹A,
+D = diag A (Saad, *Iterative Methods for Sparse Linear Systems*, 2003,
+§12.1; as a multigrid smoother: Adams, Brezina, Hu & Tuminaro,
+J. Comput. Phys. 188, 2003), whose error propagator is
+T₃((θ - λ)/δ) / T₃(θ/δ) on the eigenvalues λ of D⁻¹A, with the interval
+[θ - δ, θ + δ] = [λ̂/10, λ̂], PETSc's default.  λ̂ is 1.1 times the
+largest modulus of the Ritz values of 15 Arnoldi steps on D⁻¹A, started
+from the fixed vector cos(i), so that the estimate is a function of the
+input alone; on ten sphere, ellipsoid and torus systems it lies within
+1.088-1.100 of ARPACK's largest |λ|.
+GMRES runs the same Arnoldi loop on A M from b and least squares on
+their Hessenberg matrix H (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+1986): x = M V y, where y minimises ‖βe₁ - H y‖, β = ‖b‖.  That is right
+preconditioning (Saad 2003, ch. 9).  It stops at tol relative, where
+its least-squares residual, not yet checked on x, meets the contract.
+GMRES then restarts once from the float64 residual r = b - A x, to a
+tenth of ‖r‖, and x + d is kept if it lowers the residual (one step of
+defect correction).  The restart takes 1-2 Arnoldi steps and lowers the
+residual 9-48 times on the J=8 and J=16 sphere and I=4 and I=8 torus
+systems, to 1.0e-14-5.1e-14: on tp3 new k=3 I=4, where GMRES to tol/2
+alone left err_h1 at 2.4e-12 against its test's 1e-12, it goes from
+4.8e-13 to 1.6e-14, and x to within 1.0e-14 (max norm, relative) of the
+LU path's.  Stopping the first cycle at tol rather than tol/2 saves one
+step on some systems (tp1 J=16, tp3 I=4).  The contract is then checked
+in float64 on x, as on the LU path.
+When GMRES has not met the contract within `MAX_GMRES_ITERATIONS` steps,
+the dense coarsest matrix is singular or the diagonal of a smoothed level
+is not strictly positive (D⁻¹A is then undefined, or its spectrum off the
+smoother's positive interval), the LU path runs instead.  Which path runs
+depends on the input alone, never on timing, so the output stays
+deterministic.
+
+Sparse LU, for systems without a prolongation and as the fallback.
 Every system matrix of the three methods has a structurally symmetric
 pattern (two equations couple exactly when their DOFs share a tet), so
 SuperLU orders the columns by minimum degree on the pattern of A + Aᵀ and
@@ -9,7 +64,6 @@ runs in symmetric mode, which prefers the diagonal pivot.  On the sphere
 systems that stores a quarter to a half fewer factor entries than the
 default COLAMD column ordering.  Threshold partial pivoting stays on, so a
 matrix with an unsymmetric pattern is still solved.
-
 Relaxed supernodes are turned off (``relax=1``).  SuperLU's default
 (relax = 10) merges small subtrees of the elimination tree into dense
 supernodes and stores their zeros: on the tp3 torus at I = 8 that pads a
@@ -18,52 +72,10 @@ about doubles the factor time.  On the sphere systems it pads by 0-2 %
 and the time does not change.  Without relaxation the stored factor is
 exactly L + U.
 
-Two-level p-multigrid GMRES, above the switch.
-The LU factor's stored entries grow about as n^1.7, so systems with more
-than `PMG_MIN_EQUATIONS` equations that carry a prolongation `System.P`
-from a coarse space (P1 on the same mesh, built by `assembly`) are solved
-by one GMRES cycle of at most `MAX_GMRES_ITERATIONS` steps, preconditioned
-on the right with a two-level p-multigrid V-cycle (Rønquist & Patera,
-J. Sci. Comput. 1987; Helenbrook, Mavriplis & Atkins, AIAA 2003):
-  * the coarse matrix Pᵀ A P (969 unknowns on tp1 J=16) is formed as
-    Pᵀ(AP) through a CSR copy of Pᵀ, made once per solve (P.T @ A would
-    convert A to CSC, a copy of A; AP holds about 0.3 times its bytes at
-    k=2), and factored with the LU path's options.  The coarse correction
-    z += P (Pᵀ A P)⁻¹ Pᵀ (r - A z) runs between a pre- and a post-smooth;
-  * each smooth is three steps of Chebyshev iteration on D⁻¹A, D = diag A
-    (Saad, *Iterative Methods for Sparse Linear Systems*, 2003, §12.1;
-    as a multigrid smoother: Adams, Brezina, Hu & Tuminaro, J. Comput.
-    Phys. 188, 2003).  It needs only products with A and D⁻¹.  Its error
-    propagator is T₃((θ - λ)/δ) / T₃(θ/δ) on the eigenvalues λ of D⁻¹A,
-    with the interval [θ - δ, θ + δ] = [λ̂/10, λ̂], PETSc's default;
-  * λ̂ is 1.1 times the largest modulus of the Ritz values of 15 Arnoldi
-    steps on D⁻¹A, started from the fixed vector cos(i), so that the
-    estimate is a function of the input alone.  On ten sphere, ellipsoid
-    and torus systems λ̂ lies within 1.088-1.100 of ARPACK's largest |λ|.
-The cycle is one fixed linear operator, and it stores only the coarse
-factor.  A diagonal that is not strictly positive leaves D⁻¹A undefined,
-or its spectrum off the smoother's positive interval, and sends the
-system to the LU path.
-GMRES runs the same Arnoldi loop on A M from b and least squares on
-their Hessenberg matrix H (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
-1986): x = M V y, where y minimises ‖βe₁ - H y‖, β = ‖b‖, the residual
-norm of A x = b.  That is right preconditioning (Saad 2003, ch. 9).
-GMRES stops at tol/2 relative: 5e-13 at the default tolerance, above its
-attainable accuracy of about 1.3e-13 and below the 1e-12 contract, which
-is then checked in float64 on x as on the LU path.  The sphere and torus
-systems take 9-18 Arnoldi steps independently of h, and x lies within
-1e-12 relative of the LU path's.
-When GMRES has not met the contract within `MAX_GMRES_ITERATIONS`, the
-coarse factor is singular or the diagonal is not strictly positive, the
-LU path runs instead.  Which path runs depends on the input alone, never
-on timing, so the output stays deterministic.
-
-SciPy's sparse modules load on first use, not on import: importing the
-package, meshing and classifying a case never pay for them.  `solve`
-touches `scipy.sparse.linalg` before it reads the clock, so that the
-first solve's `seconds` holds the solve alone, not the import.  `splu` is
-a module-level function that forwards to SciPy's, so that `_factor` reads
-it through this module, where a test can patch it."""
+The multigrid path needs only `scipy.sparse`; `scipy.sparse.linalg`, and
+the `scipy.linalg` it pulls in, load only on the LU path, on first use.
+`splu` is a module-level function that forwards to SciPy's, so that
+`_factor` reads it through this module, where a test can patch it."""
 from __future__ import annotations
 
 import time
@@ -74,20 +86,16 @@ import scipy
 
 from .assembly import System
 
-#: systems with more equations than this, and a coarse space, take the
-#: p-multigrid GMRES path.  Best of 5 solves with each path forced, LU /
-#: pMG-GMRES, one thread, GMRES to tol/2: tp3 I=4 (476 eq) 1.8 / 2.9 ms,
-#: tp1 nonconforming J=6 (776) 2.6 / 4.3 ms and J=8 (1,784) 7.9 / 7.1 ms,
-#: new J=8 (816) 4.6 / 3.9 ms, tp3 I=8 (3,960) 45 / 13 ms, nonconforming
-#: J=16 (13,616) 338 / 47 ms: the paths cross between 476 and 816
-#: equations for the Lagrange systems, 776 and 1,784 for the nonconforming
-#: ones.  The switch stays at 2,000 for accuracy: GMRES to tol/2 leaves
-#: tp3 new k=3 I=4 (1,650 eq) at err_h1 2.4e-12 (LU: 1.4e-14, its test's
-#: bound 1e-12), and to tol/10 raises sphere-p2's peak RSS by 2.8 MB.
-#: The J=8 systems, on which the LU path is tested, keep taking it.
-PMG_MIN_EQUATIONS = 2000
-#: Arnoldi steps of the one GMRES cycle before the LU fallback runs: the
-#: systems take 9-18, and the basis holds only the vectors they write
+#: the largest level that the hierarchy inverts densely, and so the largest
+#: system that is its own coarsest level.  Best of 5 solves, one thread:
+#: from 150 to 300 the times barely move (tp1 new J=16 27.9-29.9 ms); at
+#: 100 the J=8 systems get an aggregation level and a step more (tp1 new
+#: 5.7 → 6.6 ms, nonconforming 9.1 → 10.7 ms), and at 400 tp1 new J=6
+#: (364 equations) is its own coarsest level, 10.5 ms against 3.1
+COARSEST = 200
+#: Arnoldi steps of each GMRES cycle before the LU fallback runs: the
+#: first cycles of the systems up to J=32 take 8-19 and the restarts 1-2,
+#: and the basis holds only the vectors they write
 MAX_GMRES_ITERATIONS = 50
 #: the residual tolerance of `solve`, of the analysis runs and of `--tol`
 DEFAULT_TOL = 1e-12
@@ -100,20 +108,38 @@ _CHEBYSHEV_DEGREE = 3
 _CHEBYSHEV_LOWER = 0.1
 _ARNOLDI_STEPS = 15
 _ESTIMATE_SAFETY = 1.1
+#: smoothed aggregation's strength of connection threshold
+_STRENGTH = 0.08
 
 
 @dataclass
 class SolveReport:
     x: np.ndarray
     relative_residual: float
-    seconds: float  # the factorization, estimate, solves and GMRES only
-    # entries SuperLU stores for the one factor of the path that produced
-    # x: L and U of the LU factor of A, or of the cycle's coarse factor of
-    # Pᵀ A P (the smoother stores none); with relaxed supernodes off, their
-    # nonzero count, read without copying the factor into lu.L and lu.U
+    seconds: float  # the hierarchy, the factors and GMRES only
+    # entries stored by the path's one direct factor: L + U of SuperLU's
+    # factor of A on the LU path, read without copying the factor into
+    # lu.L and lu.U, or the n_c² entries of the dense coarsest inverse
     fill: int
     path: str  # "lu" or "pmg" (multigrid-preconditioned GMRES)
-    iterations: int  # GMRES Arnoldi steps; 0 on the LU path
+    iterations: int  # Arnoldi steps of the first GMRES cycle; 0 on LU
+    restart_iterations: int  # Arnoldi steps of the restart; 0 on LU
+    levels: tuple  # the unknowns of each level, the fine one first
+    # the stored entries of the matrices of all levels over those of A
+    operator_complexity: float
+
+
+@dataclass
+class _Level:
+    """One level of the hierarchy above the coarsest: its matrix, the
+    prolongation from the next level, its CSR transpose, A·P and the
+    level's smoother."""
+
+    A: scipy.sparse.csr_matrix
+    P: scipy.sparse.csr_matrix
+    Pt: scipy.sparse.csr_matrix
+    AP: scipy.sparse.csr_matrix
+    smooth: object
 
 
 def check_tol(tol):
@@ -125,6 +151,7 @@ def check_tol(tol):
 
 def splu(A, **options):
     """SuperLU factor of the CSC matrix A (`scipy.sparse.linalg.splu`)."""
+    import scipy.sparse.linalg
     return scipy.sparse.linalg.splu(A, **options)
 
 
@@ -139,49 +166,141 @@ def _factor(A):
         return None
 
 
-def _relative_residual(A, b, x):
-    res = np.linalg.norm(A @ x - b)
-    bnorm = np.linalg.norm(b)
-    return res / bnorm if bnorm > 0.0 else res
+def _report(x, r, b, fill, matrices, iterations=0, restart_iterations=0):
+    """The `SolveReport` fields that a path fills in, from x, its residual
+    r, b, the factor's stored entries and the matrices of the levels; the
+    relative residual is ‖r‖/‖b‖, or ‖r‖ when b = 0."""
+    res, bnorm = np.linalg.norm(r), np.linalg.norm(b)
+    return dict(x=x, relative_residual=float(res / bnorm if bnorm else res),
+                fill=fill, iterations=iterations,
+                restart_iterations=restart_iterations,
+                levels=tuple(M.shape[0] for M in matrices),
+                operator_complexity=sum(M.nnz for M in matrices)
+                / matrices[0].nnz)
 
 
 def _lu_solve(A, b):
-    """x by the one sparse LU factor of A: x, its relative residual, the
-    entries the factor stores and 0 GMRES iterations."""
+    """The report fields of x by the one sparse LU factor of A."""
     lu = _factor(A.tocsc())
     if lu is None:
         raise RuntimeError(
             "solver failure: sparse LU factor of the %d×%d system is "
             "exactly singular" % A.shape)
     x = lu.solve(b)
-    return x, _relative_residual(A, b, x), lu.nnz, 0
+    return _report(x, b - A @ x, b, lu.nnz, [A])
+
+
+def _aggregate(A):
+    """The tentative prolongation of smoothed aggregation on A: the
+    (n, n_aggregates) 0/1 matrix of a greedy two-pass aggregation of the
+    strength graph, in index order.  Pass one makes each unknown whose
+    strong neighbours are all free an aggregate with them; pass two joins
+    each unknown left to the aggregate of the first of its strong
+    neighbours that pass one took, and it has one, or pass one would
+    have taken it."""
+    S = ((A + A.T) * 0.5).tocsr()
+    d = np.abs(S.diagonal())
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    strong = (rows != S.indices) & (
+        np.abs(S.data) >= _STRENGTH * np.sqrt(d[rows] * d[S.indices]))
+    indptr = np.concatenate([[0], np.cumsum(
+        np.bincount(rows[strong], minlength=S.shape[0]))]).tolist()
+    indices = S.indices[strong].tolist()
+    n = len(indptr) - 1
+    first = [-1] * n
+    count = 0
+    for i in range(n):
+        if first[i] < 0:
+            neighbours = indices[indptr[i]:indptr[i + 1]]
+            if all(first[j] < 0 for j in neighbours):
+                first[i] = count
+                for j in neighbours:
+                    first[j] = count
+                count += 1
+    aggregate = first.copy()
+    for i in range(n):
+        if aggregate[i] < 0:
+            aggregate[i] = next(first[j] for j in
+                                indices[indptr[i]:indptr[i + 1]]
+                                if first[j] >= 0)
+    return scipy.sparse.csr_matrix(
+        (np.ones(n), aggregate, np.arange(n + 1)), shape=(n, count))
+
+
+def _hierarchy(A, P):
+    """The levels above the coarsest, the coarsest matrix and its dense
+    inverse; None when a smoothed level's diagonal is not strictly
+    positive or the coarsest matrix is singular.  P is the fine level's
+    prolongation."""
+    levels = []
+    while A.shape[0] > COARSEST:
+        diagonal = A.diagonal()
+        if not np.all(diagonal > 0.0):
+            return None
+        dinv = 1.0 / diagonal
+        upper = _largest_eigenvalue(A, dinv)
+        if P is None:
+            T = _aggregate(A)
+            if T.shape[1] == A.shape[0]:
+                break
+            AT = A @ T
+            AT.data *= np.repeat(4.0 / (3.0 * upper) * dinv,
+                                 np.diff(AT.indptr))
+            P = (T - AT).tocsr()
+        Pt = P.T.tocsr()  # P.T @ A would convert A to CSC: a copy of A
+        AP = A @ P
+        levels.append(_Level(A, P, Pt, AP, _chebyshev(A, dinv, upper)))
+        A, P = Pt @ AP, None
+    inverse = _dense_inverse(A)
+    return None if inverse is None else (levels, A, inverse)
+
+
+def _dense_inverse(A):
+    """NumPy's dense inverse of the sparse coarsest matrix A, or None when
+    A is singular; any other error passes through."""
+    try:
+        return np.linalg.inv(A.toarray())
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _v_cycle(levels, inverse):
+    """The preconditioner r ↦ z: one V-cycle over `levels`, ending in the
+    dense `inverse` of the coarsest matrix."""
+
+    def cycle(r, i=0):
+        if i == len(levels):
+            return inverse @ r
+        level = levels[i]
+        z = level.smooth(r)
+        r = r - level.A @ z
+        e = cycle(level.Pt @ r, i + 1)
+        z += level.P @ e
+        return z + level.smooth(r - level.AP @ e)
+
+    return cycle
 
 
 def _pmg_solve(A, b, P, tol):
-    """x by GMRES with the two-level cycle of prolongation P, its relative
-    residual, the entries the coarse factor stores and the iterations;
-    None when the diagonal of A is not strictly positive, the coarse
-    factor is singular or x misses the contract."""
-    diagonal = A.diagonal()
-    if not np.all(diagonal > 0.0):
+    """The report fields of x by GMRES with the multigrid cycle and one
+    restart; None when the hierarchy cannot be built or x misses the
+    contract."""
+    hierarchy = _hierarchy(A, P)
+    if hierarchy is None:
         return None
-    dinv = 1.0 / diagonal
-    Pt = P.T.tocsr()  # P.T @ A would convert A to CSC: a copy of A
-    coarse = _factor((Pt @ (A @ P)).tocsc())
-    if coarse is None:
-        return None
-    smooth = _chebyshev(A, dinv, _largest_eigenvalue(A, dinv))
-
-    def cycle(r):
-        z = smooth(r)
-        z += P @ coarse.solve(Pt @ (r - A @ z))
-        return z + smooth(r - A @ z)
-
-    x, iterations = _gmres(A, b, cycle, tol / 2, MAX_GMRES_ITERATIONS)
-    rel = _relative_residual(A, b, x)
-    if not rel <= tol:
-        return None
-    return x, rel, coarse.nnz, iterations
+    levels, coarsest, inverse = hierarchy
+    cycle = _v_cycle(levels, inverse)
+    x, iterations = _gmres(A, b, cycle, tol, MAX_GMRES_ITERATIONS)
+    r = b - A @ x
+    d, more = _gmres(A, r, cycle, 0.1, MAX_GMRES_ITERATIONS)
+    corrected = x + d
+    r_corrected = b - A @ corrected
+    if np.linalg.norm(r_corrected) < np.linalg.norm(r):
+        x, r = corrected, r_corrected
+    found = _report(x, r, b, inverse.size,
+                    [level.A for level in levels] + [coarsest],
+                    iterations, more)
+    return found if found["relative_residual"] <= tol else None
 
 
 def _arnoldi(op, v, steps, done=lambda H: False):
@@ -241,40 +360,47 @@ def _chebyshev(A, dinv, upper):
 def _gmres(A, b, precondition, tol, max_iterations):
     """One GMRES cycle from x = 0 on A M, of at most `max_iterations`
     Arnoldi steps, which stop once min‖βe₁ - H y‖, β = ‖b‖, is at most
-    tol·β: x = M V y, one V-cycle more than the steps, and the steps run."""
+    tol·β: x = M V y, one V-cycle more than the steps, and the steps run.
+    The minimum is β/‖u‖ for the u with uᵀH = 0 and u₀ = 1, which spans
+    the complement of H's range; u gains one entry per step, so that the
+    stopping test needs no least-squares solve."""
     beta = np.linalg.norm(b)
     if beta == 0.0:
         return np.zeros_like(b), 0
+    u = [1.0]
 
-    def least_squares(H):
-        rhs = np.r_[beta, np.zeros(len(H) - 1)]  # βe₁
-        y = np.linalg.lstsq(H, rhs)[0]
-        return y, np.linalg.norm(rhs - H @ y)
+    def converged(H):
+        u.append(-np.dot(u, H[:-1, -1]) / H[-1, -1])
+        return np.linalg.norm(u) * tol >= 1.0
 
     V, H = _arnoldi(lambda v: A @ precondition(v), b, max_iterations,
-                    lambda H: least_squares(H)[1] <= tol * beta)
-    y, _ = least_squares(H)
+                    converged)
+    y = np.linalg.lstsq(H, np.r_[beta, np.zeros(len(H) - 1)])[0]  # βe₁
     return precondition(sum(yi * vi for yi, vi in zip(y, V))), len(y)
 
 
 def solve(system: System, tol: float = DEFAULT_TOL) -> SolveReport:
     """A x = b to the residual contract ‖A x - b‖ <= tol·‖b‖, checked in
-    float64 on x: by p-multigrid GMRES above `PMG_MIN_EQUATIONS` when the
-    system carries a prolongation, and by sparse LU otherwise or when
-    GMRES misses the contract (see the module docstring)."""
+    float64 on x: by multigrid GMRES when the system carries a
+    prolongation, and by sparse LU when it does not or when GMRES misses
+    the contract (see the module docstring).
+
+    `seconds` holds the solve alone on both paths.  Only the LU path of a
+    system without a prolongation loads `scipy.sparse.linalg`, before the
+    clock starts; the multigrid path never loads it, so a fallback to LU
+    loads it inside the clock, on the first fallback of the process."""
     check_tol(tol)
-    import scipy.sparse.linalg  # loaded before the clock starts
-    t0 = time.perf_counter()
     A, b, P = system.A, system.b, system.P
-    pmg = None
-    if P is not None and A.shape[0] > PMG_MIN_EQUATIONS:
-        pmg = _pmg_solve(A, b, P, tol)
-    x, rel, fill, iterations = pmg or _lu_solve(A, b)
-    path = "lu" if pmg is None else "pmg"
+    if P is None:
+        import scipy.sparse.linalg  # loaded before the clock starts
+    t0 = time.perf_counter()
+    pmg = None if P is None else _pmg_solve(A, b, P, tol)
+    found = pmg or _lu_solve(A, b)
     seconds = time.perf_counter() - t0
+    rel = found["relative_residual"]
     if not np.isfinite(rel) or rel > tol:
         raise RuntimeError(
             "solver failure: relative residual %.3e exceeds %.1e" % (rel, tol)
         )
-    return SolveReport(x=x, relative_residual=float(rel), seconds=seconds,
-                       fill=fill, path=path, iterations=iterations)
+    return SolveReport(seconds=seconds, path="lu" if pmg is None else "pmg",
+                       **found)

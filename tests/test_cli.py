@@ -423,6 +423,32 @@ def test_cli_import_and_meshing_leave_out_scipy():
     assert solved == "True"
 
 
+def test_multigrid_runs_leave_out_scipy_linalg():
+    """The runs of the benchmark's levels, tp1 new, polyhedral and
+    nonconforming k=2 J=8 and tp3 new I=2 and 4, all take the multigrid
+    path and load neither `scipy.sparse.linalg` nor `scipy.linalg`; a
+    solve without a prolongation, on the LU path, loads both."""
+    out = fresh_python(
+        "import dataclasses, sys\n"
+        "from shiftfem.analysis import run_single\n"
+        "from shiftfem.cases import get_case\n"
+        "from shiftfem.linsolve import solve\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in "
+        "('scipy.sparse.linalg', 'scipy.linalg')]\n"
+        "for method in ('new', 'polyhedral', 'nonconforming'):\n"
+        "    print(run_single(get_case('tp1-sphere'), method, 2, 8)[3].path)\n"
+        "for param in (2, 4):\n"
+        "    _, _, system, report = run_single(get_case('tp3-torus'), 'new',"
+        " 2, param)\n"
+        "    print(report.path)\n"
+        "print(loaded())\n"
+        "print(solve(dataclasses.replace(system, P=None)).path)\n"
+        "print(loaded())\n")
+    assert out.splitlines() == ["pmg"] * 5 + ["[False, False]", "lu",
+                                              "[True, True]"]
+
+
 def test_mesh_command_leaves_out_scipy_sparse(tmp_path):
     """`shiftfem mesh` writes its files without loading `scipy.sparse`."""
     out = fresh_python(

@@ -96,8 +96,9 @@ def test_nonhomogeneous_quadratic_reproduced(method, degree):
 @pytest.mark.parametrize("method,degree", [("new", 2), ("new", 3),
                                            ("nonconforming", 2)])
 def test_nonhomogeneous_quadratic_reproduced_on_the_torus(method, degree):
-    """The radial quadratic on the torus sector (measured ≤1.4e-14 at
-    I=2,4)."""
+    """The radial quadratic on the torus sector (measured ≤1.2e-13 at
+    I=2,4 by multigrid GMRES, ≤1.4e-14 when every level took sparse LU;
+    tp3 new k=3 I=4 reached 2.4e-12 before GMRES restarted once)."""
     for I in (2, 4):
         rep, *_ = run_single(_torus_quadratic_case(), method, degree, I,
                              record_time=False)

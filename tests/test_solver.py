@@ -11,7 +11,7 @@ from scipy.special import eval_chebyt
 from shiftfem.analysis import run_single
 from shiftfem.assembly import System, assemble_new_method, assemble_polyhedral
 from shiftfem.cases import get_case
-from shiftfem import linsolve
+from shiftfem import analysis, linsolve
 from shiftfem.dofs import build_lagrange_nodes
 from shiftfem.linsolve import solve
 from shiftfem.meshgen import classify_boundary, generate_octant_mesh
@@ -31,11 +31,15 @@ def _case_system(case_name, method, degree, param):
     return BUILDERS[method](mesh, cls, case.surface, degree, case.f, case.g)
 
 
-def _force_path(monkeypatch, path):
-    """Every system that carries a prolongation takes `path`, "lu" or
-    "pmg", at any size: the switch moves to infinity or to 0."""
-    monkeypatch.setattr(linsolve, "PMG_MIN_EQUATIONS",
-                        np.inf if path == "lu" else 0)
+def _lu(system):
+    """The system without its prolongation: it takes the LU path."""
+    return dataclasses.replace(system, P=None)
+
+
+def _coarsest(monkeypatch, n):
+    """The hierarchy solves only levels of at most `n` unknowns densely, so
+    that the cycle runs on a small system."""
+    monkeypatch.setattr(linsolve, "COARSEST", n)
 
 
 def _wrap(A, b):
@@ -91,11 +95,12 @@ def test_other_factor_errors_pass_through(monkeypatch):
 
 def test_first_solve_reads_the_clock_after_loading_the_sparse_solver():
     """In a fresh interpreter, where the package loads SciPy's sparse
-    solvers on first use, every clock read of the first `solve` comes
-    after `scipy.sparse.linalg` is loaded: its `seconds` and the first
-    row's solve_seconds hold no import."""
+    solvers on first use: the multigrid solve of a run reads the clock
+    twice and never loads `scipy.sparse.linalg`, and the first solve of a
+    system without a prolongation loads it before it reads the clock, so
+    that its `seconds` holds no import."""
     reads = fresh_python(
-        "import sys, time\n"
+        "import dataclasses, sys, time\n"
         "from shiftfem import linsolve\n"
         "from shiftfem.analysis import run_single\n"
         "from shiftfem.cases import get_case\n"
@@ -105,9 +110,12 @@ def test_first_solve_reads_the_clock_after_loading_the_sparse_solver():
         "        reads.append('scipy.sparse.linalg' in sys.modules)\n"
         "    return clock()\n"
         "time.perf_counter = perf_counter\n"
-        "run_single(get_case('tp1-sphere'), 'new', 2, 8)\n"
+        "_, _, system, _ = run_single(get_case('tp1-sphere'), 'new', 2, 8)\n"
+        "print(reads)\n"
+        "reads.clear()\n"
+        "linsolve.solve(dataclasses.replace(system, P=None))\n"
         "print(reads)\n")
-    assert reads.strip() == "[True, True]"
+    assert reads.split("\n")[:2] == ["[False, False]", "[True, True]"]
 
 
 def test_new_method_system_matches_dense_lu_oracle():
@@ -158,7 +166,7 @@ def test_system_patterns_are_symmetric(case_name, method, degree, param):
 def test_ordering_reduces_fill_below_colamd():
     system = _case_system("tp1-sphere", "nonconforming", 2, 8)
     colamd = splu(system.A.tocsc())
-    assert solve(system).fill < colamd.nnz
+    assert solve(_lu(system)).fill < colamd.nnz
 
 
 def test_dimension_grows_cubically():
@@ -173,16 +181,15 @@ def test_dimension_grows_cubically():
         assert 5.0 <= big / small <= 9.0
 
 
-def test_factor_stores_no_relaxed_supernode_padding(monkeypatch):
+def test_factor_stores_no_relaxed_supernode_padding():
     """With relaxed supernodes off, the stored factor is exactly L + U of
     the same ordering; SuperLU's default relaxation pads the torus factor
-    with about 60 % more entries than that.  Its 3,960 equations are
-    above the switch, so the LU path is forced."""
-    _force_path(monkeypatch, "lu")
+    with about 60 % more entries than that.  The system's 3,960 equations
+    take the LU path without their prolongation."""
     system = _case_system("tp3-torus", "new", 2, 8)
     ref = splu(system.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                options=dict(SymmetricMode=True))
-    fill = solve(system).fill
+    fill = solve(_lu(system)).fill
     assert fill == ref.L.nnz + ref.U.nnz
     assert fill < ref.nnz
 
@@ -193,7 +200,7 @@ def test_fill_stays_at_its_measured_count(method, fill):
     """The stored LU fill of tp1 J=8, against the counts measured when the
     DOF numbering and the scatter were last changed: a change to either
     that moves the fill shows here, not only in the benchmark's memory."""
-    rep = solve(_case_system("tp1-sphere", method, 2, 8))
+    rep = solve(_lu(_case_system("tp1-sphere", method, 2, 8)))
     assert rep.path == "lu"
     assert rep.fill <= 1.02 * fill
 
@@ -212,10 +219,10 @@ def _float64_lu_solve(system):
     ("tp1-sphere", "new", 3, 4),
 ])
 def test_lu_path_matches_independent_splu(case_name, method, degree, param):
-    """Below the switch x is the one solve with the float64 factor of the
-    pinned ordering, symmetric mode and relax=1, bit for bit."""
+    """Without a prolongation x is the one solve with the float64 factor of
+    the pinned ordering, symmetric mode and relax=1, bit for bit."""
     system = _case_system(case_name, method, degree, param)
-    rep = solve(system)
+    rep = solve(_lu(system))
     assert rep.path == "lu"
     np.testing.assert_array_equal(rep.x, _float64_lu_solve(system))
     assert rep.relative_residual <= 1e-12
@@ -245,17 +252,17 @@ def test_ill_conditioned_systems_meet_the_contract(A):
 ])
 def test_pmg_path_matches_lu_path(case_name, method, degree, param,
                                   monkeypatch):
-    """The multigrid GMRES solution and its errors agree with the LU
-    path's to 1e-10 relative (measured: 4e-13 on x, 1e-14 on the errors)."""
+    """The multigrid GMRES solution and its errors agree with those of the
+    LU path, which the same system takes without its prolongation, to
+    1e-10 relative (measured: 2.4e-14 on x, 1.6e-13 on the errors)."""
     case = get_case(case_name)
-    runs = {}
-    for path in ("lu", "pmg"):
-        _force_path(monkeypatch, path)
-        rep, _, _, sol = run_single(case, method, degree, param,
+    rep_pmg, _, _, pmg = run_single(case, method, degree, param,
                                     record_time=False)
-        assert sol.path == path
-        runs[path] = rep, sol
-    (rep_lu, lu), (rep_pmg, pmg) = runs["lu"], runs["pmg"]
+    monkeypatch.setattr(analysis, "solve",
+                        lambda system, tol: solve(_lu(system), tol))
+    rep_lu, _, _, lu = run_single(case, method, degree, param,
+                                  record_time=False)
+    assert (pmg.path, lu.path) == ("pmg", "lu")
     assert 1 <= pmg.iterations <= 30
     assert pmg.relative_residual <= 1e-12
     assert np.max(np.abs(pmg.x - lu.x)) <= 1e-10 * np.max(np.abs(lu.x))
@@ -264,36 +271,116 @@ def test_pmg_path_matches_lu_path(case_name, method, degree, param,
         assert abs(getattr(rep_pmg, err) - ref) <= 1e-10 * ref
 
 
+def test_restart_brings_x_to_the_lu_solution(monkeypatch):
+    """tp3 new k=3 I=4 (1,650 equations): the first GMRES cycle leaves a
+    float64 residual of about 5e-13, at which err_h1 misses its 1e-12
+    bound in `test_orders`.  The restart from that residual lowers
+    it by more than ten times (measured 4.8e-13 → 1.6e-14), and x then lies
+    within 1e-12 relative (max norm) of the LU path's."""
+    system = _case_system("tp3-torus", "new", 3, 4)
+    residuals = []
+    gmres = linsolve._gmres
+
+    def recording(A, b, *args):
+        x, steps = gmres(A, b, *args)
+        residuals.append(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+        return x, steps
+
+    monkeypatch.setattr(linsolve, "_gmres", recording)
+    rep = solve(system)
+    lu = solve(_lu(system))
+    assert (rep.path, len(residuals)) == ("pmg", 2)
+    assert 1 <= rep.restart_iterations <= 2
+    assert rep.relative_residual <= residuals[0] / 10
+    assert np.max(np.abs(rep.x - lu.x)) <= 1e-12 * np.max(np.abs(lu.x))
+
+
 @pytest.mark.parametrize("method", ["new", "nonconforming"])
 def test_pmg_iterations_do_not_grow_with_h(method, monkeypatch):
-    """Two-level p-multigrid converges independently of h: J=8 and J=16
-    differ by at most 3 iterations (measured 10/11 for new and 15/16 for
-    nonconforming).  J=16 is above the switch by default.  The cycle
-    stores the coarse factor and nothing else, a tenth of the LU
-    factor's entries or less."""
+    """Multigrid GMRES converges independently of h: with `COARSEST` at
+    100, J=8 and J=16 both get a smoothed-aggregation level below P1, and
+    their first GMRES cycles differ by at most 3 Arnoldi steps (measured
+    11/13 for new and 16/18 for nonconforming).  The hierarchy stores its
+    coarse matrices and the dense coarsest inverse: at most 2 % of the
+    entries of A's LU factor (measured 1.0 and 0.6 %), and the coarse
+    matrices add at most a fifth to the entries of A (measured 13 and
+    8 %)."""
     low, high = {"new": (8, 14), "nonconforming": (12, 20)}[method]
+    _coarsest(monkeypatch, 100)
     system = _case_system("tp1-sphere", method, 2, 16)
     j16 = solve(system)
-    _force_path(monkeypatch, "pmg")
     j8 = solve(_case_system("tp1-sphere", method, 2, 8))
     assert (j8.path, j16.path) == ("pmg", "pmg")
+    assert len(j8.levels) == 3 and len(j16.levels) >= 3
     assert low <= j8.iterations <= high and low <= j16.iterations <= high
     assert abs(j16.iterations - j8.iterations) <= 3
-    P = system.P
-    assert j16.fill == splu((P.T @ system.A @ P).tocsc(),
-                            **linsolve._LU_OPTIONS).nnz
-    assert j16.fill <= 0.15 * {"new": 2_316_528,
-                               "nonconforming": 4_692_672}[method]
+    assert j16.fill == j16.levels[-1] ** 2
+    assert j16.operator_complexity <= 1.2
+    coarse = round((j16.operator_complexity - 1.0) * system.A.nnz)
+    assert coarse + j16.fill <= 0.02 * {"new": 2_316_528,
+                                        "nonconforming": 4_692_672}[method]
+
+
+def test_small_system_is_its_own_coarsest_level():
+    """tp3 new k=2 I=2 has 54 equations, fewer than `COARSEST`: its dense
+    inverse preconditions GMRES, which ends after one step, and the
+    restart takes one more."""
+    rep = solve(_case_system("tp3-torus", "new", 2, 2))
+    assert (rep.path, rep.levels, rep.fill) == ("pmg", (54,), 54 ** 2)
+    assert (rep.iterations, rep.restart_iterations) == (1, 1)
+    assert rep.operator_complexity == 1.0
+    assert rep.relative_residual <= 1e-14
+
+
+def test_aggregation_groups_strong_neighbours_in_index_order():
+    """On a path of six unknowns, pass one groups {0, 1} and {2, 3, 4}, and
+    pass two joins 5 to the aggregate of its neighbour 4.  A connection
+    below 0.08·√(a_ii a_jj) is not one: with 2-3 that weak, pass one
+    groups {0, 1} and {3, 4}, and pass two joins 2 to the first and 5 to
+    the second."""
+    path = sp.diags([-np.ones(5), 2.0 * np.ones(6), -np.ones(5)],
+                    [-1, 0, 1], format="lil")
+    T = linsolve._aggregate(path.tocsr())
+    assert T.shape == (6, 2)
+    np.testing.assert_array_equal(T.toarray(), np.eye(2)[[0, 0, 1, 1, 1, 1]])
+    path[2, 3] = path[3, 2] = -0.1
+    T = linsolve._aggregate(path.tocsr())
+    np.testing.assert_array_equal(T.indices, [0, 0, 0, 1, 1, 1])
+
+
+def test_smoothed_aggregation_level_is_the_galerkin_product(monkeypatch):
+    """Below P1 each prolongation is (I - ω D⁻¹A) T, with T the aggregates
+    and ω = 4/(3λ̂), and each coarse matrix is Pᵀ A P, to 1e-14 of the
+    dense products' largest entries (tp1 new J=8 with `COARSEST` at
+    100: 816 → 165 → 25 unknowns)."""
+    _coarsest(monkeypatch, 100)
+    system = _case_system("tp1-sphere", "new", 2, 8)
+    levels, coarsest, _ = linsolve._hierarchy(system.A, system.P)
+    sizes = [level.A.shape[0] for level in levels] + [coarsest.shape[0]]
+    assert sizes == [816, 165, 25]
+    A = levels[1].A
+    dinv = 1.0 / A.diagonal()
+    omega = 4.0 / (3.0 * linsolve._largest_eigenvalue(A, dinv))
+    T = linsolve._aggregate(A).toarray()
+    P = T - omega * dinv[:, None] * (A.toarray() @ T)
+    assert (np.max(np.abs(levels[1].P.toarray() - P))
+            <= 1e-14 * np.max(np.abs(P)))
+    for fine, coarse in zip(levels, [level.A for level in levels[1:]]
+                            + [coarsest]):
+        dense = fine.P.toarray().T @ fine.A.toarray() @ fine.P.toarray()
+        assert (np.max(np.abs(coarse.toarray() - dense))
+                <= 1e-14 * np.max(np.abs(dense)))
 
 
 @pytest.mark.filterwarnings("error")
 def test_pmg_zero_right_hand_side_is_zero(monkeypatch):
     """b = 0 gives x = 0 before the first Arnoldi step: no division by
     the zero norm of b."""
-    _force_path(monkeypatch, "pmg")
+    _coarsest(monkeypatch, 50)
     system = _case_system("tp1-sphere", "new", 2, 4)
     rep = solve(dataclasses.replace(system, b=np.zeros_like(system.b)))
-    assert (rep.path, rep.iterations, rep.relative_residual) == ("pmg", 0, 0.0)
+    assert (rep.path, rep.iterations, rep.restart_iterations,
+            rep.relative_residual) == ("pmg", 0, 0, 0.0)
     np.testing.assert_array_equal(rep.x, 0.0)
 
 
@@ -302,13 +389,15 @@ def test_pmg_happy_breakdown_ends_the_cycle(monkeypatch):
     """On A = 2I with P = I the coarse correction inverts A, so the first
     Arnoldi vector spans an invariant space: the Arnoldi steps stop after
     one and GMRES returns the exact x, without a division by the zero
-    next Arnoldi vector."""
-    _force_path(monkeypatch, "pmg")
+    next Arnoldi vector; its residual is 0, so the restart takes no step.
+    With `COARSEST` at 2 the cycle runs on the 4 unknowns."""
+    _coarsest(monkeypatch, 2)
     system = dataclasses.replace(
         _wrap(2.0 * np.eye(4), [1.0, 0.0, 0.0, 0.0]),
         P=sp.identity(4, format="csr"))
     rep = solve(system)
-    assert (rep.path, rep.iterations) == ("pmg", 1)
+    assert (rep.path, rep.iterations, rep.restart_iterations,
+            rep.levels) == ("pmg", 1, 0, (4, 4))
     np.testing.assert_array_equal(rep.x, [0.5, 0.0, 0.0, 0.0])
 
 
@@ -364,52 +453,39 @@ def test_krylov_basis_holds_only_the_vectors_its_steps_write():
 
 def test_gmres_over_its_cap_falls_back_to_lu(monkeypatch):
     """GMRES capped at one iteration misses the contract, and the LU path
-    then gives exactly the x it gives when forced."""
+    then gives exactly the x it gives without the prolongation."""
     system = _case_system("tp1-sphere", "nonconforming", 2, 8)
-    _force_path(monkeypatch, "lu")
-    forced = solve(system)
-    _force_path(monkeypatch, "pmg")
+    forced = solve(_lu(system))
     monkeypatch.setattr(linsolve, "MAX_GMRES_ITERATIONS", 1)
     rep = solve(system)
     assert (rep.path, rep.iterations, rep.fill) == ("lu", 0, forced.fill)
     np.testing.assert_array_equal(rep.x, forced.x)
 
 
-def _splu_failing_for_the_coarse_matrix(error, n):
-    """`splu` that raises `error` for the coarse matrix, the only one with
-    fewer than `n` equations, and factors everything else."""
-
-    def fake(A, **kwargs):
-        if A.shape[0] < n:
-            raise error
-        return splu(A, **kwargs)
-
-    return fake
-
-
 def test_singular_coarse_factor_falls_back_to_lu(monkeypatch):
-    """A singular coarse factor sends the system to the LU path, which
-    gives exactly the x it gives when forced."""
+    """A singular coarsest matrix sends the system to the LU path, which
+    gives exactly the x it gives without the prolongation.  A zero P
+    makes the P1 level, the coarsest with `COARSEST` at 50, all zeros."""
     system = _case_system("tp1-sphere", "new", 2, 4)
-    _force_path(monkeypatch, "lu")
-    forced = solve(system)
-    _force_path(monkeypatch, "pmg")
-    monkeypatch.setattr(linsolve, "splu", _splu_failing_for_the_coarse_matrix(
-        RuntimeError("Factor is exactly singular"), len(system.b)))
-    rep = solve(system)
+    forced = solve(_lu(system))
+    _coarsest(monkeypatch, 50)
+    rep = solve(dataclasses.replace(system, P=0.0 * system.P))
     assert (rep.path, rep.iterations, rep.fill) == ("lu", 0, forced.fill)
     np.testing.assert_array_equal(rep.x, forced.x)
 
 
 def test_other_coarse_factor_errors_pass_through(monkeypatch):
-    """A coarse factor error other than singularity is not hidden by the
-    LU fallback."""
-    error = RuntimeError("out of memory")
+    """An error of the dense coarsest inverse other than singularity is not
+    hidden by the LU fallback."""
+    error = MemoryError("out of memory")
+
+    def failing_inv(M):
+        raise error
+
     system = _case_system("tp1-sphere", "new", 2, 4)
-    _force_path(monkeypatch, "pmg")
-    monkeypatch.setattr(linsolve, "splu", _splu_failing_for_the_coarse_matrix(
-        error, len(system.b)))
-    with pytest.raises(RuntimeError) as info:
+    _coarsest(monkeypatch, 50)
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    with pytest.raises(MemoryError) as info:
         solve(system)
     assert info.value is error
 
@@ -418,16 +494,16 @@ def test_other_coarse_factor_errors_pass_through(monkeypatch):
 def test_diagonal_not_strictly_positive_falls_back_to_lu(scale, monkeypatch):
     """A diagonal entry that is zero or negative leaves the Chebyshev
     smoother on D⁻¹A undefined: the system takes the LU path, which gives
-    exactly the x it gives when forced."""
+    exactly the x it gives without the prolongation.  With `COARSEST` at
+    50 the fine level is smoothed."""
     system = _case_system("tp1-sphere", "new", 2, 4)
     A = system.A.copy()
     diagonal = A.diagonal()
     diagonal[7] *= scale
     A.setdiag(diagonal)
     system = dataclasses.replace(system, A=A)
-    _force_path(monkeypatch, "lu")
-    forced = solve(system)
-    _force_path(monkeypatch, "pmg")
+    forced = solve(_lu(system))
+    _coarsest(monkeypatch, 50)
     rep = solve(system)
     assert (rep.path, rep.iterations, rep.fill) == ("lu", 0, forced.fill)
     np.testing.assert_array_equal(rep.x, forced.x)
@@ -470,57 +546,44 @@ def test_largest_eigenvalue_estimate_bounds_the_spectrum(case_name, method,
     assert linsolve._largest_eigenvalue(A, dinv) == estimate
 
 
-class _CountedFactor:
-    """A SuperLU factor that counts its solves."""
-
-    def __init__(self, lu):
-        self.lu, self.nnz, self.solves = lu, lu.nnz, 0
-
-    def solve(self, r):
-        self.solves += 1
-        return self.lu.solve(r)
-
-
 def test_cycle_runs_once_per_arnoldi_step_and_once_for_x(monkeypatch):
     """The V-cycle runs once per Arnoldi step and once more for
-    x = M V y.  Counted by the solves of the coarse factor, the only
-    factor of the cycle."""
+    x = M V y, in the first GMRES cycle and in the restart."""
     system = _case_system("tp1-sphere", "nonconforming", 2, 8)
-    factored = []
+    runs = []
+    v_cycle = linsolve._v_cycle
 
-    def counting(A, **kwargs):
-        factored.append(_CountedFactor(splu(A, **kwargs)))
-        return factored[-1]
+    def counting(levels, inverse):
+        cycle = v_cycle(levels, inverse)
+        return lambda r: runs.append(1) or cycle(r)
 
-    _force_path(monkeypatch, "pmg")
-    monkeypatch.setattr(linsolve, "splu", counting)
+    monkeypatch.setattr(linsolve, "_v_cycle", counting)
     rep = solve(system)
-    coarse, = factored
     assert rep.path == "pmg" and rep.iterations > 1
-    assert coarse.solves == rep.iterations + 1
+    assert rep.restart_iterations >= 1
+    assert len(runs) == rep.iterations + rep.restart_iterations + 2
 
 
 @pytest.mark.parametrize("method", ["new", "nonconforming"])
 def test_coarse_matrix_forms_without_a_copy_of_a(method, monkeypatch):
-    """The coarse matrix handed to the factor is Pᵀ A P, equal to the dense
-    product to 1e-14 of its largest entry, and forming it peaks at most at
-    the bytes of A, as tracemalloc counts it from the start of `solve`
-    (measured 0.59 for new and 0.58 for nonconforming; 1.41 and 1.38 while
-    P.T @ A converted A to CSC).  tp1 J=8 with the pMG path forced."""
+    """The coarse matrix handed to the dense inverse, tp1 J=8's P1 level,
+    is Pᵀ A P, equal to the dense product to 1e-14 of its largest entry,
+    and forming it peaks at most at the bytes of A, as tracemalloc counts
+    it from the start of `solve` (measured 0.64 for new and 0.75 for
+    nonconforming; 1.41 and 1.38 while P.T @ A converted A to CSC)."""
     system = _case_system("tp1-sphere", method, 2, 8)
     A, P = system.A, system.P
     coarse = []
+    dense_inverse = linsolve._dense_inverse
 
-    def recording(M, **kwargs):
-        if M.shape[0] < A.shape[0]:
-            coarse.append((M, tracemalloc.get_traced_memory()[1]))
-        return splu(M, **kwargs)
+    def recording(M):
+        coarse.append((M, tracemalloc.get_traced_memory()[1]))
+        return dense_inverse(M)
 
-    _force_path(monkeypatch, "pmg")
-    monkeypatch.setattr(linsolve, "splu", recording)
+    monkeypatch.setattr(linsolve, "_dense_inverse", recording)
     rep, _ = traced_peak(solve, system)
     (matrix, peak), = coarse
-    assert rep.path == "pmg"
+    assert rep.path == "pmg" and rep.levels == (A.shape[0], P.shape[1])
     assert peak <= A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     dense = P.toarray().T @ A.toarray() @ P.toarray()
     assert (np.max(np.abs(matrix.toarray() - dense))
