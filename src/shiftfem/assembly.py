@@ -71,8 +71,7 @@ class System:
     dirichlet: np.ndarray  # (n_dofs,) value of each Gamma_h DOF, 0 elsewhere
     basis: ModifiedElementBasis  # C of the boundary tets, stacked; may be empty
     T: np.ndarray  # (n_loc, n_loc) test transform: I, or the nonconforming R
-    # the P1 prolongation; None: LU only
-    P: scipy.sparse.csr_matrix | None = None
+    P: scipy.sparse.csr_matrix  # the prolongation from P1 on the same mesh
 
 
 @lru_cache(maxsize=8)

@@ -1,22 +1,21 @@
 """Global degree-of-freedom numbering, one block per entity kind.
 
 A `DofLayout` gives each vertex, edge and face of a mesh a fixed number
-of DOFs and numbers them in one block per entity dimension, the blocks in
-a chosen order and each block in the entity ids of `meshgen.Topology`.
-The block order numbers the global DOFs only.  The per-tet table keeps
-the element's own local order, that of `elements.multi_indices`: the
-vertices, the edges in `EDGES` order, then the faces in `FACES` order.
-An edge's DOFs run from its smaller to its larger global vertex id, and
-the per-tet table flips them where the tet's local edge runs the other
-way, which makes continuity automatic.  Boundary classification decides
-per entity whether its DOFs lie on Gamma_h.  scikit-fem (Gustafsson &
-McBain, JOSS 2020) and the UFC dofmaps of FEniCS keep the local and the
-global order apart in the same way.
+of DOFs and numbers them in one block per entity dimension: the vertices,
+then the edges, then the faces, each block in the entity ids of
+`meshgen.Topology`.  The per-tet table keeps the element's own local
+order, that of `elements.multi_indices`: the vertices, the edges in
+`EDGES` order, then the faces in `FACES` order.  An edge's DOFs run from
+its smaller to its larger global vertex id, and the per-tet table flips
+them where the tet's local edge runs the other way, which makes
+continuity automatic.  Boundary classification decides per entity
+whether its DOFs lie on Gamma_h.  scikit-fem (Gustafsson & McBain, JOSS
+2020) and the UFC dofmaps of FEniCS keep the local and the global order
+apart in the same way.
 
 The Lagrange nodes of degree k have 1, k-1 and (k-1)(k-2)/2 DOFs per
 vertex, edge and face, counted off `elements.multi_indices`, which holds
-the one degree check; the nonconforming DOFs are (0, 1, 1), the face
-block numbered first.
+the one degree check; the nonconforming DOFs are (0, 1, 1).
 The equations are the DOFs off Gamma_h, in ascending order.  A DOF's
 functional on the P1 hats belongs to its entity, not to a tet that holds
 it (`DofLayout.hats`): the Lagrange nodes and the multigrid prolongation
@@ -36,13 +35,10 @@ from .meshgen import BoundaryClassification, Mesh
 @dataclass
 class DofLayout:
     """`counts` DOFs per vertex, edge and face of `mesh`, numbered in one
-    block per entity dimension, the blocks in the order of `order`.  The
-    order sets the global ids (`ids`, `hats`) only: `cells` gives each
-    tet's DOFs in the element's local order, whatever `order` is."""
+    block per entity dimension: vertices, edges, then faces."""
 
     mesh: Mesh
     counts: tuple  # DOFs per vertex, edge, face
-    order: tuple = (0, 1, 2)  # entity dimension of each block
 
     @property
     def sizes(self):
@@ -53,14 +49,14 @@ class DofLayout:
 
     def ids(self, dim, entities):
         """DOF ids (..., counts[dim]) of entity ids (...) of dimension dim."""
-        start = self.sizes[list(self.order[:self.order.index(dim)])].sum()
+        start = self.sizes[:dim].sum()
         c = self.counts[dim]
         return start + c * np.asarray(entities)[..., None] + np.arange(c)
 
     def cells(self):
         """(n_tets, n_loc) DOF ids of each tet, in the element's local
-        order, whatever `order` is: the vertices, the edges in `EDGES`
-        order, then the faces in `FACES` order, `counts` DOFs each."""
+        order: the vertices, the edges in `EDGES` order, then the faces in
+        `FACES` order, `counts` DOFs each."""
         tets, top = self.mesh.tets, self.mesh.topology
         out = np.empty((len(tets), np.dot(self.counts, (4, 6, 4))), np.int64)
         col = 0
@@ -87,13 +83,13 @@ class DofLayout:
         c0, c1, _ = self.counts
         starts = (0, 4 * c0, 4 * c0 + 6 * c1)  # each kind's local offset
         data, indices = [], []
-        for d in self.order:  # the blocks, in DOF id order
+        for d in range(3):  # the blocks, in DOF id order
             c, ends, start = self.counts[d], entities[d], starts[d]
             w = weights[start:start + c, list(((0,), EDGES[0], FACES[0])[d])]
             shape = (len(ends), c, d + 1)
             data.append(np.broadcast_to(w, shape).ravel())
             indices.append(np.broadcast_to(ends[:, None], shape).ravel())
-        reads = np.repeat(np.add(self.order, 1), self.sizes[list(self.order)])
+        reads = np.repeat((1, 2, 3), self.sizes)
         return scipy.sparse.csr_matrix(
             (np.concatenate(data), np.concatenate(indices),
              np.concatenate([[0], np.cumsum(reads)])),

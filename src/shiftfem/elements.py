@@ -20,9 +20,8 @@ Local node ordering (frozen; the degree-of-freedom map relies on it):
   * degree 3 only: one centroid node per face, faces ordered by opposite
     vertex: (1,2,3), (0,2,3), (0,1,3), (0,1,2)
 The nonconforming DOFs take the same positions: its edge functionals in
-`EDGES` order, then its face functionals in `FACES` order.  Whatever the
-global block order of a `dofs.DofLayout`, its per-tet table comes in
-this order.
+`EDGES` order, then its face functionals in `FACES` order.  The per-tet
+table of a `dofs.DofLayout` comes in this order.
 
 The affine map of an array of tets is one `AffineMap` whose fields carry a
 leading tet axis, so that kernels work on all elements at once.  The

@@ -1,9 +1,8 @@
 """Deterministic solution of the assembled sparse systems: by multigrid-
-preconditioned GMRES when the system carries a coarse space, by sparse LU
-when it does not or when GMRES misses the contract.
+preconditioned GMRES, and by sparse LU when GMRES misses the contract.
 
-Multigrid GMRES, for every system with a prolongation `System.P`.
-`assembly` gives each system the prolongation P from P1 on the same mesh.
+Multigrid GMRES, for every system.  `assembly` gives each system the
+prolongation P from P1 on the same mesh, `System.P`.
 The solver builds a hierarchy of levels below the fine one, each holding
 its matrix A, the prolongation P to it from the next coarser level, a
 CSR copy of Pᵀ, the product A·P and a Chebyshev smoother:
@@ -56,7 +55,7 @@ smoother's positive interval), the LU path runs instead.  Which path runs
 depends on the input alone, never on timing, so the output stays
 deterministic.
 
-Sparse LU, for systems without a prolongation and as the fallback.
+Sparse LU, the fallback.
 Every system matrix of the three methods has a structurally symmetric
 pattern (two equations couple exactly when their DOFs share a tet), so
 SuperLU orders the columns by minimum degree on the pattern of A + Aᵀ and
@@ -73,7 +72,7 @@ and the time does not change.  Without relaxation the stored factor is
 exactly L + U.
 
 The multigrid path needs only `scipy.sparse`; `scipy.sparse.linalg`, and
-the `scipy.linalg` it pulls in, load only on the LU path, on first use.
+the `scipy.linalg` it pulls in, load only on the first fallback to LU.
 `splu` is a module-level function that forwards to SciPy's, so that
 `_factor` reads it through this module, where a test can patch it."""
 from __future__ import annotations
@@ -381,20 +380,16 @@ def _gmres(A, b, precondition, tol, max_iterations):
 
 def solve(system: System, tol: float = DEFAULT_TOL) -> SolveReport:
     """A x = b to the residual contract ‖A x - b‖ <= tol·‖b‖, checked in
-    float64 on x: by multigrid GMRES when the system carries a
-    prolongation, and by sparse LU when it does not or when GMRES misses
+    float64 on x: by multigrid GMRES, and by sparse LU when GMRES misses
     the contract (see the module docstring).
 
-    `seconds` holds the solve alone on both paths.  Only the LU path of a
-    system without a prolongation loads `scipy.sparse.linalg`, before the
-    clock starts; the multigrid path never loads it, so a fallback to LU
-    loads it inside the clock, on the first fallback of the process."""
+    `seconds` holds the solve alone on both paths.  The multigrid path
+    never loads `scipy.sparse.linalg`, so the first fallback to LU of the
+    process loads it inside the clock."""
     check_tol(tol)
-    A, b, P = system.A, system.b, system.P
-    if P is None:
-        import scipy.sparse.linalg  # loaded before the clock starts
+    A, b = system.A, system.b
     t0 = time.perf_counter()
-    pmg = None if P is None else _pmg_solve(A, b, P, tol)
+    pmg = _pmg_solve(A, b, system.P, tol)
     found = pmg or _lu_solve(A, b)
     seconds = time.perf_counter() - t0
     rel = found["relative_residual"]

@@ -64,13 +64,8 @@ def nc_reference_matrix() -> np.ndarray:
 
 
 def nc_layout(mesh: Mesh) -> DofLayout:
-    """One DOF per edge and per face, the face DOFs numbered first.  The
-    block order is global only: each tet's local order stays the
-    element's, edges then faces.  With the edge DOFs numbered first, the
-    LU factor of tp1 J=8 would store 205,890 entries, not the 181,624
-    that `test_fill_stays_at_its_measured_count` pins (J=16, LU forced:
-    5,088,980, not 4,692,672)."""
-    return DofLayout(mesh, (0, 1, 1), (2, 1, 0))
+    """One DOF per edge and per face: the edges, then the faces."""
+    return DofLayout(mesh, (0, 1, 1))
 
 
 def _shifted_edge_points(mesh, bc, surface):

@@ -85,13 +85,12 @@ def build_shifted_node_table(mesh: Mesh, cls: BoundaryClassification,
 
     faces = cls.gamma_faces
     face_ids = layout.ids(2, faces)  # (n_f, (k-1)(k-2)/2)
-    if face_ids.size:
-        opp = mesh.vertices[mesh.tets[top.face_tet[faces], top.face_local[faces]]]
-        M = nodes.coords[face_ids]
-        d = M - opp[:, None]
-        d /= np.linalg.norm(d, axis=-1)[..., None]
-        points[face_ids] = shift_from_entities(
-            mesh, surface, "face", top.face_vertices[faces], M, d)
+    opp = mesh.vertices[mesh.tets[top.face_tet[faces], top.face_local[faces]]]
+    M = nodes.coords[face_ids]
+    d = M - opp[:, None]
+    d /= np.linalg.norm(d, axis=-1)[..., None]
+    points[face_ids] = shift_from_entities(
+        mesh, surface, "face", top.face_vertices[faces], M, d)
 
     shifts = np.concatenate([edge_ids.ravel(), face_ids.ravel()])
     return ShiftedNodeTable(shifts=shifts, points=points)

@@ -427,12 +427,12 @@ def test_multigrid_runs_leave_out_scipy_linalg():
     """The runs of the benchmark's levels, tp1 new, polyhedral and
     nonconforming k=2 J=8 and tp3 new I=2 and 4, all take the multigrid
     path and load neither `scipy.sparse.linalg` nor `scipy.linalg`; a
-    solve without a prolongation, on the LU path, loads both."""
+    fallback to LU, forced by capping GMRES at one step, loads both."""
     out = fresh_python(
-        "import dataclasses, sys\n"
+        "import sys\n"
+        "from shiftfem import linsolve\n"
         "from shiftfem.analysis import run_single\n"
         "from shiftfem.cases import get_case\n"
-        "from shiftfem.linsolve import solve\n"
         "def loaded():\n"
         "    return [m in sys.modules for m in "
         "('scipy.sparse.linalg', 'scipy.linalg')]\n"
@@ -443,7 +443,8 @@ def test_multigrid_runs_leave_out_scipy_linalg():
         " 2, param)\n"
         "    print(report.path)\n"
         "print(loaded())\n"
-        "print(solve(dataclasses.replace(system, P=None)).path)\n"
+        "linsolve.MAX_GMRES_ITERATIONS = 1\n"
+        "print(linsolve.solve(system).path)\n"
         "print(loaded())\n")
     assert out.splitlines() == ["pmg"] * 5 + ["[False, False]", "lu",
                                               "[True, True]"]

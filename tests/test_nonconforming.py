@@ -98,18 +98,23 @@ def test_dof_census():
 
 
 def test_dof_table_is_edges_then_faces():
-    """Each tet's row is its n_faces + edge ids, then its face ids, in the
-    element's local order, while the global ids number the faces first;
-    the mask, in global order, marks exactly the Gamma_h faces and edges."""
+    """The edge DOFs are 0..n_edges-1 and the face DOFs follow them, in
+    entity id order; each tet's row is its edge ids, then its n_edges +
+    face ids, in the element's local order; the mask marks exactly the
+    Gamma_h edges and faces."""
     mesh = generate_octant_mesh(3)
     cls = classify_boundary(mesh, SPHERE)
     top = mesh.topology
     layout = nc_layout(mesh)
+    np.testing.assert_array_equal(layout.ids(1, np.arange(top.n_edges)),
+                                  np.arange(top.n_edges)[:, None])
+    np.testing.assert_array_equal(layout.ids(2, np.arange(top.n_faces)),
+                                  top.n_edges + np.arange(top.n_faces)[:, None])
     np.testing.assert_array_equal(
-        layout.cells(), np.hstack([top.n_faces + top.tet_edges, top.tet_faces]))
+        layout.cells(), np.hstack([top.tet_edges, top.n_edges + top.tet_faces]))
     np.testing.assert_array_equal(layout.gamma_mask(cls), np.concatenate([
-        np.isin(np.arange(top.n_faces), cls.gamma_faces),
-        np.isin(np.arange(top.n_edges), cls.gamma_edges)]))
+        np.isin(np.arange(top.n_edges), cls.gamma_edges),
+        np.isin(np.arange(top.n_faces), cls.gamma_faces)]))
 
 
 def test_cube_domain_gives_symmetric_system():

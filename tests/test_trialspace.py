@@ -10,13 +10,14 @@ from shiftfem.assembly import assemble_new_method
 from shiftfem.cases import get_case
 from shiftfem.dofs import DofLayout, build_lagrange_nodes
 from shiftfem.elements import (
+    EDGES,
     AffineMap,
     reference_nodes,
     shape_values,
     tet_quadrature,
 )
 from shiftfem.meshgen import Mesh, classify_boundary, generate_octant_mesh
-from shiftfem.nonconforming import nc_assemble, nc_layout
+from shiftfem.nonconforming import _REF_BARY, _WEIGHTS, nc_assemble, nc_layout
 from shiftfem.surfaces import Ellipsoid, Sphere
 from shiftfem.trialspace import (
     build_modified_basis,
@@ -94,6 +95,57 @@ def test_dof_table_peak_is_bounded(layout):
     cells, peak = traced_peak(layout(mesh).cells)
     assert cells.shape == (mesh.n_tets, 10)
     assert peak <= 1.5 * cells.nbytes, (peak, cells.nbytes)
+
+
+def _lagrange_layout(degree):
+    def layout_and_hats(mesh):
+        nodes = build_lagrange_nodes(mesh, degree)
+        return nodes.layout, nodes.hats
+    return layout_and_hats
+
+
+def _nc_layout_and_hats(mesh):
+    layout = nc_layout(mesh)
+    return layout, layout.hats(_WEIGHTS @ _REF_BARY)
+
+
+@pytest.mark.parametrize("layout_and_hats", [
+    _lagrange_layout(2), _lagrange_layout(3), _nc_layout_and_hats],
+    ids=["k2", "k3", "nonconforming"])
+def test_dofs_are_numbered_vertices_then_edges_then_faces(layout_and_hats):
+    """On tp1 J=4 every layout numbers its DOFs in one contiguous block per
+    entity kind, the vertices, then the edges, then the faces, each block
+    in entity id order; each tet's row holds the ids of its local
+    entities in the element's order, an edge's DOFs running from its
+    smaller vertex id; and row i of W reads only the vertices of the
+    entity of DOF i."""
+    mesh = get_case("tp1-sphere").mesh(4)
+    layout, W = layout_and_hats(mesh)
+    top, tets = mesh.topology, mesh.tets
+    entities = (np.arange(mesh.n_vertices)[:, None], top.edge_vertices,
+                top.face_vertices)
+    start, owners, expected = 0, [], []
+    for d, local in enumerate((tets, top.tet_edges, top.tet_faces)):
+        c, n = layout.counts[d], len(entities[d])
+        first = start + c * np.arange(n)  # each entity's first DOF
+        np.testing.assert_array_equal(layout.ids(d, np.arange(n)),
+                                      first[:, None] + np.arange(c))
+        for i in range(local.shape[1]):
+            ids = first[local[:, i], None] + np.arange(c)
+            if d == 1:
+                a, b = EDGES[i]
+                ids = np.where((tets[:, a] < tets[:, b])[:, None], ids,
+                               ids[:, ::-1])
+            expected.append(ids)
+        owner = np.full((n, 3), -1)
+        owner[:, :d + 1] = entities[d]
+        owners.append(np.repeat(owner, c, axis=0))
+        start += c * n
+    assert start == layout.sizes.sum() == W.shape[0]
+    np.testing.assert_array_equal(layout.cells(), np.hstack(expected))
+    rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+    owner = np.concatenate(owners)[rows]
+    assert np.all(np.any(W.indices[:, None] == owner, axis=1))
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -311,8 +363,9 @@ def _counted(surface):
 
 @pytest.mark.parametrize("degree", [2, 3])
 def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
-    """One batched line query per kind of shifted node, whatever the mesh
-    size: no scan along the lines."""
+    """One batched line query per entity dimension, whatever the mesh
+    size: no scan along the lines.  At k=2 the face query runs on no
+    points."""
     case = get_case("tp3-torus")
     mesh = case.mesh(4)
     cls = classify_boundary(mesh, case.surface)
@@ -320,7 +373,7 @@ def test_shift_table_queries_the_surface_a_constant_number_of_times(degree):
     table = build_shifted_node_table(
         mesh, cls, surface, build_lagrange_nodes(mesh, degree))
     assert len(table.shifts) >= 100
-    assert calls["intersection"] == degree - 1
+    assert calls["intersection"] == 2
     assert calls["value"] <= 2 * (degree - 1)
     calls.clear()
     assert np.array_equal(classify_boundary(mesh, surface).gamma_faces,
